@@ -162,13 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_match.add_argument("--no-time-overlap", action="store_true",
                          help="match descriptions with disjoint time windows too")
     p_match.add_argument("--out", help="write the JSON report here (default stdout)")
-    p_match.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     p_match.set_defaults(func=cmd_match)
 
     p_resolve = sub.add_parser("resolve", help="resolve triggering conditions in a tree")
     p_resolve.add_argument("--fixture", required=True, help="organization JSON document")
     p_resolve.add_argument("--out", help="write the JSON report here (default stdout)")
-    p_resolve.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     p_resolve.set_defaults(func=cmd_resolve)
 
     p_sim = sub.add_parser("simulate", help="run knowledge-diffusion scenarios")

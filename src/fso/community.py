@@ -33,7 +33,6 @@ class UnknownMember(LookupError):
 class MemberKind(Enum):
     PERSON = "person"
     GROUP_ACTIVITY = "group_activity"
-    COMMUNITY_PROXY = "community_proxy"
 
 
 class MatchType(Enum):

@@ -1,7 +1,7 @@
 """Agent-based knowledge diffusion over organization topologies.
 
-A meta-network couples agents, knowledge units and tasks; the agent-agent
-layer carries diffusion.  Every simulation step is a synchronous round:
+Agent i starts knowing knowledge unit i; the agent-agent edges carry
+diffusion.  Every simulation step is a synchronous round:
 each live edge, in canonical sorted order, gives each direction an
 independent chance ``p`` to transmit one uniformly chosen unit the sender
 knows and the receiver lacks.  Transmissions are computed against the
@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -105,50 +106,26 @@ def gen_fractal(n: int, cell_size: int = 3) -> frozenset[tuple[int, int]]:
 
 @dataclass
 class MetaNetwork:
-    """Agents x knowledge x tasks, with the agent layer carrying edges."""
+    """Agents 0..n-1: sorted edges, what each agent knows, who is cut off."""
 
-    agents: tuple[int, ...]
-    knowledge: tuple[int, ...]
-    tasks: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    edges: tuple[tuple[int, int], ...]
     knows: dict[int, set[int]]
-    assignment: dict[int, int]
     isolated: set[int] = field(default_factory=set)
 
     @classmethod
     def initial(cls, edges: frozenset[tuple[int, int]], n: int) -> "MetaNetwork":
-        """Fresh state: agent i knows exactly unit i and performs task i."""
-        return cls(
-            agents=tuple(range(n)),
-            knowledge=tuple(range(n)),
-            tasks=tuple(range(n)),
-            edges=edges,
-            knows={i: {i} for i in range(n)},
-            assignment={i: i for i in range(n)},
-        )
+        """Fresh state: agent i knows exactly unit i."""
+        return cls(edges=tuple(sorted(edges)), knows={i: {i} for i in range(n)})
 
     def live_edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v)
-            for u, v in sorted(self.edges)
-            if u not in self.isolated and v not in self.isolated
-        ]
-
-    def live_degree(self, agent: int) -> int:
-        if agent in self.isolated:
-            return 0
-        return sum(
-            1
-            for u, v in self.edges
-            if (u == agent and v not in self.isolated)
-            or (v == agent and u not in self.isolated)
-        )
+        isolated = self.isolated
+        return [(u, v) for u, v in self.edges if u not in isolated and v not in isolated]
 
 
 def diffusion_measure(net: MetaNetwork) -> float:
     """Fraction of (agent, unit) pairs where the agent knows the unit."""
     total = sum(len(units) for units in net.knows.values())
-    return total / (len(net.agents) * len(net.knowledge))
+    return total / len(net.knows) ** 2
 
 
 def step(net: MetaNetwork, rng: random.Random, p: float) -> MetaNetwork:
@@ -172,13 +149,14 @@ def isolate(
     net: MetaNetwork, strategy: IsolationStrategy, rng: random.Random
 ) -> tuple[MetaNetwork, int]:
     """Cut one agent's edges; its knowledge is retained."""
-    candidates = [a for a in net.agents if a not in net.isolated]
+    candidates = [a for a in net.knows if a not in net.isolated]
     if not candidates:
         raise NoAgentsLeft("all agents are already isolated")
     if strategy is IsolationStrategy.RANDOM:
         agent = candidates[rng.randrange(len(candidates))]
     else:
-        agent = min(candidates, key=lambda a: (-net.live_degree(a), a))
+        degree = Counter(end for edge in net.live_edges() for end in edge)
+        agent = min(candidates, key=lambda a: (-degree[a], a))
     net.isolated.add(agent)
     return net, agent
 
@@ -206,6 +184,10 @@ class ScenarioSpec:
     branching: int = 2
 
     def __post_init__(self):
+        for name in ("horizon", "seed", "agents", "cell_size", "branching"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
         if not 0 < self.transmit_probability <= 1:
             raise InvalidParams("transmit_probability must be in (0, 1]")
         if self.horizon < 0:
@@ -215,6 +197,11 @@ class ScenarioSpec:
                 raise InvalidParams(
                     f"isolation time {time} outside 1..{self.horizon}"
                 )
+        if len(self.isolation_events) > self.agents:
+            raise InvalidParams(
+                f"isolation_events: {len(self.isolation_events)} events"
+                f" but only {self.agents} agents"
+            )
 
     def build_edges(self) -> frozenset[tuple[int, int]]:
         if self.topology is Topology.FRACTAL:
@@ -272,13 +259,11 @@ def monte_carlo(spec: ScenarioSpec, replicates: int) -> MonteCarloResult:
     traces = tuple(
         run_scenario(replace(spec, seed=spec.seed + r)) for r in range(replicates)
     )
-    steps = len(traces[0].values)
-    mean = tuple(
-        sum(trace.values[t] for trace in traces) / replicates for t in range(steps)
+    columns = tuple(zip(*(trace.values for trace in traces)))
+    mean = tuple(sum(column) / replicates for column in columns)
+    return MonteCarloResult(
+        spec, traces, mean, tuple(map(min, columns)), tuple(map(max, columns))
     )
-    low = tuple(min(trace.values[t] for trace in traces) for t in range(steps))
-    high = tuple(max(trace.values[t] for trace in traces) for t in range(steps))
-    return MonteCarloResult(spec, traces, mean, low, high)
 
 
 # --- spec and trace I/O --------------------------------------------------
@@ -296,6 +281,10 @@ _SCENARIO_KEYS = {
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
+    if not isinstance(data, dict):
+        raise InvalidParams(
+            f"scenario must be a JSON object, got {type(data).__name__}"
+        )
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
         raise InvalidParams(f"unknown scenario keys: {sorted(unknown)}")

@@ -3,16 +3,26 @@
 Everything here is deliberately written against the definitions, not
 against the library code: closure via the Warshall bitset algorithm,
 mutualism via exhaustive pair enumeration, knowledge diffusion via a
-literal replay of the documented RNG discipline.
+literal replay of the documented RNG discipline.  The diffusion section
+also keeps the simulator as it was before its data layout was trimmed
+(full meta-network, per-step edge sort, per-candidate degree scan,
+three-pass aggregation) as the reference for differential tests.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import combinations, permutations
 
 from fso.descriptions import LocationSpec, ServiceDescription
+from fso.diffusion import (
+    DiffusionTrace,
+    IsolationStrategy,
+    NoAgentsLeft,
+    ScenarioSpec,
+)
 
 # --- transitive closure (taxonomy) --------------------------------------
 
@@ -158,3 +168,116 @@ def connected_after_removal(n: int, edges, removed=None) -> bool:
 
 def has_cut_vertex(n: int, edges) -> bool:
     return any(not connected_after_removal(n, edges, removed=v) for v in range(n))
+
+
+# --- knowledge diffusion (reference simulator) ----------------------------
+
+
+@dataclass
+class ReferenceMetaNetwork:
+    """Agents x knowledge x tasks, with the agent layer carrying edges."""
+
+    agents: tuple[int, ...]
+    knowledge: tuple[int, ...]
+    tasks: tuple[int, ...]
+    edges: frozenset[tuple[int, int]]
+    knows: dict[int, set[int]]
+    assignment: dict[int, int]
+    isolated: set[int] = field(default_factory=set)
+
+    @classmethod
+    def initial(cls, edges: frozenset[tuple[int, int]], n: int) -> "ReferenceMetaNetwork":
+        """Fresh state: agent i knows exactly unit i and performs task i."""
+        return cls(
+            agents=tuple(range(n)),
+            knowledge=tuple(range(n)),
+            tasks=tuple(range(n)),
+            edges=edges,
+            knows={i: {i} for i in range(n)},
+            assignment={i: i for i in range(n)},
+        )
+
+    def live_edges(self) -> list[tuple[int, int]]:
+        return [
+            (u, v)
+            for u, v in sorted(self.edges)
+            if u not in self.isolated and v not in self.isolated
+        ]
+
+    def live_degree(self, agent: int) -> int:
+        if agent in self.isolated:
+            return 0
+        return sum(
+            1
+            for u, v in self.edges
+            if (u == agent and v not in self.isolated)
+            or (v == agent and u not in self.isolated)
+        )
+
+
+def reference_measure(net: ReferenceMetaNetwork) -> float:
+    """Fraction of (agent, unit) pairs where the agent knows the unit."""
+    total = sum(len(units) for units in net.knows.values())
+    return total / (len(net.agents) * len(net.knowledge))
+
+
+def reference_step(
+    net: ReferenceMetaNetwork, rng: random.Random, p: float
+) -> ReferenceMetaNetwork:
+    """One synchronous exchange round; mutates and returns the network."""
+    additions: dict[int, set[int]] = {}
+    for u, v in net.live_edges():
+        for sender, receiver in ((u, v), (v, u)):
+            if rng.random() >= p:
+                continue
+            candidates = sorted(net.knows[sender] - net.knows[receiver])
+            if not candidates:
+                continue
+            unit = candidates[rng.randrange(len(candidates))]
+            additions.setdefault(receiver, set()).add(unit)
+    for receiver, units in additions.items():
+        net.knows[receiver] |= units
+    return net
+
+
+def reference_isolate(
+    net: ReferenceMetaNetwork, strategy: IsolationStrategy, rng: random.Random
+) -> tuple[ReferenceMetaNetwork, int]:
+    """Cut one agent's edges; its knowledge is retained."""
+    candidates = [a for a in net.agents if a not in net.isolated]
+    if not candidates:
+        raise NoAgentsLeft("all agents are already isolated")
+    if strategy is IsolationStrategy.RANDOM:
+        agent = candidates[rng.randrange(len(candidates))]
+    else:
+        agent = min(candidates, key=lambda a: (-net.live_degree(a), a))
+    net.isolated.add(agent)
+    return net, agent
+
+
+def reference_run_scenario(spec: ScenarioSpec) -> DiffusionTrace:
+    """Run one scenario to the horizon, deterministically for its seed."""
+    net = ReferenceMetaNetwork.initial(spec.build_edges(), spec.agents)
+    rng = random.Random(spec.seed)
+    values = [reference_measure(net)]
+    isolations: list[tuple[int, int]] = []
+    for t in range(1, spec.horizon + 1):
+        for time, strategy in spec.isolation_events:
+            if time == t:
+                net, agent = reference_isolate(net, strategy, rng)
+                isolations.append((t, agent))
+        reference_step(net, rng, spec.transmit_probability)
+        values.append(reference_measure(net))
+    return DiffusionTrace(tuple(values), tuple(isolations))
+
+
+def reference_aggregate(traces) -> tuple[tuple[float, ...], ...]:
+    """Per-step (mean, min, max) of replicate traces, one pass per statistic."""
+    replicates = len(traces)
+    steps = len(traces[0].values)
+    mean = tuple(
+        sum(trace.values[t] for trace in traces) / replicates for t in range(steps)
+    )
+    low = tuple(min(trace.values[t] for trace in traces) for t in range(steps))
+    high = tuple(max(trace.values[t] for trace in traces) for t in range(steps))
+    return mean, low, high

@@ -26,6 +26,7 @@ from fso.diffusion import (
     Topology,
     gen_fractal,
     gen_hierarchy,
+    load_scenario,
     monte_carlo,
     SINGLE_ISOLATION_TIMES,
     REPEATED_ISOLATION_TIMES,
@@ -53,6 +54,7 @@ from oracles import (
 )
 
 DATA = Path(__file__).parent / "data"
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
 @contextmanager
@@ -315,6 +317,18 @@ def test_criterion_9_simulation_orderings(experiment_scale_runs):
         )
 
         assert elapsed < 60.0
+
+
+def test_committed_scenarios_are_the_experiment_specs(experiment_scale_runs):
+    runs, _ = experiment_scale_runs
+    names = {"S1": "baseline", "S2": "single-isolation", "S3": "repeated-isolation"}
+    expected = {
+        f"{names[label]}-{topology.value}.json": result.spec
+        for (topology, label), result in runs.items()
+    }
+    assert sorted(path.name for path in SCENARIOS.glob("*.json")) == sorted(expected)
+    for name, spec in expected.items():
+        assert load_scenario(SCENARIOS / name) == spec
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):

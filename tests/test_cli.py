@@ -192,6 +192,24 @@ def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
     assert main(["simulate", "--scenario", bad, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "scenario,message",
+    [
+        ({"topology": "fractal", "agents": 3, "horizon": 20,
+          "isolation_events": [[t, "max_degree"] for t in (1, 2, 3, 4)]},
+         "isolation_events"),
+        ([1, 2], "scenario must be a JSON object"),
+        ({"topology": "fractal", "horizon": 10.5}, "horizon"),
+    ],
+    ids=["more-isolations-than-agents", "top-level-array", "fractional-horizon"],
+)
+def test_simulate_malformed_scenario_names_the_field(tmp_path, capsys, scenario, message):
+    path = write(tmp_path / "bad.json", json.dumps(scenario))
+    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err, err
+
+
 def test_repeated_invocations_are_byte_identical(tmp_path):
     scenario = scenario_file(
         tmp_path, horizon=25, isolation_events=[[10, "max_degree"]]

@@ -22,7 +22,12 @@ from fso.diffusion import (
     step,
 )
 
-from oracles import connected_after_removal, has_cut_vertex
+from oracles import (
+    connected_after_removal,
+    has_cut_vertex,
+    reference_aggregate,
+    reference_run_scenario,
+)
 
 
 def spec(topology=Topology.FRACTAL, **overrides):
@@ -196,8 +201,8 @@ def test_initial_measure_is_one_over_units():
 
 def test_full_knowledge_measures_one():
     net = MetaNetwork.initial(gen_fractal(15, 3), 15)
-    for agent in net.agents:
-        net.knows[agent] = set(net.knowledge)
+    for agent in range(15):
+        net.knows[agent] = set(range(15))
     assert diffusion_measure(net) == 1.0
 
 
@@ -205,15 +210,15 @@ def test_measure_matches_recount_on_random_states():
     rng = random.Random(3)
     for _ in range(100):
         net = MetaNetwork.initial(gen_hierarchy(10, 2), 10)
-        for agent in net.agents:
+        for agent in range(10):
             net.knows[agent] = {
-                unit for unit in net.knowledge if rng.random() < 0.4
+                unit for unit in range(10) if rng.random() < 0.4
             } | {agent}
         recount = sum(
-            1 for agent in net.agents for unit in net.knowledge
+            1 for agent in range(10) for unit in range(10)
             if unit in net.knows[agent]
         )
-        assert diffusion_measure(net) == recount / (len(net.agents) * len(net.knowledge))
+        assert diffusion_measure(net) == recount / (10 * 10)
 
 
 # --- scenarios --------------------------------------------------------------
@@ -272,6 +277,39 @@ def test_probability_validated():
         spec(transmit_probability=0.0)
     with pytest.raises(InvalidParams):
         spec(transmit_probability=1.5)
+
+
+# --- differential check against the reference simulator -----------------------
+
+
+@pytest.mark.parametrize(
+    "agents,seeds", [(150, range(3)), (600, range(2))], ids=["150", "600"]
+)
+@pytest.mark.parametrize("topology", list(Topology))
+@pytest.mark.parametrize("strategy", list(IsolationStrategy))
+def test_run_scenario_matches_reference(agents, seeds, topology, strategy):
+    for seed in seeds:
+        s = spec(
+            topology=topology,
+            agents=agents,
+            horizon=60,
+            isolation_events=tuple((t, strategy) for t in (5, 10, 20, 40, 40)),
+            seed=seed,
+        )
+        assert run_scenario(s) == reference_run_scenario(s)
+
+
+def test_aggregate_matches_three_pass_reference():
+    result = monte_carlo(
+        spec(
+            topology=Topology.HIERARCHY,
+            horizon=50,
+            isolation_events=((10, IsolationStrategy.MAX_DEGREE),),
+            seed=11,
+        ),
+        25,
+    )
+    assert (result.mean, result.min, result.max) == reference_aggregate(result.traces)
 
 
 # --- monte carlo -------------------------------------------------------------
