@@ -122,12 +122,13 @@ def cmd_resolve(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario_paths = [Path(p) for p in args.scenario]
+    # validate every file before running any, so a bad one writes nothing
+    specs = [diffusion.load_scenario(path) for path in scenario_paths]
     multiple = len(scenario_paths) > 1
     out = Path(args.out)
     if multiple:
         out.mkdir(parents=True, exist_ok=True)
-    for scenario_path in scenario_paths:
-        spec = diffusion.load_scenario(scenario_path)
+    for scenario_path, spec in zip(scenario_paths, specs):
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
         result = diffusion.monte_carlo(spec, args.replicates)

@@ -6,6 +6,13 @@ the first hit consumes both records and emits an event.  Matching is
 taxonomy-aware: a provided type satisfies a requested type when it is a
 subtype of it, or, when the policy allows specialization, a supertype.
 
+Only outstanding records are kept, in publication order, each under a
+sequence number and indexed in two buckets: by the type it provides and by
+the type it requests.  A new record reads the provide-buckets of the types
+that could serve its request and the request-buckets of the types its
+offer could serve, as the taxonomy gives them, and visits that union by
+ascending sequence number; ``match_pair`` alone decides each candidate.
+
 A match where both sides end up enacting the same type is a group
 activity.  The community can promote such a match to a member of its own:
 the promoted activity offers the shared type, requests a venue for it,
@@ -18,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import count
 from pathlib import Path
 
 from .descriptions import ServiceDescription, parse_descriptions
@@ -161,9 +169,9 @@ def match_pair(
 
 @dataclass
 class _Entry:
+    seq: int  # publication order
     owner: str
     description: ServiceDescription
-    consumed: bool = False
 
 
 class Community:
@@ -182,7 +190,11 @@ class Community:
         self.residual_requests = dict(residual_requests or {})
         self.members: dict[str, Member] = {}
         self.activities: dict[str, GroupActivity] = {}  # activity type -> activity
-        self._entries: list[_Entry] = []
+        self._activity_of: dict[str, GroupActivity] = {}  # member id -> activity
+        self._outstanding: dict[int, _Entry] = {}  # seq -> entry, in seq order
+        self._by_provide: dict[str, dict[int, _Entry]] = {}
+        self._by_request: dict[str, dict[int, _Entry]] = {}
+        self._seq = count()
 
     # --- registry ---
 
@@ -193,14 +205,52 @@ class Community:
         self.members[member_id] = member
         return member
 
-    def _activity_of(self, member_id: str) -> GroupActivity | None:
-        member = self.members.get(member_id)
-        if member is None or member.kind is not MemberKind.GROUP_ACTIVITY:
-            return None
-        for activity in self.activities.values():
-            if activity.member_id == member_id:
-                return activity
-        return None
+    # --- outstanding-record index ---
+
+    def _buckets(self, description: ServiceDescription):
+        if description.provide is not None:
+            yield self._by_provide, description.provide
+        if description.request is not None:
+            yield self._by_request, description.request
+
+    def _index(self, entry: _Entry):
+        for buckets, key in self._buckets(entry.description):
+            buckets.setdefault(key, {})[entry.seq] = entry
+
+    def _unindex(self, entry: _Entry):
+        for buckets, key in self._buckets(entry.description):
+            bucket = buckets[key]
+            del bucket[entry.seq]
+            if not bucket:
+                del buckets[key]
+
+    def _store(self, owner: str, description: ServiceDescription) -> _Entry:
+        entry = _Entry(next(self._seq), owner, description)
+        self._outstanding[entry.seq] = entry
+        self._index(entry)
+        return entry
+
+    def _consume(self, entry: _Entry):
+        del self._outstanding[entry.seq]
+        self._unindex(entry)
+
+    def _candidates(self, description: ServiceDescription) -> list[_Entry]:
+        """Outstanding entries whose types could match, oldest first.
+
+        Provide-buckets of the types that could serve the request, and
+        request-buckets of the types the offer could serve: a superset of
+        the matches, left to ``match_pair`` to decide.
+        """
+        tax, special = self.taxonomy, self.policy.allow_specialization
+        found: dict[int, _Entry] = {}
+        for buckets, key, near, far in (
+            (self._by_provide, description.request, tax.subtypes_of, tax.ancestors),
+            (self._by_request, description.provide, tax.ancestors, tax.subtypes_of),
+        ):
+            if key is not None:
+                for t in near(key) | far(key) if special else near(key):
+                    found.update(buckets.get(t, {}))
+        return [found[seq] for seq in sorted(found)]
 
     # --- publication ---
 
@@ -215,12 +265,13 @@ class Community:
         if member_id not in self.members:
             raise UnknownMember(member_id)
         self.members[member_id].published.append(description)
-        entry = _Entry(member_id, description)
+        candidates = self._candidates(description)
+        entry = self._store(member_id, description)
         events: list[MatchEvent] = []
-        for candidate in self._entries:
-            if candidate.consumed or candidate.owner == member_id:
+        for candidate in candidates:
+            if candidate.owner == member_id:
                 continue
-            activity = self._activity_of(candidate.owner)
+            activity = self._activity_of.get(candidate.owner)
             if activity is not None:
                 if self._match_activity(activity, candidate, entry, events):
                     break
@@ -230,15 +281,14 @@ class Community:
             )
             if match.kind is MatchType.NO_MATCH:
                 continue
-            candidate.consumed = True
-            entry.consumed = True
+            self._consume(candidate)
+            self._consume(entry)
             event = self._event(candidate.owner, member_id, match)
             events.append(event)
             if match.kind is MatchType.GROUP and self.auto_promote_groups:
                 _, follow_ups = self.form_group_activity(event)
                 events.extend(follow_ups)
             break
-        self._entries.append(entry)
         return events
 
     def _event(self, first_owner: str, second_owner: str, match: Match) -> MatchEvent:
@@ -295,8 +345,10 @@ class Community:
             activity.location_offer = entry.description
             # the venue request is now satisfied; keep offering the activity
             activity.description = replace(activity.description, request=None)
+            self._unindex(activity_entry)
             activity_entry.description = activity.description
-        entry.consumed = True
+            self._index(activity_entry)
+        self._consume(entry)
         events.append(self._event(activity.member_id, entry.owner, match))
         return True
 
@@ -352,33 +404,29 @@ class Community:
             description=derived,
         )
         self.activities[shared_type] = activity
+        self._activity_of[member_id] = activity
         self.members[member_id].published.append(derived)
-        activity_entry = _Entry(member_id, derived)
-        events = self._sweep(activity, activity_entry)
-        self._entries.append(activity_entry)
-        return activity, events
+        activity_entry = self._store(member_id, derived)
+        return activity, self._sweep(activity, activity_entry)
 
     def _sweep(
         self, activity: GroupActivity, activity_entry: _Entry
     ) -> list[MatchEvent]:
         """Attach all outstanding matching descriptions to a new activity."""
         events: list[MatchEvent] = []
-        for candidate in self._entries:
-            if candidate.consumed or candidate.owner == activity.member_id:
-                continue
-            if self._activity_of(candidate.owner) is not None:
-                continue
-            self._match_activity(activity, activity_entry, candidate, events)
+        for candidate in list(self._outstanding.values()):
+            if candidate.owner not in self._activity_of:
+                self._match_activity(activity, activity_entry, candidate, events)
         return events
 
     # --- views ---
 
     def pending(self) -> list[ServiceDescription]:
         """Unconsumed descriptions, in publication order."""
-        return [e.description for e in self._entries if not e.consumed]
+        return [e.description for e in self._outstanding.values()]
 
     def pending_entries(self) -> list[tuple[str, ServiceDescription]]:
-        return [(e.owner, e.description) for e in self._entries if not e.consumed]
+        return [(e.owner, e.description) for e in self._outstanding.values()]
 
 
 # --- loading -----------------------------------------------------------
@@ -413,6 +461,9 @@ def load_community(path) -> tuple[Community, list[tuple[str, ServiceDescription]
     unknown = set(policy_data) - {"allow_specialization", "require_time_overlap"}
     if unknown:
         raise ValueError(f"unknown policy flags: {sorted(unknown)}")
+    for flag, value in policy_data.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"{path}: policy.{flag} must be a boolean, got {value!r}")
     policy = MatchPolicy(**policy_data)
     community = Community(taxonomy, policy)
     plan: list[tuple[str, ServiceDescription]] = []

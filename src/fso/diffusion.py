@@ -43,7 +43,7 @@ class IsolationStrategy(Enum):
 
     @classmethod
     def parse(cls, name: str) -> "IsolationStrategy":
-        key = name.strip().lower().replace("-", "").replace("_", "")
+        key = str(name).strip().lower().replace("-", "").replace("_", "")
         for strategy in cls:
             if strategy.value.replace("_", "") == key:
                 return strategy
@@ -56,7 +56,7 @@ class Topology(Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Topology":
-        key = name.strip().lower()
+        key = str(name).strip().lower()
         for topology in cls:
             if topology.value == key:
                 return topology
@@ -188,7 +188,10 @@ class ScenarioSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidParams(f"{name} must be an integer, got {value!r}")
-        if not 0 < self.transmit_probability <= 1:
+        p = self.transmit_probability
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise InvalidParams(f"transmit_probability must be a number, got {p!r}")
+        if not 0 < p <= 1:
             raise InvalidParams("transmit_probability must be in (0, 1]")
         if self.horizon < 0:
             raise InvalidParams("horizon must be non-negative")
@@ -290,10 +293,16 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         raise InvalidParams(f"unknown scenario keys: {sorted(unknown)}")
     if "topology" not in data:
         raise InvalidParams("scenario must name a topology")
-    events = tuple(
-        (int(time), IsolationStrategy.parse(strategy))
-        for time, strategy in data.get("isolation_events", [])
-    )
+    raw_events = data.get("isolation_events", [])
+    if not isinstance(raw_events, list):
+        raise InvalidParams(f"isolation_events must be a list, got {raw_events!r}")
+    events = []
+    for i, event in enumerate(raw_events):
+        if not (isinstance(event, list) and len(event) == 2 and type(event[0]) is int):
+            raise InvalidParams(
+                f"isolation_events[{i}] must be [integer step, strategy], got {event!r}"
+            )
+        events.append((event[0], IsolationStrategy.parse(event[1])))
     kwargs = {
         key: data[key]
         for key in ("horizon", "transmit_probability", "seed", "agents",
@@ -302,14 +311,19 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
     }
     return ScenarioSpec(
         topology=Topology.parse(data["topology"]),
-        isolation_events=events,
+        isolation_events=tuple(events),
         **kwargs,
     )
 
 
 def load_scenario(path) -> ScenarioSpec:
+    """Read and validate a scenario file; bad content names the file."""
     with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+        text = fh.read()
+    try:
+        return scenario_from_dict(json.loads(text))
+    except ValueError as exc:  # InvalidParams or JSONDecodeError
+        raise InvalidParams(f"{path}: {exc}") from exc
 
 
 def write_trace_csv(trace: DiffusionTrace, path):

@@ -311,11 +311,32 @@ class FractalOrganization:
 # --- loading -----------------------------------------------------------
 
 
-def _node_from_dict(data: dict) -> CommunityNode:
-    members = [Member(m["id"], m.get("offers", [])) for m in data.get("members", [])]
-    node = CommunityNode(data["id"], members)
-    for child_data in data.get("children", []):
-        node.add_child(_node_from_dict(child_data))
+def _field(data, key: str, where: str = "", index: int | None = None):
+    """``data[key]``; a missing field or a non-object is named by its path.
+
+    The path of ``data`` is ``where``, or ``where[index]`` for a list item.
+    """
+    if isinstance(data, dict) and key in data:
+        return data[key]
+    if index is not None:
+        where = f"{where}[{index}]"
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{where or 'fixture'} must be a JSON object, got {type(data).__name__}"
+        )
+    raise ValueError(f"missing field {where + '.' if where else ''}{key}")
+
+
+def _node_from_dict(data, where: str) -> CommunityNode:
+    node_id = _field(data, "id", where)
+    members_at = f"{where}.members"
+    members = [
+        Member(_field(m, "id", members_at, i), m.get("offers", []))
+        for i, m in enumerate(data.get("members", []))
+    ]
+    node = CommunityNode(node_id, members)
+    for i, child_data in enumerate(data.get("children", [])):
+        node.add_child(_node_from_dict(child_data, f"{where}.children[{i}]"))
     return node
 
 
@@ -331,19 +352,31 @@ def load_fixture(path) -> tuple[FractalOrganization, list[TriggeringCondition]]:
                        "children": [...]},
          "conditions": [{"id": "alarm-1", "origin": "district-a",
                          "roles": ["Nurse", "Transport"]}]}
+
+    Bad content raises ValueError naming the file and the field.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        text = fh.read()
+    try:
+        return _fixture_from_dict(json.loads(text), path.parent)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _fixture_from_dict(
+    data, base: Path
+) -> tuple[FractalOrganization, list[TriggeringCondition]]:
+    community = _field(data, "community")
     taxonomy = Taxonomy()
     if "taxonomy" in data:
-        taxonomy = load_taxonomy(path.parent / data["taxonomy"])
+        taxonomy = load_taxonomy(base / data["taxonomy"])
     for child, parent in data.get("taxonomy_edges", []):
         taxonomy.add_subclass(child, parent)
-    org = FractalOrganization(_node_from_dict(data["community"]), taxonomy)
+    org = FractalOrganization(_node_from_dict(community, "community"), taxonomy)
     conditions = []
-    for cond_data in data.get("conditions", []):
-        roles = tuple(cond_data["roles"])
+    for n, cond_data in enumerate(data.get("conditions", [])):
+        roles = tuple(_field(cond_data, "roles", "conditions", n))
         state: dict[int, str] = {}
         for role_name, member_id in cond_data.get("state", {}).items():
             open_slots = [
@@ -356,8 +389,8 @@ def load_fixture(path) -> tuple[FractalOrganization, list[TriggeringCondition]]:
             state[open_slots[0]] = member_id
         conditions.append(
             TriggeringCondition(
-                id=cond_data["id"],
-                origin=cond_data["origin"],
+                id=_field(cond_data, "id", "conditions", n),
+                origin=_field(cond_data, "origin", "conditions", n),
                 required_roles=roles,
                 state=state,
             )

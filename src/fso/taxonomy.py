@@ -33,6 +33,7 @@ class Taxonomy:
         self.subclass_edges: set[tuple[str, str]] = set()
         self._parents: dict[str, set[str]] = {}
         self._ancestor_cache: dict[str, frozenset[str]] = {}
+        self._subtype_cache: dict[str, frozenset[str]] = {}
         for child, parent in edges:
             self.add_subclass(child, parent)
 
@@ -56,9 +57,10 @@ class Taxonomy:
         self.subclass_edges.add((child, parent))
         self._parents[child].add(parent)
         self._ancestor_cache.clear()
+        self._subtype_cache.clear()
         return self
 
-    def _ancestors(self, name: str) -> frozenset[str]:
+    def ancestors(self, name: str) -> frozenset[str]:
         """All types reachable upward from ``name``, including itself."""
         cached = self._ancestor_cache.get(name)
         if cached is not None:
@@ -76,13 +78,15 @@ class Taxonomy:
 
     def is_subtype(self, a: str, b: str) -> bool:
         """True iff ``a`` is subsumed by ``b`` (reflexive, transitive)."""
-        return a == b or b in self._ancestors(a)
+        return a == b or b in self.ancestors(a)
 
-    def subtypes_of(self, b: str) -> set[str]:
+    def subtypes_of(self, b: str) -> frozenset[str]:
         """Every registered type subsumed by ``b``, plus ``b`` itself."""
-        found = {a for a in self.types if b in self._ancestors(a)}
-        found.add(b)
-        return found
+        cached = self._subtype_cache.get(b)
+        if cached is None:
+            cached = frozenset({a for a in self.types if b in self.ancestors(a)} | {b})
+            self._subtype_cache[b] = cached
+        return cached
 
     def __contains__(self, name: str) -> bool:
         return name in self.types
@@ -109,6 +113,8 @@ def parse_taxonomy(text: str) -> Taxonomy:
         child, _, parent = fields
         try:
             tax.add_subclass(child, parent)
+        except CycleError as exc:
+            raise CycleError(f"line {lineno}: {exc}") from exc
         except ValueError as exc:
             raise TaxonomyParseError(str(exc), lineno) from exc
     return tax

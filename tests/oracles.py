@@ -6,16 +6,30 @@ mutualism via exhaustive pair enumeration, knowledge diffusion via a
 literal replay of the documented RNG discipline.  The diffusion section
 also keeps the simulator as it was before its data layout was trimmed
 (full meta-network, per-step edge sort, per-candidate degree scan,
-three-pass aggregation) as the reference for differential tests.
+three-pass aggregation) as the reference for differential tests, and the
+community section keeps the publisher as it was before its index (a full
+re-scan of every record ever published) for the same purpose.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from itertools import combinations, permutations
 
+from fso.community import (
+    DEFAULT_RESIDUAL_REQUEST,
+    GroupActivity,
+    Match,
+    MatchEvent,
+    MatchPolicy,
+    MatchType,
+    Member,
+    MemberKind,
+    UnknownMember,
+    match_pair,
+)
 from fso.descriptions import LocationSpec, ServiceDescription
 from fso.diffusion import (
     DiffusionTrace,
@@ -23,6 +37,7 @@ from fso.diffusion import (
     NoAgentsLeft,
     ScenarioSpec,
 )
+from fso.taxonomy import Taxonomy
 
 # --- transitive closure (taxonomy) --------------------------------------
 
@@ -140,6 +155,235 @@ def random_description(rng: random.Random) -> ServiceDescription:
         request=request,
         location=location,
     )
+
+
+# --- community publication (reference publisher) -------------------
+
+
+@dataclass
+class _ReferenceEntry:
+    owner: str
+    description: ServiceDescription
+    consumed: bool = False
+
+
+class ReferenceCommunity:
+    """The community matcher as it was before its outstanding-record index.
+
+    Every publication re-scans every record ever published, consumed or
+    not, and finds a member's group activity by a linear search.
+    """
+
+    def __init__(
+        self,
+        taxonomy: Taxonomy | None = None,
+        policy: MatchPolicy = MatchPolicy(),
+        auto_promote_groups: bool = True,
+        residual_requests: dict[str, str] | None = None,
+    ):
+        self.taxonomy = taxonomy if taxonomy is not None else Taxonomy()
+        self.policy = policy
+        self.auto_promote_groups = auto_promote_groups
+        self.residual_requests = dict(residual_requests or {})
+        self.members: dict[str, Member] = {}
+        self.activities: dict[str, GroupActivity] = {}  # activity type -> activity
+        self._entries: list[_ReferenceEntry] = []
+
+    # --- registry ---
+
+    def register(self, member_id: str, kind: MemberKind = MemberKind.PERSON) -> Member:
+        if member_id in self.members:
+            raise ValueError(f"member {member_id!r} already registered")
+        member = Member(member_id, kind)
+        self.members[member_id] = member
+        return member
+
+    def _activity_of(self, member_id: str) -> GroupActivity | None:
+        member = self.members.get(member_id)
+        if member is None or member.kind is not MemberKind.GROUP_ACTIVITY:
+            return None
+        for activity in self.activities.values():
+            if activity.member_id == member_id:
+                return activity
+        return None
+
+    # --- publication ---
+
+    def publish(
+        self, member_id: str, description: ServiceDescription
+    ) -> list[MatchEvent]:
+        """Store a description and match it against outstanding ones.
+
+        Returns the emitted events: at most one direct match, plus any
+        follow-up events caused by group promotion.
+        """
+        if member_id not in self.members:
+            raise UnknownMember(member_id)
+        self.members[member_id].published.append(description)
+        entry = _ReferenceEntry(member_id, description)
+        events: list[MatchEvent] = []
+        for candidate in self._entries:
+            if candidate.consumed or candidate.owner == member_id:
+                continue
+            activity = self._activity_of(candidate.owner)
+            if activity is not None:
+                if self._match_activity(activity, candidate, entry, events):
+                    break
+                continue
+            match = match_pair(
+                candidate.description, description, self.taxonomy, self.policy
+            )
+            if match.kind is MatchType.NO_MATCH:
+                continue
+            candidate.consumed = True
+            entry.consumed = True
+            event = self._event(candidate.owner, member_id, match)
+            events.append(event)
+            if match.kind is MatchType.GROUP and self.auto_promote_groups:
+                _, follow_ups = self.form_group_activity(event)
+                events.extend(follow_ups)
+            break
+        self._entries.append(entry)
+        return events
+
+    def _event(self, first_owner: str, second_owner: str, match: Match) -> MatchEvent:
+        if match.kind is MatchType.SERVICE:
+            provider = first_owner if match.first_provides else second_owner
+            requester = second_owner if match.first_provides else first_owner
+            return MatchEvent(
+                MatchType.SERVICE,
+                members=(first_owner, second_owner),
+                matched_type=match.matched_type,
+                provider=provider,
+                requester=requester,
+            )
+        if match.kind is MatchType.GROUP:
+            return MatchEvent(
+                MatchType.GROUP,
+                members=(first_owner, second_owner),
+                matched_type=match.matched_type,
+            )
+        return MatchEvent(
+            MatchType.MUTUALISTIC,
+            members=(first_owner, second_owner),
+            x_type=match.x_type,
+            y_type=match.y_type,
+        )
+
+    def _match_activity(
+        self,
+        activity: GroupActivity,
+        activity_entry: _ReferenceEntry,
+        entry: _ReferenceEntry,
+        events: list[MatchEvent],
+    ) -> bool:
+        """Match a fresh description against a standing group activity.
+
+        Joining and venue-binding leave the activity's own record
+        outstanding, so one activity serves any number of later matches.
+        """
+        match = match_pair(
+            activity_entry.description, entry.description, self.taxonomy, self.policy
+        )
+        if match.kind is MatchType.NO_MATCH:
+            return False
+        joins = match.kind in (MatchType.MUTUALISTIC, MatchType.GROUP) or (
+            match.kind is MatchType.SERVICE and match.first_provides
+        )
+        binds = match.kind in (MatchType.MUTUALISTIC, MatchType.GROUP) or (
+            match.kind is MatchType.SERVICE and not match.first_provides
+        )
+        if joins:
+            activity.participants.add(entry.owner)
+        if binds:
+            activity.location_provider = entry.owner
+            activity.location_offer = entry.description
+            # the venue request is now satisfied; keep offering the activity
+            activity.description = replace(activity.description, request=None)
+            activity_entry.description = activity.description
+        entry.consumed = True
+        events.append(self._event(activity.member_id, entry.owner, match))
+        return True
+
+    # --- group promotion ---
+
+    def form_group_activity(
+        self, event: MatchEvent
+    ) -> tuple[GroupActivity, list[MatchEvent]]:
+        """Promote a GROUP match event into a community member.
+
+        One activity exists per shared type: a second group match on the
+        same type merges its members into the standing activity.  The
+        promoted record immediately sweeps the outstanding descriptions,
+        so earlier-published requesters and venue offers attach to it.
+        """
+        if event.kind is not MatchType.GROUP:
+            raise ValueError("only GROUP events can be promoted")
+        shared_type = event.matched_type
+        existing = self.activities.get(shared_type)
+        if existing is not None:
+            existing.participants.update(event.members)
+            return existing, []
+        member_id = f"activity:{shared_type}"
+        founders = [
+            d
+            for m in event.members
+            for d in self.members[m].published
+            if d.provide == shared_type or d.request == shared_type
+        ]
+        if not founders:
+            raise ValueError(
+                f"group members {event.members} never published {shared_type!r}"
+            )
+        start = max(d.start_time for d in founders)
+        end = min(d.end_time for d in founders)
+        if start > end:  # disjoint founders (overlap not required): use the span
+            start = min(d.start_time for d in founders)
+            end = max(d.end_time for d in founders)
+        derived = ServiceDescription(
+            creation_time=max(d.creation_time for d in founders),
+            start_time=start,
+            end_time=end,
+            creator=member_id,
+            provide=shared_type,
+            request=self.residual_requests.get(shared_type, DEFAULT_RESIDUAL_REQUEST),
+        )
+        self.register(member_id, MemberKind.GROUP_ACTIVITY)
+        activity = GroupActivity(
+            activity_type=shared_type,
+            member_id=member_id,
+            participants=set(event.members),
+            residual_request=derived.request,
+            description=derived,
+        )
+        self.activities[shared_type] = activity
+        self.members[member_id].published.append(derived)
+        activity_entry = _ReferenceEntry(member_id, derived)
+        events = self._sweep(activity, activity_entry)
+        self._entries.append(activity_entry)
+        return activity, events
+
+    def _sweep(
+        self, activity: GroupActivity, activity_entry: _ReferenceEntry
+    ) -> list[MatchEvent]:
+        """Attach all outstanding matching descriptions to a new activity."""
+        events: list[MatchEvent] = []
+        for candidate in self._entries:
+            if candidate.consumed or candidate.owner == activity.member_id:
+                continue
+            if self._activity_of(candidate.owner) is not None:
+                continue
+            self._match_activity(activity, activity_entry, candidate, events)
+        return events
+
+    # --- views ---
+
+    def pending(self) -> list[ServiceDescription]:
+        """Unconsumed descriptions, in publication order."""
+        return [e.description for e in self._entries if not e.consumed]
+
+    def pending_entries(self) -> list[tuple[str, ServiceDescription]]:
+        return [(e.owner, e.description) for e in self._entries if not e.consumed]
 
 
 # --- graphs --------------------------------------------------------------

@@ -99,6 +99,17 @@ def test_match_community_document(tmp_path, capsys):
     assert report["events"][0]["members"] == ["alice", "bob"]
 
 
+def test_match_community_policy_flag_must_be_boolean(tmp_path, capsys):
+    community = write(
+        tmp_path / "community.json",
+        json.dumps({"policy": {"allow_specialization": "yes"}, "members": []}),
+    )
+    assert main(["match", "--community", community]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert "community.json" in err and "policy.allow_specialization" in err, err
+
+
 # --- resolve ------------------------------------------------------------------
 
 
@@ -125,6 +136,24 @@ def test_resolve_unresolvable_fixture_still_exits_zero(capsys):
 
 def test_resolve_missing_fixture_is_input_error(tmp_path, capsys):
     assert main(["resolve", "--fixture", str(tmp_path / "absent.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "fixture,message",
+    [
+        ([{"community": {"id": "city"}}], "fixture must be a JSON object"),
+        ({"community": {"members": []}}, "community.id"),
+        ({"community": {"id": "city", "children": [{"id": "a", "members": [{}]}]}},
+         "community.children[0].members[0].id"),
+    ],
+    ids=["top-level-array", "community-without-id", "member-without-id"],
+)
+def test_resolve_malformed_fixture_names_file_and_field(tmp_path, capsys, fixture, message):
+    path = write(tmp_path / "bad.json", json.dumps(fixture))
+    assert main(["resolve", "--fixture", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert "bad.json" in err and message in err, err
 
 
 # --- simulate -------------------------------------------------------------------
@@ -200,14 +229,30 @@ def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
          "isolation_events"),
         ([1, 2], "scenario must be a JSON object"),
         ({"topology": "fractal", "horizon": 10.5}, "horizon"),
+        ({"topology": "fractal", "isolation_events": [[10.5, "random"]]},
+         "isolation_events[0]"),
+        ({"topology": "fractal", "isolation_events": [[10]]}, "isolation_events[0]"),
+        ({"topology": "fractal", "transmit_probability": "0.5"},
+         "transmit_probability"),
     ],
-    ids=["more-isolations-than-agents", "top-level-array", "fractional-horizon"],
+    ids=["more-isolations-than-agents", "top-level-array", "fractional-horizon",
+         "fractional-isolation-time", "one-element-event", "string-probability"],
 )
 def test_simulate_malformed_scenario_names_the_field(tmp_path, capsys, scenario, message):
     path = write(tmp_path / "bad.json", json.dumps(scenario))
     assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and message in err, err
+    assert err.count("\n") == 1 and message in err and "bad.json" in err, err
+
+
+def test_simulate_bad_scenario_among_several_writes_nothing(tmp_path, capsys):
+    good = scenario_file(tmp_path, name="good.json")
+    bad = scenario_file(tmp_path, name="bad.json", isolation_events=[[10]])
+    out_dir = tmp_path / "results"
+    assert main(["simulate", "--scenario", good, bad, "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad.json" in err, err
 
 
 def test_repeated_invocations_are_byte_identical(tmp_path):

@@ -15,7 +15,7 @@ from fso.community import (
 from fso.descriptions import ServiceDescription
 from fso.taxonomy import Taxonomy
 
-from oracles import random_type_name
+from oracles import ReferenceCommunity, random_dag, random_type_name
 
 DAY = datetime(2013, 5, 12)
 
@@ -309,3 +309,71 @@ def test_consumed_descriptions_never_match_again(fitness_tax):
     events = community.publish("m3", desc(request="Walking"))
     assert events == []  # m1's offer was already consumed by m2
     assert len(community.pending()) == 1
+
+
+# --- indexed publish versus the reference re-scan publisher ---------------
+
+
+def _random_publication(rng, people, community, types):
+    # now and then a promoted activity publishes a record of its own
+    owner = rng.choice(sorted(community.members) if rng.random() < 0.05 else people)
+    shape = rng.choice(("provide", "request", "both", "same"))
+    provide = rng.choice(types) if shape in ("provide", "both", "same") else None
+    request = provide if shape == "same" else None
+    if shape in ("request", "both"):
+        request = rng.choice(types)
+    start = rng.randint(0, 40)
+    end = start + rng.randint(0, 10)
+    return owner, desc(provide, request, start_hour=start, end_hour=end)
+
+
+def test_indexed_publish_agrees_with_reference_publisher():
+    """12,000 random publications: same events, pending list and activities.
+
+    Random DAG taxonomies plus types outside them, both policy flags,
+    windows that are often disjoint, group promotion with later joiners
+    and venue binding (residual requests inside and outside the
+    taxonomy), and records published by the activities themselves.
+    """
+    rng = random.Random(2024)
+    for _ in range(100):
+        names, edges = random_dag(rng, max_nodes=12)
+        tax = Taxonomy(edges)
+        types = names + ["Location", "Outside", "Elsewhere"]  # last three unknown
+        residual = {t: rng.choice(types) for t in rng.sample(names, len(names) // 3)}
+        policy = MatchPolicy(
+            allow_specialization=rng.random() < 0.5,
+            require_time_overlap=rng.random() < 0.7,
+        )
+        auto_promote = rng.random() < 0.8
+        community = Community(tax, policy, auto_promote, residual)
+        reference = ReferenceCommunity(tax, policy, auto_promote, residual)
+        people = [f"m{i}" for i in range(rng.randint(2, 8))]
+        for member in people:
+            community.register(member)
+            reference.register(member)
+        for _ in range(120):
+            owner, record = _random_publication(rng, people, community, types)
+            assert community.publish(owner, record) == reference.publish(owner, record)
+        assert community.pending_entries() == reference.pending_entries()
+        assert community.activities == reference.activities
+
+
+def test_bound_activity_is_no_longer_a_venue_candidate(fitness_tax, monkeypatch):
+    community = Community(fitness_tax)
+    for member in ("m1", "m2", "m3", "m4"):
+        community.register(member)
+    community.publish("m1", desc(provide="Walking", request="Walking"))
+    community.publish("m2", desc(provide="Walking", request="Walking"))
+    community.publish("m3", desc(provide="Location"))
+    activity = community.activities["Walking"]
+    assert activity.location_provider == "m3"
+    examined = []
+
+    def counting_match_pair(d1, d2, tax, pol):
+        examined.append(d1)
+        return match_pair(d1, d2, tax, pol)
+
+    monkeypatch.setattr("fso.community.match_pair", counting_match_pair)
+    assert community.publish("m4", desc(provide="Location")) == []
+    assert activity.description not in examined

@@ -108,6 +108,11 @@ def test_parse_cycle_propagates():
         parse_taxonomy("A subClassOf B\nB subClassOf A\n")
 
 
+def test_parse_cycle_reports_its_line_number():
+    with pytest.raises(CycleError, match=r"^line 3: "):
+        parse_taxonomy("A subClassOf B\n\nB subClassOf A\n")
+
+
 @st.composite
 def taxonomies(draw):
     n = draw(st.integers(min_value=1, max_value=10))
