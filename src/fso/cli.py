@@ -9,8 +9,8 @@ Subcommands::
 
 Match and resolve reports are JSON (stdout or ``--out``); simulation
 traces are CSV.  Identical inputs, flags and seed produce byte-identical
-outputs.  Exit codes: 0 success, 2 bad input, 1 internal error.  Set
-``FSO_LOG`` to DEBUG or INFO for progress logging.
+outputs.  Exit codes: 0 success, 2 bad input (``OSError`` or ``InputError``),
+1 internal error (a bug).  Set ``FSO_LOG`` to DEBUG or INFO for progress logging.
 """
 
 from __future__ import annotations
@@ -23,32 +23,22 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import descriptions, diffusion, fractal, taxonomy
+from . import diffusion, fractal, taxonomy
 from .community import Community, MatchPolicy, load_community
-from .descriptions import parse_descriptions
+from .descriptions import load_descriptions
+from .inputs import InputError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 
-_INPUT_ERRORS = (
-    OSError,
-    json.JSONDecodeError,
-    descriptions.ParseError,
-    descriptions.ValidationError,
-    taxonomy.TaxonomyParseError,
-    taxonomy.CycleError,
-    diffusion.InvalidParams,
-    fractal.UnknownCommunity,
-    ValueError,
-    KeyError,
-    TypeError,
-)
+_INPUT_ERRORS = (OSError, InputError)
 
 logger = logging.getLogger("fso")
 
 
-def _write_output(text: str, out: str | None):
+def _write_report(report: dict, out: str | None):
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -69,20 +59,14 @@ def _pending_summary(community: Community) -> list[dict]:
 
 
 def cmd_match(args) -> int:
+    if args.community and args.descriptions:
+        raise InputError("--community and description files are exclusive")
     if args.community:
         community, plan = load_community(args.community)
-        if args.descriptions:
-            raise ValueError("--community and description files are exclusive")
     else:
-        tax = (
-            taxonomy.load_taxonomy(args.taxonomy)
-            if args.taxonomy
-            else taxonomy.Taxonomy()
-        )
-        policy = MatchPolicy(
-            allow_specialization=args.allow_specialization,
-            require_time_overlap=not args.no_time_overlap,
-        )
+        tax = taxonomy.load_taxonomy(args.taxonomy) if args.taxonomy else taxonomy.Taxonomy()
+        policy = MatchPolicy(allow_specialization=args.allow_specialization,
+                             require_time_overlap=not args.no_time_overlap)
         community = Community(tax, policy)
         plan = []
         seen_ids: set[str] = set()
@@ -92,13 +76,7 @@ def cmd_match(args) -> int:
                 member_id = file_name
             seen_ids.add(member_id)
             community.register(member_id)
-            try:
-                records = parse_descriptions(
-                    Path(file_name).read_text(encoding="utf-8")
-                )
-            except (descriptions.ParseError, descriptions.ValidationError) as exc:
-                raise ValueError(f"{file_name}: {exc}") from exc
-            plan.extend((member_id, record) for record in records)
+            plan.extend((member_id, record) for record in load_descriptions(file_name))
     events = []
     for member_id, record in plan:
         events.extend(community.publish(member_id, record))
@@ -106,16 +84,20 @@ def cmd_match(args) -> int:
         "events": [event.to_json_dict() for event in events],
         "pending": _pending_summary(community),
     }
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write_report(report, args.out)
     logger.info("match: %d events, %d pending", len(report["events"]), len(report["pending"]))
     return EXIT_OK
 
 
 def cmd_resolve(args) -> int:
     org, conditions = fractal.load_fixture(args.fixture)
-    results = [org.resolve(cond).to_json_dict() for cond in conditions]
-    report = {"results": results}
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    results = []
+    for i, cond in enumerate(conditions):
+        try:
+            results.append(org.resolve(cond).to_json_dict())
+        except InputError as exc:  # an unknown origin, a bad preassignment
+            raise InputError(f"conditions[{i}]: {exc}", args.fixture) from None
+    _write_report({"results": results}, args.out)
     logger.info("resolve: %d conditions", len(results))
     return EXIT_OK
 

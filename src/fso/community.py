@@ -22,14 +22,14 @@ member that offers the venue type.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import count
 from pathlib import Path
 
-from .descriptions import ServiceDescription, parse_descriptions
-from .taxonomy import Taxonomy, load_taxonomy
+from .descriptions import ServiceDescription, load_descriptions
+from .inputs import InputError, get_field, read_json, reading
+from .taxonomy import Taxonomy, taxonomy_from_spec
 
 DEFAULT_RESIDUAL_REQUEST = "Location"
 
@@ -200,7 +200,7 @@ class Community:
 
     def register(self, member_id: str, kind: MemberKind = MemberKind.PERSON) -> Member:
         if member_id in self.members:
-            raise ValueError(f"member {member_id!r} already registered")
+            raise InputError(f"member {member_id!r} already registered")
         member = Member(member_id, kind)
         self.members[member_id] = member
         return member
@@ -292,28 +292,13 @@ class Community:
         return events
 
     def _event(self, first_owner: str, second_owner: str, match: Match) -> MatchEvent:
+        members = (first_owner, second_owner)
         if match.kind is MatchType.SERVICE:
-            provider = first_owner if match.first_provides else second_owner
-            requester = second_owner if match.first_provides else first_owner
-            return MatchEvent(
-                MatchType.SERVICE,
-                members=(first_owner, second_owner),
-                matched_type=match.matched_type,
-                provider=provider,
-                requester=requester,
-            )
-        if match.kind is MatchType.GROUP:
-            return MatchEvent(
-                MatchType.GROUP,
-                members=(first_owner, second_owner),
-                matched_type=match.matched_type,
-            )
-        return MatchEvent(
-            MatchType.MUTUALISTIC,
-            members=(first_owner, second_owner),
-            x_type=match.x_type,
-            y_type=match.y_type,
-        )
+            provider, requester = members if match.first_provides else members[::-1]
+            return MatchEvent(match.kind, members, match.matched_type, provider, requester)
+        # a group match carries only matched_type, a mutualistic one only x/y
+        return MatchEvent(match.kind, members, match.matched_type,
+                          x_type=match.x_type, y_type=match.y_type)
 
     def _match_activity(
         self,
@@ -446,32 +431,25 @@ def load_community(path) -> tuple[Community, list[tuple[str, ServiceDescription]
 
     Relative paths resolve against the document's directory.  Returns the
     community plus the publication plan (member id, description) in member
-    order, then file order, then record order.
+    order, then file order, then record order.  Bad content raises
+    InputError naming the file and the field or line.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    base = path.parent
-    taxonomy = Taxonomy()
-    if "taxonomy" in data:
-        taxonomy = load_taxonomy(base / data["taxonomy"])
-    for child, parent in data.get("taxonomy_edges", []):
-        taxonomy.add_subclass(child, parent)
-    policy_data = data.get("policy", {})
-    unknown = set(policy_data) - {"allow_specialization", "require_time_overlap"}
-    if unknown:
-        raise ValueError(f"unknown policy flags: {sorted(unknown)}")
-    for flag, value in policy_data.items():
-        if not isinstance(value, bool):
-            raise ValueError(f"{path}: policy.{flag} must be a boolean, got {value!r}")
-    policy = MatchPolicy(**policy_data)
-    community = Community(taxonomy, policy)
-    plan: list[tuple[str, ServiceDescription]] = []
-    for member_spec in data.get("members", []):
-        member_id = member_spec["id"]
-        community.register(member_id)
-        for desc_path in member_spec.get("descriptions", []):
-            text = (base / desc_path).read_text(encoding="utf-8")
-            for description in parse_descriptions(text):
-                plan.append((member_id, description))
+    with reading(path):
+        data = read_json(path)
+        if type(data) is not dict:
+            raise InputError(f"document must be a JSON object, got {type(data).__name__}")
+        taxonomy = taxonomy_from_spec(data, path.parent)
+        flags = get_field(data, "policy", dict, default={})
+        for flag in flags:
+            if flag not in ("allow_specialization", "require_time_overlap"):
+                raise InputError(f"policy: unknown flag {flag!r}")
+            get_field(flags, flag, bool, "policy")
+        community = Community(taxonomy, MatchPolicy(**flags))
+        plan: list[tuple[str, ServiceDescription]] = []
+        for i, member in enumerate(get_field(data, "members", list, default=())):
+            member_id = get_field(member, "id", str, "members", i)
+            community.register(member_id)
+            for name in get_field(member, "descriptions", list, "members", i, (), str):
+                plan.extend((member_id, d) for d in load_descriptions(path.parent / name))
     return community, plan

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 
+from .inputs import InputError, read_text, reading
+
 SERVICE_NS = "http://www.pats.ua.ac.be/AALService#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 LOCATED_IN_IRI = "http://dbpedia.org/ontology/location"
@@ -40,7 +42,7 @@ RECOGNIZED_PREDICATES = frozenset(
 )
 
 
-class ParseError(Exception):
+class ParseError(InputError):
     """Input does not conform to the description grammar."""
 
     def __init__(self, message: str, offset: int):
@@ -48,7 +50,7 @@ class ParseError(Exception):
         self.offset = offset
 
 
-class ValidationError(Exception):
+class ValidationError(InputError):
     """A parsed record violates a description invariant."""
 
 
@@ -155,6 +157,8 @@ def _tokenize(text: str) -> list[_Token]:
 class _Block:
     """A bracketed group: statements are token lists split on ';'."""
 
+    kind = "block"  # never a valid object kind where a token is expected
+
     def __init__(self, statements: list[list], offset: int):
         self.statements = statements
         self.offset = offset
@@ -260,14 +264,8 @@ class _Parser:
         lexical, datatype = match.group(1), match.group(2)
         if datatype is None:
             raise ParseError("literal is missing a ^^xsd:dateTime datatype", tok.offset)
-        if datatype.startswith("<"):
-            datatype_iri = datatype[1:-1]
-        else:
-            prefix, _, local = datatype.partition(":")
-            namespace = self.prefixes.get(prefix)
-            if namespace is None:
-                raise ParseError(f"undeclared prefix {prefix!r}", tok.offset)
-            datatype_iri = namespace + local
+        kind = "iri" if datatype.startswith("<") else "pname"
+        datatype_iri = self._expand(_Token(kind, datatype, tok.offset))
         if datatype_iri != XSD_NS + "dateTime":
             raise ParseError(f"unsupported datatype {datatype_iri!r}", tok.offset)
         lexical = lexical.replace('\\"', '"').replace("\\\\", "\\")
@@ -368,6 +366,12 @@ class _Parser:
 def parse_descriptions(text: str) -> list[ServiceDescription]:
     """Parse every record in a description document, in document order."""
     return _Parser(text).parse_document()
+
+
+def load_descriptions(path) -> list[ServiceDescription]:
+    """Parse a description file; bad content names the file."""
+    with reading(path):
+        return parse_descriptions(read_text(path))
 
 
 # --- serializer --------------------------------------------------------

@@ -22,14 +22,15 @@ draw happens only when a transmission fires and candidates exist).
 from __future__ import annotations
 
 import csv
-import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
+from .inputs import InputError, get_field, read_json, reading
 
-class InvalidParams(ValueError):
+
+class InvalidParams(InputError):
     """Topology or scenario parameters out of range."""
 
 
@@ -195,6 +196,8 @@ class ScenarioSpec:
             raise InvalidParams("transmit_probability must be in (0, 1]")
         if self.horizon < 0:
             raise InvalidParams("horizon must be non-negative")
+        if self.agents < 1:
+            raise InvalidParams(f"agents must be at least 1, got {self.agents}")
         for time, _ in self.isolation_events:
             if not 1 <= time <= self.horizon:
                 raise InvalidParams(
@@ -271,16 +274,7 @@ def monte_carlo(spec: ScenarioSpec, replicates: int) -> MonteCarloResult:
 
 # --- spec and trace I/O --------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "topology",
-    "horizon",
-    "transmit_probability",
-    "isolation_events",
-    "seed",
-    "agents",
-    "cell_size",
-    "branching",
-}
+_SCENARIO_KEYS = {f.name for f in fields(ScenarioSpec)}
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
@@ -293,37 +287,24 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
         raise InvalidParams(f"unknown scenario keys: {sorted(unknown)}")
     if "topology" not in data:
         raise InvalidParams("scenario must name a topology")
-    raw_events = data.get("isolation_events", [])
-    if not isinstance(raw_events, list):
-        raise InvalidParams(f"isolation_events must be a list, got {raw_events!r}")
     events = []
-    for i, event in enumerate(raw_events):
+    for i, event in enumerate(get_field(data, "isolation_events", list, default=())):
         if not (isinstance(event, list) and len(event) == 2 and type(event[0]) is int):
             raise InvalidParams(
                 f"isolation_events[{i}] must be [integer step, strategy], got {event!r}"
             )
         events.append((event[0], IsolationStrategy.parse(event[1])))
-    kwargs = {
-        key: data[key]
-        for key in ("horizon", "transmit_probability", "seed", "agents",
-                    "cell_size", "branching")
-        if key in data
-    }
-    return ScenarioSpec(
-        topology=Topology.parse(data["topology"]),
-        isolation_events=tuple(events),
-        **kwargs,
-    )
+    kwargs = {key: data[key] for key in data.keys() - {"topology", "isolation_events"}}
+    spec = ScenarioSpec(Topology.parse(data["topology"]), isolation_events=tuple(events),
+                        **kwargs)
+    spec.build_edges()  # the topology generators own the shape rules
+    return spec
 
 
 def load_scenario(path) -> ScenarioSpec:
     """Read and validate a scenario file; bad content names the file."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return scenario_from_dict(json.loads(text))
-    except ValueError as exc:  # InvalidParams or JSONDecodeError
-        raise InvalidParams(f"{path}: {exc}") from exc
+    with reading(path):
+        return scenario_from_dict(read_json(path))
 
 
 def write_trace_csv(trace: DiffusionTrace, path):

@@ -17,15 +17,15 @@ time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .taxonomy import Taxonomy, load_taxonomy
+from .inputs import InputError, get_field, read_json, reading
+from .taxonomy import Taxonomy, taxonomy_from_spec
 
 
-class UnknownCommunity(LookupError):
+class UnknownCommunity(InputError):
     """A condition names an origin community that is not in the tree."""
 
 
@@ -181,21 +181,22 @@ class FractalOrganization:
         self.exclusive_booking = exclusive_booking
         self.booked: dict[str, str] = {}  # member id -> condition id
         self._nodes: dict[str, CommunityNode] = {}
-        seen_members: set[str] = set()
+        self._members: dict[str, Member] = {}
+        self._homes: dict[str, str] = {}  # member id -> community id
         for node in root.walk():
             if node.id in self._nodes:
-                raise ValueError(f"duplicate community id {node.id!r}")
+                raise InputError(f"duplicate community id {node.id!r}")
             self._nodes[node.id] = node
             for member in node.members:
-                if member.id in seen_members:
-                    raise ValueError(f"duplicate member id {member.id!r}")
-                seen_members.add(member.id)
+                if member.id in self._homes:
+                    raise InputError(f"duplicate member id {member.id!r}")
+                self._members[member.id] = member
+                self._homes[member.id] = node.id
 
     def node(self, community_id: str) -> CommunityNode:
-        try:
-            return self._nodes[community_id]
-        except KeyError:
-            raise UnknownCommunity(community_id) from None
+        if community_id not in self._nodes:
+            raise UnknownCommunity(f"unknown community {community_id!r}")
+        return self._nodes[community_id]
 
     def _scope(
         self, node: CommunityNode, came_from: CommunityNode | None
@@ -224,9 +225,8 @@ class FractalOrganization:
         assignment: dict[int, str] = {}
         homes: dict[str, str] = {}
         for slot, member_id in sorted(cond.state.items()):
-            self._validate_preassignment(cond, slot, member_id, assignment)
+            homes[member_id] = self._preassign(member_id, cond.required_roles[slot], assignment)
             assignment[slot] = member_id
-            homes[member_id] = self._home_of(member_id)
         trail: list[ExceptionRecord] = []
         node = origin
         came_from: CommunityNode | None = None
@@ -280,62 +280,32 @@ class FractalOrganization:
 
     # --- helpers ---
 
-    def _home_of(self, member_id: str) -> str:
-        for node in self.root.walk():
-            if any(m.id == member_id for m in node.members):
-                return node.id
-        raise ValueError(f"member {member_id!r} is not in the tree")
-
-    def _validate_preassignment(
-        self,
-        cond: TriggeringCondition,
-        slot: int,
-        member_id: str,
-        assignment: dict[int, str],
-    ):
-        role_type = cond.required_roles[slot]
-        home = self._home_of(member_id)
-        member = next(
-            m for m in self._nodes[home].members if m.id == member_id
-        )
+    def _preassign(self, member_id: str, role_type: str, assignment: dict[int, str]) -> str:
+        """Check one preassigned member; returns its home community id."""
+        member = self._members.get(member_id)
+        if member is None:
+            raise InputError(f"preassigned member {member_id!r} is not in the tree")
         if not member.provides(role_type, self.taxonomy):
-            raise ValueError(
-                f"preassigned member {member_id!r} does not provide {role_type!r}"
-            )
+            raise InputError(f"preassigned member {member_id!r} does not provide {role_type!r}")
         if member_id in assignment.values():
-            raise ValueError(f"member {member_id!r} preassigned to two roles")
+            raise InputError(f"member {member_id!r} preassigned to two roles")
         if self.exclusive_booking and member_id in self.booked:
-            raise ValueError(f"preassigned member {member_id!r} is already booked")
+            raise InputError(f"preassigned member {member_id!r} is already booked")
+        return self._homes[member_id]
 
 
 # --- loading -----------------------------------------------------------
 
 
-def _field(data, key: str, where: str = "", index: int | None = None):
-    """``data[key]``; a missing field or a non-object is named by its path.
-
-    The path of ``data`` is ``where``, or ``where[index]`` for a list item.
-    """
-    if isinstance(data, dict) and key in data:
-        return data[key]
-    if index is not None:
-        where = f"{where}[{index}]"
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"{where or 'fixture'} must be a JSON object, got {type(data).__name__}"
-        )
-    raise ValueError(f"missing field {where + '.' if where else ''}{key}")
-
-
 def _node_from_dict(data, where: str) -> CommunityNode:
-    node_id = _field(data, "id", where)
     members_at = f"{where}.members"
     members = [
-        Member(_field(m, "id", members_at, i), m.get("offers", []))
-        for i, m in enumerate(data.get("members", []))
+        Member(get_field(m, "id", str, members_at, i),
+               get_field(m, "offers", list, members_at, i, (), str))
+        for i, m in enumerate(get_field(data, "members", list, where, default=()))
     ]
-    node = CommunityNode(node_id, members)
-    for i, child_data in enumerate(data.get("children", [])):
+    node = CommunityNode(get_field(data, "id", str, where), members)
+    for i, child_data in enumerate(get_field(data, "children", list, where, default=())):
         node.add_child(_node_from_dict(child_data, f"{where}.children[{i}]"))
     return node
 
@@ -351,48 +321,35 @@ def load_fixture(path) -> tuple[FractalOrganization, list[TriggeringCondition]]:
                        "members": [{"id": "clinic", "offers": ["Nurse"]}],
                        "children": [...]},
          "conditions": [{"id": "alarm-1", "origin": "district-a",
-                         "roles": ["Nurse", "Transport"]}]}
+                         "roles": ["Nurse", "Transport"],
+                         "state": {"Nurse": "clinic"}}]}  # optional preassignment
 
-    Bad content raises ValueError naming the file and the field.
+    Bad content raises InputError naming the file and the field or line.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return _fixture_from_dict(json.loads(text), path.parent)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _fixture_from_dict(
-    data, base: Path
-) -> tuple[FractalOrganization, list[TriggeringCondition]]:
-    community = _field(data, "community")
-    taxonomy = Taxonomy()
-    if "taxonomy" in data:
-        taxonomy = load_taxonomy(base / data["taxonomy"])
-    for child, parent in data.get("taxonomy_edges", []):
-        taxonomy.add_subclass(child, parent)
-    org = FractalOrganization(_node_from_dict(community, "community"), taxonomy)
-    conditions = []
-    for n, cond_data in enumerate(data.get("conditions", [])):
-        roles = tuple(_field(cond_data, "roles", "conditions", n))
-        state: dict[int, str] = {}
-        for role_name, member_id in cond_data.get("state", {}).items():
-            open_slots = [
-                i
-                for i, role in enumerate(roles)
-                if role == role_name and i not in state
-            ]
-            if not open_slots:
-                raise ValueError(f"no open {role_name!r} slot to preassign")
-            state[open_slots[0]] = member_id
-        conditions.append(
-            TriggeringCondition(
-                id=_field(cond_data, "id", "conditions", n),
-                origin=_field(cond_data, "origin", "conditions", n),
-                required_roles=roles,
-                state=state,
+    with reading(path):
+        data = read_json(path)
+        if type(data) is not dict:
+            raise InputError(f"fixture must be a JSON object, got {type(data).__name__}")
+        community = get_field(data, "community", dict)
+        taxonomy = taxonomy_from_spec(data, path.parent)
+        org = FractalOrganization(_node_from_dict(community, "community"), taxonomy)
+        conditions = []
+        for n, cond_data in enumerate(get_field(data, "conditions", list, default=())):
+            roles = tuple(get_field(cond_data, "roles", list, "conditions", n, items=str))
+            state: dict[int, str] = {}  # a role is preassigned to its first slot
+            preassigned = get_field(cond_data, "state", dict, "conditions", n, {})
+            for role_name, member_id in preassigned.items():
+                if role_name not in roles or type(member_id) is not str:
+                    raise InputError(f"conditions[{n}].state[{role_name!r}] must map"
+                                     " one of the roles to a member id")
+                state[roles.index(role_name)] = member_id
+            conditions.append(
+                TriggeringCondition(
+                    id=get_field(cond_data, "id", str, "conditions", n),
+                    origin=get_field(cond_data, "origin", str, "conditions", n),
+                    required_roles=roles,
+                    state=state,
+                )
             )
-        )
     return org, conditions

@@ -11,13 +11,16 @@ nothing else.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from pathlib import Path
+
+from .inputs import InputError, get_field, read_text, reading
 
 
-class CycleError(Exception):
+class CycleError(InputError):
     """Adding this subclass edge would make the subclass graph cyclic."""
 
 
-class TaxonomyParseError(Exception):
+class TaxonomyParseError(InputError):
     """Malformed taxonomy file."""
 
     def __init__(self, message: str, line: int):
@@ -45,11 +48,9 @@ class Taxonomy:
     def add_subclass(self, child: str, parent: str) -> "Taxonomy":
         """Record ``child`` as a subclass of ``parent``, registering both.
 
-        Raises ValueError for a self-edge and CycleError if the edge would
-        close a directed cycle.
+        Raises CycleError for a self-edge or an edge that would close a
+        directed cycle.
         """
-        if child == parent:
-            raise ValueError(f"self-edge {child!r} subClassOf itself is not allowed")
         if self.is_subtype(parent, child):
             raise CycleError(f"edge {child!r} -> {parent!r} would create a cycle")
         self.add_type(child)
@@ -114,12 +115,25 @@ def parse_taxonomy(text: str) -> Taxonomy:
         try:
             tax.add_subclass(child, parent)
         except CycleError as exc:
-            raise CycleError(f"line {lineno}: {exc}") from exc
-        except ValueError as exc:
-            raise TaxonomyParseError(str(exc), lineno) from exc
+            raise CycleError(f"line {lineno}: {exc}") from None
     return tax
 
 
 def load_taxonomy(path) -> Taxonomy:
-    with open(path, encoding="utf-8") as fh:
-        return parse_taxonomy(fh.read())
+    """Read a taxonomy file; bad content names the file and the line."""
+    with reading(path):
+        return parse_taxonomy(read_text(path))
+
+
+def taxonomy_from_spec(data: dict, base: Path) -> Taxonomy:
+    """A document's optional ``taxonomy`` file (under ``base``) plus its ``taxonomy_edges``."""
+    name = get_field(data, "taxonomy", str, default=None)
+    tax = Taxonomy() if name is None else load_taxonomy(base / name)
+    for i, edge in enumerate(get_field(data, "taxonomy_edges", list, default=())):
+        if type(edge) is not list or len(edge) != 2 or {type(t) for t in edge} != {str}:
+            raise InputError(f"taxonomy_edges[{i}] must be a [child, parent] pair of strings")
+        try:
+            tax.add_subclass(*edge)
+        except CycleError as exc:
+            raise CycleError(f"taxonomy_edges[{i}]: {exc}") from None
+    return tax

@@ -8,11 +8,22 @@ from fso.cli import main
 DATA = Path(__file__).parent / "data"
 
 WALKING = (DATA / "walking_service.ttl").read_text()
+PREFIX = "@prefix service: <http://www.pats.ua.ac.be/AALService#> .\n"
+CYCLE = "A subClassOf B\nB subClassOf A\n"
 
 
 def write(path: Path, text: str) -> str:
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def assert_input_error(capsys, argv, *fragments):
+    """The command exits 2 with one stderr line that holds every fragment."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in err, err
 
 
 def scenario_file(tmp_path, name="scenario.json", **overrides) -> str:
@@ -64,15 +75,36 @@ def test_match_prefix_only_file_gives_no_events(tmp_path, capsys):
 
 def test_match_malformed_file_names_the_file(tmp_path, capsys):
     member = write(tmp_path / "broken.ttl", "[ not turtle\n")
-    code = main(["match", member])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "broken.ttl" in err
+    assert_input_error(capsys, ["match", member], "broken.ttl")
 
 
 def test_match_missing_file_is_input_error(tmp_path, capsys):
-    code = main(["match", str(tmp_path / "absent.ttl")])
-    assert code == 2
+    assert_input_error(capsys, ["match", str(tmp_path / "absent.ttl")], "absent.ttl")
+
+
+@pytest.mark.parametrize(
+    "content,fragments",
+    [
+        (PREFIX + "[ service:provide [ a <x> ] ] .\n", ("member.ttl", "offset")),
+        (b"\xff\xfe", ("member.ttl", "UTF-8")),
+    ],
+    ids=["block-as-type", "not-utf8"],
+)
+def test_match_bad_description_file_names_it(tmp_path, capsys, content, fragments):
+    member = tmp_path / "member.ttl"
+    member.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert_input_error(capsys, ["match", str(member)], *fragments)
+
+
+def test_match_taxonomy_cycle_names_the_file(tmp_path, capsys):
+    types = write(tmp_path / "types.txt", CYCLE)
+    assert_input_error(capsys, ["match", "--taxonomy", types], "types.txt", "line 2")
+
+
+def test_match_community_and_descriptions_are_exclusive(tmp_path, capsys):
+    argv = ["match", "--community", str(tmp_path / "absent.json"),
+            str(tmp_path / "absent.ttl")]
+    assert_input_error(capsys, argv, "exclusive")
 
 
 def test_match_community_document(tmp_path, capsys):
@@ -104,10 +136,45 @@ def test_match_community_policy_flag_must_be_boolean(tmp_path, capsys):
         tmp_path / "community.json",
         json.dumps({"policy": {"allow_specialization": "yes"}, "members": []}),
     )
-    assert main(["match", "--community", community]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1, err
-    assert "community.json" in err and "policy.allow_specialization" in err, err
+    assert_input_error(capsys, ["match", "--community", community],
+                       "community.json", "policy.allow_specialization")
+
+
+@pytest.mark.parametrize(
+    "document,files,fragments",
+    [
+        ([{"members": []}], {}, ("community.json", "must be a JSON object")),
+        ({"members": [{"descriptions": []}]}, {}, ("community.json", "members[0].id")),
+        ({"members": 5}, {}, ("community.json", "members must be a list")),
+        ({"taxonomy": "types.txt"}, {"types.txt": CYCLE}, ("types.txt", "line 2")),
+        ("{", {}, ("community.json", "invalid JSON")),
+        ({"members": [{"id": "a", "descriptions": ["bad.ttl"]}]},
+         {"bad.ttl": "[ not turtle\n"}, ("bad.ttl", "offset 2")),
+        ({"policy": {"fast": True}}, {}, ("community.json", "policy", "'fast'")),
+        ({"taxonomy_edges": [["A"]]}, {}, ("community.json", "taxonomy_edges[0]")),
+        ({"taxonomy_edges": [["A", "B"], ["B", "A"]]}, {},
+         ("community.json", "taxonomy_edges[1]", "cycle")),
+        ({"members": [{"id": "a"}, {"id": "a"}]}, {}, ("community.json", "'a'")),
+        ({"members": [{"id": "a", "descriptions": [7]}]}, {},
+         ("community.json", "members[0].descriptions[0]")),
+        ('{"members": ' + "1" * 5000 + "}", {}, ("community.json", "invalid JSON")),
+        ("[" * 100000 + "]" * 100000, {}, ("community.json", "invalid JSON")),
+        ({"taxonomy": "types\u0000.txt"}, {}, ("types\\x00.txt", "NUL")),
+    ],
+    ids=["top-level-array", "member-without-id", "members-not-a-list",
+         "taxonomy-file-cycle", "malformed-json", "bad-turtle", "unknown-policy-flag",
+         "one-element-edge", "inline-edge-cycle", "duplicate-member",
+         "description-path-not-a-string", "integer-too-long", "deep-nesting",
+         "nul-in-file-name"],
+)
+def test_match_malformed_community_names_file_and_field(
+    tmp_path, capsys, document, files, fragments
+):
+    for name, text in files.items():
+        write(tmp_path / name, text)
+    text = document if isinstance(document, str) else json.dumps(document)
+    community = write(tmp_path / "community.json", text)
+    assert_input_error(capsys, ["match", "--community", community], *fragments)
 
 
 # --- resolve ------------------------------------------------------------------
@@ -135,25 +202,52 @@ def test_resolve_unresolvable_fixture_still_exits_zero(capsys):
 
 
 def test_resolve_missing_fixture_is_input_error(tmp_path, capsys):
-    assert main(["resolve", "--fixture", str(tmp_path / "absent.json")]) == 2
+    assert_input_error(capsys, ["resolve", "--fixture", str(tmp_path / "absent.json")],
+                       "absent.json")
+
+
+def condition(**fields):
+    return {"id": "c", "origin": "city", "roles": ["Nurse"], **fields}
+
+
+CITY = {"id": "city", "members": [{"id": "m", "offers": ["Cooking"]}]}
 
 
 @pytest.mark.parametrize(
-    "fixture,message",
+    "fixture,fragments",
     [
-        ([{"community": {"id": "city"}}], "fixture must be a JSON object"),
-        ({"community": {"members": []}}, "community.id"),
+        ([{"community": {"id": "city"}}], ("fixture must be a JSON object",)),
+        ({"community": {"members": []}}, ("community.id",)),
         ({"community": {"id": "city", "children": [{"id": "a", "members": [{}]}]}},
-         "community.children[0].members[0].id"),
+         ("community.children[0].members[0].id",)),
+        ({"community": CITY, "conditions": [condition(state=[1])]},
+         ("conditions[0].state",)),
+        ({"community": CITY, "conditions": [condition(origin="x")]},
+         ("conditions[0]", "'x'")),
+        ({"community": {"id": "city", "members": [{"id": "m", "offers": 5}]}},
+         ("community.members[0].offers",)),
+        ({"community": {"id": "city", "members": 5}}, ("community.members",)),
+        ({"community": CITY, "conditions": [condition(roles=5)]},
+         ("conditions[0].roles",)),
+        ({"community": CITY, "taxonomy_edges": 5}, ("taxonomy_edges",)),
+        ({"community": {"id": ["r"]}}, ("community.id",)),
+        ({"community": CITY, "conditions": [condition(state={"Nurse": "ghost"})]},
+         ("conditions[0]", "'ghost'")),
+        ({"community": CITY, "conditions": [condition(state={"Nurse": "m"})]},
+         ("conditions[0]", "'m'", "'Nurse'")),
+        ({"community": CITY, "conditions": [condition(roles=["Cooking"], state={"Cooking": "m"}),
+                                            condition(roles=["Cooking"], state={"Cooking": "m"})]},
+         ("conditions[1]", "booked")),
     ],
-    ids=["top-level-array", "community-without-id", "member-without-id"],
+    ids=["top-level-array", "community-without-id", "member-without-id",
+         "state-not-an-object", "unknown-origin", "offers-not-a-list",
+         "members-not-a-list", "roles-not-a-list", "edges-not-a-list",
+         "id-not-a-string", "preassigned-not-in-tree", "preassigned-lacks-role",
+         "preassigned-already-booked"],
 )
-def test_resolve_malformed_fixture_names_file_and_field(tmp_path, capsys, fixture, message):
+def test_resolve_malformed_fixture_names_file_and_field(tmp_path, capsys, fixture, fragments):
     path = write(tmp_path / "bad.json", json.dumps(fixture))
-    assert main(["resolve", "--fixture", path]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1, err
-    assert "bad.json" in err and message in err, err
+    assert_input_error(capsys, ["resolve", "--fixture", path], "bad.json", *fragments)
 
 
 # --- simulate -------------------------------------------------------------------
@@ -218,7 +312,8 @@ def test_simulate_seed_flag_overrides_spec(tmp_path):
 
 def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
     bad = scenario_file(tmp_path, transmit_probability=0.0)
-    assert main(["simulate", "--scenario", bad, "--out", str(tmp_path / "x.csv")]) == 2
+    argv = ["simulate", "--scenario", bad, "--out", str(tmp_path / "x.csv")]
+    assert_input_error(capsys, argv, "scenario.json", "transmit_probability")
 
 
 @pytest.mark.parametrize(
@@ -234,25 +329,27 @@ def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
         ({"topology": "fractal", "isolation_events": [[10]]}, "isolation_events[0]"),
         ({"topology": "fractal", "transmit_probability": "0.5"},
          "transmit_probability"),
+        ({"topology": "fractal", "agents": 16}, "not divisible by cell size"),
+        ({"topology": "hierarchy", "agents": -3}, "agents must be at least 1"),
     ],
     ids=["more-isolations-than-agents", "top-level-array", "fractional-horizon",
-         "fractional-isolation-time", "one-element-event", "string-probability"],
+         "fractional-isolation-time", "one-element-event", "string-probability",
+         "fractal-shape", "negative-agents"],
 )
 def test_simulate_malformed_scenario_names_the_field(tmp_path, capsys, scenario, message):
     path = write(tmp_path / "bad.json", json.dumps(scenario))
-    assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "x.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and message in err and "bad.json" in err, err
+    argv = ["simulate", "--scenario", path, "--out", str(tmp_path / "x.csv")]
+    assert_input_error(capsys, argv, message, "bad.json")
 
 
 def test_simulate_bad_scenario_among_several_writes_nothing(tmp_path, capsys):
     good = scenario_file(tmp_path, name="good.json")
-    bad = scenario_file(tmp_path, name="bad.json", isolation_events=[[10]])
     out_dir = tmp_path / "results"
-    assert main(["simulate", "--scenario", good, bad, "--out", str(out_dir)]) == 2
-    assert not out_dir.exists()
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "bad.json" in err, err
+    for bad_fields in ({"isolation_events": [[10]]}, {"agents": 16}):
+        bad = scenario_file(tmp_path, name="bad.json", **bad_fields)
+        argv = ["simulate", "--scenario", good, bad, "--out", str(out_dir)]
+        assert_input_error(capsys, argv, "bad.json")
+        assert not out_dir.exists()
 
 
 def test_repeated_invocations_are_byte_identical(tmp_path):
