@@ -26,7 +26,7 @@ from pathlib import Path
 from . import diffusion, fractal, taxonomy
 from .community import Community, MatchPolicy, load_community
 from .descriptions import load_descriptions
-from .inputs import InputError
+from .inputs import InputError, reading
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -59,8 +59,10 @@ def _pending_summary(community: Community) -> list[dict]:
 
 
 def cmd_match(args) -> int:
-    if args.community and args.descriptions:
-        raise InputError("--community and description files are exclusive")
+    if args.community and (args.descriptions or args.taxonomy or args.allow_specialization
+                           or args.no_time_overlap):
+        raise InputError("--community is exclusive with description files, --taxonomy,"
+                         " --allow-specialization and --no-time-overlap")
     if args.community:
         community, plan = load_community(args.community)
     else:
@@ -75,7 +77,8 @@ def cmd_match(args) -> int:
             if member_id in seen_ids:
                 member_id = file_name
             seen_ids.add(member_id)
-            community.register(member_id)
+            with reading(file_name):  # the stem may be a reserved member id
+                community.register(member_id)
             plan.extend((member_id, record) for record in load_descriptions(file_name))
     events = []
     for member_id, record in plan:
@@ -108,12 +111,12 @@ def cmd_simulate(args) -> int:
     specs = [diffusion.load_scenario(path) for path in scenario_paths]
     multiple = len(scenario_paths) > 1
     out = Path(args.out)
-    if multiple:
-        out.mkdir(parents=True, exist_ok=True)
     for scenario_path, spec in zip(scenario_paths, specs):
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
         result = diffusion.monte_carlo(spec, args.replicates)
+        if multiple:  # only now: a rejected replicate count leaves no directory
+            out.mkdir(parents=True, exist_ok=True)
         target = out / f"{scenario_path.stem}.csv" if multiple else out
         if args.replicates == 1:
             diffusion.write_trace_csv(result.traces[0], target)

@@ -32,6 +32,7 @@ from .inputs import InputError, get_field, read_json, reading
 from .taxonomy import Taxonomy, taxonomy_from_spec
 
 DEFAULT_RESIDUAL_REQUEST = "Location"
+ACTIVITY_PREFIX = "activity:"  # + shared type: the member id of a group activity
 
 
 class UnknownMember(LookupError):
@@ -201,6 +202,9 @@ class Community:
     def register(self, member_id: str, kind: MemberKind = MemberKind.PERSON) -> Member:
         if member_id in self.members:
             raise InputError(f"member {member_id!r} already registered")
+        if kind is MemberKind.PERSON and member_id.startswith(ACTIVITY_PREFIX):
+            raise InputError(f"member id {member_id!r}: the prefix {ACTIVITY_PREFIX!r}"
+                             " is reserved for group activities")
         member = Member(member_id, kind)
         self.members[member_id] = member
         return member
@@ -356,7 +360,7 @@ class Community:
         if existing is not None:
             existing.participants.update(event.members)
             return existing, []
-        member_id = f"activity:{shared_type}"
+        member_id = ACTIVITY_PREFIX + shared_type
         founders = [
             d
             for m in event.members
@@ -449,7 +453,10 @@ def load_community(path) -> tuple[Community, list[tuple[str, ServiceDescription]
         plan: list[tuple[str, ServiceDescription]] = []
         for i, member in enumerate(get_field(data, "members", list, default=())):
             member_id = get_field(member, "id", str, "members", i)
-            community.register(member_id)
+            try:
+                community.register(member_id)
+            except InputError as exc:
+                raise InputError(f"members[{i}].id: {exc}") from None
             for name in get_field(member, "descriptions", list, "members", i, (), str):
                 plan.extend((member_id, d) for d in load_descriptions(path.parent / name))
     return community, plan

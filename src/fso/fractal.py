@@ -11,8 +11,7 @@ kept, never revoked.
 
 A fully staffed condition yields a social overlay network: a temporary
 cross-community team whose members stay booked until the overlay is
-dissolved.  By default a member serves in at most one active overlay at a
-time.
+dissolved.  A member serves in at most one active overlay at a time.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class Member:
         object.__setattr__(self, "offers", frozenset(offers))
 
     def provides(self, role_type: str, tax: Taxonomy) -> bool:
-        return any(tax.is_subtype(offer, role_type) for offer in self.offers)
+        return not self.offers.isdisjoint(tax.subtypes_of(role_type))
 
 
 class CommunityNode:
@@ -106,7 +105,6 @@ class TriggeringCondition:
 class ExceptionRecord:
     """Raised when a community cannot staff all roles and escalates."""
 
-    condition_id: str
     community_id: str
     missing_roles: tuple[str, ...]
 
@@ -168,105 +166,93 @@ class Resolution:
 
 
 class FractalOrganization:
-    """A community tree plus the booking state of its members."""
+    """A community tree plus the booking state of its members.
 
-    def __init__(
-        self,
-        root: CommunityNode,
-        taxonomy: Taxonomy | None = None,
-        exclusive_booking: bool = True,
-    ):
+    The tree is indexed once, when the organization is built: one preorder
+    list of all members, each community's own members sorted by id, and
+    per community the span of that list its own members and its subtree
+    take.  A tree changed afterwards needs a new organization.
+    """
+
+    def __init__(self, root: CommunityNode, taxonomy: Taxonomy | None = None):
         self.root = root
         self.taxonomy = taxonomy if taxonomy is not None else Taxonomy()
-        self.exclusive_booking = exclusive_booking
         self.booked: dict[str, str] = {}  # member id -> condition id
         self._nodes: dict[str, CommunityNode] = {}
         self._members: dict[str, Member] = {}
         self._homes: dict[str, str] = {}  # member id -> community id
-        for node in root.walk():
-            if node.id in self._nodes:
-                raise InputError(f"duplicate community id {node.id!r}")
-            self._nodes[node.id] = node
-            for member in node.members:
-                if member.id in self._homes:
-                    raise InputError(f"duplicate member id {member.id!r}")
-                self._members[member.id] = member
-                self._homes[member.id] = node.id
+        self._preorder: list[Member] = []
+        self._spans: dict[str, tuple[int, int, int]] = {}  # id -> start, own end, subtree end
+        self._index(root)
+
+    def _index(self, node: CommunityNode) -> None:
+        if node.id in self._nodes:
+            raise InputError(f"duplicate community id {node.id!r}")
+        self._nodes[node.id] = node
+        for member in node.members:
+            if member.id in self._homes:
+                raise InputError(f"duplicate member id {member.id!r}")
+            self._members[member.id] = member
+            self._homes[member.id] = node.id
+        start = len(self._preorder)
+        self._preorder.extend(sorted(node.members, key=lambda m: m.id))
+        own_end = len(self._preorder)
+        for child in node.children:
+            self._index(child)
+        self._spans[node.id] = (start, own_end, len(self._preorder))
 
     def node(self, community_id: str) -> CommunityNode:
         if community_id not in self._nodes:
             raise UnknownCommunity(f"unknown community {community_id!r}")
         return self._nodes[community_id]
 
-    def _scope(
-        self, node: CommunityNode, came_from: CommunityNode | None
-    ) -> list[tuple[str, Member]]:
+    def _scope(self, node: CommunityNode, came_from: CommunityNode | None) -> list[Member]:
         """Candidates visible at one escalation level, in matching order.
 
         The origin sees its own members; an ancestor sees its direct
         members followed by the members of its descendants in preorder,
         skipping the already-searched child subtree.
         """
-        scope = [(node.id, m) for m in sorted(node.members, key=lambda m: m.id)]
-        if came_from is not None:
-            for child in node.children:
-                if child is came_from:
-                    continue
-                for descendant in child.walk():
-                    scope.extend(
-                        (descendant.id, m)
-                        for m in sorted(descendant.members, key=lambda m: m.id)
-                    )
-        return scope
+        start, own_end, end = self._spans[node.id]
+        if came_from is None:
+            return self._preorder[start:own_end]
+        skip_start, _, skip_end = self._spans[came_from.id]
+        return self._preorder[start:skip_start] + self._preorder[skip_end:end]
 
     def resolve(self, cond: TriggeringCondition) -> Resolution:
         """Staff a condition, escalating as far as the root if needed."""
-        origin = self.node(cond.origin)
-        assignment: dict[int, str] = {}
-        homes: dict[str, str] = {}
-        for slot, member_id in sorted(cond.state.items()):
-            homes[member_id] = self._preassign(member_id, cond.required_roles[slot], assignment)
-            assignment[slot] = member_id
+        node = self.node(cond.origin)
+        roles = cond.required_roles
+        assignment: dict[int, str] = {}  # slot -> member id
+        for slot, role_type in enumerate(roles):
+            if slot in cond.state:
+                self._preassign(cond.state[slot], role_type, assignment)
+                assignment[slot] = cond.state[slot]
         trail: list[ExceptionRecord] = []
-        node = origin
         came_from: CommunityNode | None = None
         while True:
             scope = self._scope(node, came_from)
-            for slot, role_type in enumerate(cond.required_roles):
+            for slot, role_type in enumerate(roles):
                 if slot in assignment:
                     continue
-                for community_id, member in scope:
-                    if not member.provides(role_type, self.taxonomy):
-                        continue
-                    if member.id in assignment.values():
-                        continue
-                    if self.exclusive_booking and member.id in self.booked:
-                        continue
-                    assignment[slot] = member.id
-                    homes[member.id] = community_id
-                    break
-            missing = tuple(
-                role
-                for slot, role in enumerate(cond.required_roles)
-                if slot not in assignment
-            )
+                for member in scope:
+                    if (member.provides(role_type, self.taxonomy)
+                            and member.id not in assignment.values()
+                            and member.id not in self.booked):
+                        assignment[slot] = member.id
+                        break
+            missing = tuple(role for slot, role in enumerate(roles) if slot not in assignment)
             if not missing:
-                overlay = SocialOverlayNetwork(
-                    condition_id=cond.id,
-                    assignments=tuple(
-                        (role, assignment[slot])
-                        for slot, role in enumerate(cond.required_roles)
-                    ),
-                    home_communities=homes,
-                )
-                for member_id in overlay.member_ids:
+                chosen = [assignment[slot] for slot in range(len(roles))]
+                for member_id in chosen:
                     self.booked[member_id] = cond.id
+                overlay = SocialOverlayNetwork(cond.id, tuple(zip(roles, chosen)),
+                                               {m: self._homes[m] for m in chosen})
                 return Resolution(cond.id, overlay, (), tuple(trail))
             if node.parent is None:
                 return Resolution(cond.id, None, missing, tuple(trail))
-            trail.append(ExceptionRecord(cond.id, node.id, missing))
-            came_from = node
-            node = node.parent
+            trail.append(ExceptionRecord(node.id, missing))
+            came_from, node = node, node.parent
 
     def dissolve(self, overlay: SocialOverlayNetwork) -> SocialOverlayNetwork:
         """Release an overlay's members and mark it dissolved."""
@@ -280,8 +266,8 @@ class FractalOrganization:
 
     # --- helpers ---
 
-    def _preassign(self, member_id: str, role_type: str, assignment: dict[int, str]) -> str:
-        """Check one preassigned member; returns its home community id."""
+    def _preassign(self, member_id: str, role_type: str, assignment: dict[int, str]) -> None:
+        """Check one preassigned member against the tree, its role and the bookings."""
         member = self._members.get(member_id)
         if member is None:
             raise InputError(f"preassigned member {member_id!r} is not in the tree")
@@ -289,9 +275,8 @@ class FractalOrganization:
             raise InputError(f"preassigned member {member_id!r} does not provide {role_type!r}")
         if member_id in assignment.values():
             raise InputError(f"member {member_id!r} preassigned to two roles")
-        if self.exclusive_booking and member_id in self.booked:
+        if member_id in self.booked:
             raise InputError(f"preassigned member {member_id!r} is already booked")
-        return self._homes[member_id]
 
 
 # --- loading -----------------------------------------------------------

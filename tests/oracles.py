@@ -8,7 +8,9 @@ also keeps the simulator as it was before its data layout was trimmed
 (full meta-network, per-step edge sort, per-candidate degree scan,
 three-pass aggregation) as the reference for differential tests, and the
 community section keeps the publisher as it was before its index (a full
-re-scan of every record ever published) for the same purpose.
+re-scan of every record ever published) for the same purpose, and the
+fractal section keeps the resolver as it was before its tree index (a sort
+and a subtree walk at every escalation level).
 """
 
 from __future__ import annotations
@@ -37,6 +39,15 @@ from fso.diffusion import (
     NoAgentsLeft,
     ScenarioSpec,
 )
+from fso.fractal import (
+    CommunityNode,
+    ExceptionRecord,
+    FractalOrganization,
+    Resolution,
+    SocialOverlayNetwork,
+    TriggeringCondition,
+)
+from fso.inputs import InputError
 from fso.taxonomy import Taxonomy
 
 # --- transitive closure (taxonomy) --------------------------------------
@@ -412,6 +423,104 @@ def connected_after_removal(n: int, edges, removed=None) -> bool:
 
 def has_cut_vertex(n: int, edges) -> bool:
     return any(not connected_after_removal(n, edges, removed=v) for v in range(n))
+
+
+# --- fractal role resolution (reference resolver) ---------------------------
+
+
+class ReferenceFractalOrganization(FractalOrganization):
+    """Role resolution as it was before the tree was indexed once.
+
+    Every escalation level re-sorts each community's members and walks the
+    skipped-over subtrees again, and the home community of each assigned
+    member is collected on the way.  ``exclusive_booking`` was a knob no
+    caller ever turned off.
+    """
+
+    exclusive_booking = True
+
+    def _scope(
+        self, node: CommunityNode, came_from: CommunityNode | None
+    ) -> list[tuple[str, Member]]:
+        """Candidates visible at one escalation level, in matching order.
+
+        The origin sees its own members; an ancestor sees its direct
+        members followed by the members of its descendants in preorder,
+        skipping the already-searched child subtree.
+        """
+        scope = [(node.id, m) for m in sorted(node.members, key=lambda m: m.id)]
+        if came_from is not None:
+            for child in node.children:
+                if child is came_from:
+                    continue
+                for descendant in child.walk():
+                    scope.extend(
+                        (descendant.id, m)
+                        for m in sorted(descendant.members, key=lambda m: m.id)
+                    )
+        return scope
+
+    def resolve(self, cond: TriggeringCondition) -> Resolution:
+        """Staff a condition, escalating as far as the root if needed."""
+        origin = self.node(cond.origin)
+        assignment: dict[int, str] = {}
+        homes: dict[str, str] = {}
+        for slot, member_id in sorted(cond.state.items()):
+            homes[member_id] = self._preassign(member_id, cond.required_roles[slot], assignment)
+            assignment[slot] = member_id
+        trail: list[ExceptionRecord] = []
+        node = origin
+        came_from: CommunityNode | None = None
+        while True:
+            scope = self._scope(node, came_from)
+            for slot, role_type in enumerate(cond.required_roles):
+                if slot in assignment:
+                    continue
+                for community_id, member in scope:
+                    if not member.provides(role_type, self.taxonomy):
+                        continue
+                    if member.id in assignment.values():
+                        continue
+                    if self.exclusive_booking and member.id in self.booked:
+                        continue
+                    assignment[slot] = member.id
+                    homes[member.id] = community_id
+                    break
+            missing = tuple(
+                role
+                for slot, role in enumerate(cond.required_roles)
+                if slot not in assignment
+            )
+            if not missing:
+                overlay = SocialOverlayNetwork(
+                    condition_id=cond.id,
+                    assignments=tuple(
+                        (role, assignment[slot])
+                        for slot, role in enumerate(cond.required_roles)
+                    ),
+                    home_communities=homes,
+                )
+                for member_id in overlay.member_ids:
+                    self.booked[member_id] = cond.id
+                return Resolution(cond.id, overlay, (), tuple(trail))
+            if node.parent is None:
+                return Resolution(cond.id, None, missing, tuple(trail))
+            trail.append(ExceptionRecord(node.id, missing))
+            came_from = node
+            node = node.parent
+
+    def _preassign(self, member_id: str, role_type: str, assignment: dict[int, str]) -> str:
+        """Check one preassigned member; returns its home community id."""
+        member = self._members.get(member_id)
+        if member is None:
+            raise InputError(f"preassigned member {member_id!r} is not in the tree")
+        if not member.provides(role_type, self.taxonomy):
+            raise InputError(f"preassigned member {member_id!r} does not provide {role_type!r}")
+        if member_id in assignment.values():
+            raise InputError(f"member {member_id!r} preassigned to two roles")
+        if self.exclusive_booking and member_id in self.booked:
+            raise InputError(f"preassigned member {member_id!r} is already booked")
+        return self._homes[member_id]
 
 
 # --- knowledge diffusion (reference simulator) ----------------------------

@@ -83,15 +83,16 @@ def test_match_missing_file_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content,fragments",
+    "name,content,fragments",
     [
-        (PREFIX + "[ service:provide [ a <x> ] ] .\n", ("member.ttl", "offset")),
-        (b"\xff\xfe", ("member.ttl", "UTF-8")),
+        ("member.ttl", PREFIX + "[ service:provide [ a <x> ] ] .\n", ("member.ttl", "offset")),
+        ("member.ttl", b"\xff\xfe", ("member.ttl", "UTF-8")),
+        ("activity:Walking.ttl", WALKING, ("activity:Walking.ttl", "reserved")),
     ],
-    ids=["block-as-type", "not-utf8"],
+    ids=["block-as-type", "not-utf8", "reserved-activity-stem"],
 )
-def test_match_bad_description_file_names_it(tmp_path, capsys, content, fragments):
-    member = tmp_path / "member.ttl"
+def test_match_bad_description_file_names_it(tmp_path, capsys, name, content, fragments):
+    member = tmp_path / name
     member.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert_input_error(capsys, ["match", str(member)], *fragments)
 
@@ -104,6 +105,18 @@ def test_match_taxonomy_cycle_names_the_file(tmp_path, capsys):
 def test_match_community_and_descriptions_are_exclusive(tmp_path, capsys):
     argv = ["match", "--community", str(tmp_path / "absent.json"),
             str(tmp_path / "absent.ttl")]
+    assert_input_error(capsys, argv, "exclusive")
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--taxonomy", "absent.txt"], ["--allow-specialization"], ["--no-time-overlap"]],
+    ids=["taxonomy", "allow-specialization", "no-time-overlap"],
+)
+def test_match_community_and_policy_options_are_exclusive(tmp_path, capsys, extra):
+    # rejected before any file is read: none of the named files exists
+    argv = ["match", "--community", str(tmp_path / "absent.json")]
+    argv += [str(tmp_path / arg) if arg.startswith("absent") else arg for arg in extra]
     assert_input_error(capsys, argv, "exclusive")
 
 
@@ -160,12 +173,14 @@ def test_match_community_policy_flag_must_be_boolean(tmp_path, capsys):
         ('{"members": ' + "1" * 5000 + "}", {}, ("community.json", "invalid JSON")),
         ("[" * 100000 + "]" * 100000, {}, ("community.json", "invalid JSON")),
         ({"taxonomy": "types\u0000.txt"}, {}, ("types\\x00.txt", "NUL")),
+        ({"members": [{"id": "a"}, {"id": "activity:Walking"}]}, {},
+         ("community.json", "members[1].id", "'activity:Walking'", "reserved")),
     ],
     ids=["top-level-array", "member-without-id", "members-not-a-list",
          "taxonomy-file-cycle", "malformed-json", "bad-turtle", "unknown-policy-flag",
          "one-element-edge", "inline-edge-cycle", "duplicate-member",
          "description-path-not-a-string", "integer-too-long", "deep-nesting",
-         "nul-in-file-name"],
+         "nul-in-file-name", "reserved-activity-id"],
 )
 def test_match_malformed_community_names_file_and_field(
     tmp_path, capsys, document, files, fragments
@@ -350,6 +365,10 @@ def test_simulate_bad_scenario_among_several_writes_nothing(tmp_path, capsys):
         argv = ["simulate", "--scenario", good, bad, "--out", str(out_dir)]
         assert_input_error(capsys, argv, "bad.json")
         assert not out_dir.exists()
+    other = scenario_file(tmp_path, name="other.json")
+    argv = ["simulate", "--scenario", good, other, "--replicates", "0", "--out", str(out_dir)]
+    assert_input_error(capsys, argv, "replicates must be at least 1")
+    assert not out_dir.exists()
 
 
 def test_repeated_invocations_are_byte_identical(tmp_path):

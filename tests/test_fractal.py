@@ -14,7 +14,9 @@ from fso.fractal import (
     UnknownCommunity,
     load_fixture,
 )
+from fso.inputs import InputError
 from fso.taxonomy import Taxonomy
+from oracles import ReferenceFractalOrganization, random_dag
 
 DATA = Path(__file__).parent / "data"
 
@@ -246,3 +248,99 @@ def test_adding_a_member_preserves_completeness():
         fresh = FractalOrganization(org.root, org.taxonomy)
         assert fresh.resolve(cond).complete
     assert checked > 30
+
+
+def test_provides_agrees_with_pairwise_subsumption():
+    rng = random.Random(24)
+    for _ in range(100):
+        names, edges = random_dag(rng, max_nodes=12)
+        tax = Taxonomy(edges)
+        types = names + ["Outside", "Elsewhere"]  # not in the taxonomy
+        for _ in range(20):
+            member = Member("m", rng.sample(types, rng.randint(0, 3)))
+            for role in types:
+                expected = any(tax.is_subtype(offer, role) for offer in member.offers)
+                assert member.provides(role, tax) == expected
+
+
+def random_tree(rng, types, max_depth=5, max_members=400):
+    """A tree of up to ``max_members`` members whose ids do not sort in build order."""
+    ids = [f"m{i:03d}" for i in range(rng.randint(1, max_members))]
+    rng.shuffle(ids)
+    counter = itertools.count()
+
+    def build(depth):
+        node = CommunityNode(f"c{next(counter)}")
+        for _ in range(rng.randint(0, 12)):
+            if ids:
+                node.members.append(Member(ids.pop(), rng.sample(types, rng.randint(0, 2))))
+        if depth < max_depth:
+            for _ in range(rng.randint(depth == 0, 4 if depth < 2 else 2)):
+                node.add_child(build(depth + 1))
+        return node
+
+    return build(0)
+
+
+def random_state(rng, org, roles):
+    """Preassignments: often valid, sometimes unknown, unfit, booked or doubled."""
+    members = [member.id for node in org.root.walk() for member in node.members]
+    choices = members + list(org.booked) + ["ghost"]
+    state = {}
+    for slot in rng.sample(range(len(roles)), rng.randint(1, len(roles))):
+        if state and rng.random() < 0.1:
+            state[slot] = rng.choice(list(state.values()))
+        else:
+            state[slot] = rng.choice(choices)
+    return state
+
+
+def test_resolve_agrees_with_reference_resolver():
+    """Random trees, conditions, preassignments and dissolves: same outcome.
+
+    Both organizations share one tree and see the same steps, so their
+    bookings carry over from condition to condition in step; after every
+    step the reports, the InputError messages and the bookings must agree.
+    """
+    rng = random.Random(2025)
+    steps = resolved = escalated = rejected = 0
+    for tree in range(200):
+        names, edges = random_dag(rng, max_nodes=10)
+        tax = Taxonomy(edges)
+        types = names + ["Outside"]
+        root = random_tree(rng, types)
+        org = FractalOrganization(root, tax)
+        reference = ReferenceFractalOrganization(root, tax)
+        nodes = [node.id for node in root.walk()] + ["nowhere"]
+        overlays = []
+        for step in range(rng.randint(10, 40)):
+            steps += 1
+            if overlays and rng.random() < 0.2:
+                mine, theirs = overlays.pop(rng.randrange(len(overlays)))
+                org.dissolve(mine)
+                reference.dissolve(theirs)
+                assert mine.status is theirs.status is OverlayStatus.DISSOLVED
+            else:
+                roles = tuple(rng.choice(types) for _ in range(rng.randint(1, 4)))
+                state = random_state(rng, org, roles) if rng.random() < 0.3 else {}
+                cond = TriggeringCondition(f"t{tree}-{step}", rng.choice(nodes), roles, state)
+                outcomes = []
+                for resolver in (org, reference):
+                    try:
+                        outcomes.append(resolver.resolve(cond))
+                    except InputError as exc:
+                        outcomes.append(f"{type(exc).__name__}: {exc}")
+                mine, theirs = outcomes
+                if isinstance(mine, str):
+                    assert mine == theirs
+                    rejected += 1
+                else:
+                    assert mine.to_json_dict() == theirs.to_json_dict()
+                    assert mine.exceptions == theirs.exceptions
+                    escalated += bool(mine.exceptions)
+                    if mine.complete:
+                        resolved += 1
+                        assert mine.overlay.home_communities == theirs.overlay.home_communities
+                        overlays.append((mine.overlay, theirs.overlay))
+            assert list(org.booked.items()) == list(reference.booked.items())
+    assert steps > 4000 and resolved > 1000 and escalated > 1000 and rejected > 300
