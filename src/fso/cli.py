@@ -111,6 +111,12 @@ def cmd_simulate(args) -> int:
     specs = [diffusion.load_scenario(path) for path in scenario_paths]
     multiple = len(scenario_paths) > 1
     out = Path(args.out)
+    claimed: dict[str, Path] = {}  # output file name -> the scenario that writes it
+    for path in scenario_paths if multiple else ():
+        for name in [f"{path.stem}.csv"] + [f"{path.stem}.replicates.csv"] * args.dump_replicates:
+            if name in claimed:
+                raise InputError(f"{claimed[name]} and {path} would both write {out / name}")
+            claimed[name] = path
     for scenario_path, spec in zip(scenario_paths, specs):
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)

@@ -17,6 +17,11 @@ Runs are fully deterministic for a given spec: the RNG stream is consumed
 in a documented order (isolation draws first at their step, then edge
 draws in canonical order, direction low-to-high then high-to-low; a unit
 draw happens only when a transmission fires and candidates exist).
+
+Each agent's knowledge is an integer bitmask, bit u set when it knows unit
+u.  The unit drawn is the k-th lowest set bit of ``knows[sender] &
+~knows[receiver]`` with ``k = randrange(popcount)``: the k-th unit of the
+sorted set difference, so the order above fixes every unit drawn.
 """
 
 from __future__ import annotations
@@ -107,42 +112,52 @@ def gen_fractal(n: int, cell_size: int = 3) -> frozenset[tuple[int, int]]:
 
 @dataclass
 class MetaNetwork:
-    """Agents 0..n-1: sorted edges, what each agent knows, who is cut off."""
+    """Agents 0..n-1: sorted edges, knowledge bitmasks and their total, who is cut off."""
 
     edges: tuple[tuple[int, int], ...]
-    knows: dict[int, set[int]]
+    knows: list[int]
+    known: int
     isolated: set[int] = field(default_factory=set)
+    _live: tuple = field(default=(-1, ()), repr=False, compare=False)
 
     @classmethod
     def initial(cls, edges: frozenset[tuple[int, int]], n: int) -> "MetaNetwork":
         """Fresh state: agent i knows exactly unit i."""
-        return cls(edges=tuple(sorted(edges)), knows={i: {i} for i in range(n)})
+        return cls(tuple(sorted(edges)), [1 << i for i in range(n)], n)
 
     def live_edges(self) -> list[tuple[int, int]]:
-        isolated = self.isolated
-        return [(u, v) for u, v in self.edges if u not in isolated and v not in isolated]
+        """Edges with no isolated end, rebuilt only when isolation grows."""
+        cut = self.isolated
+        if self._live[0] != len(cut):
+            self._live = (len(cut), [edge for edge in self.edges if cut.isdisjoint(edge)])
+        return self._live[1]
 
 
 def diffusion_measure(net: MetaNetwork) -> float:
     """Fraction of (agent, unit) pairs where the agent knows the unit."""
-    total = sum(len(units) for units in net.knows.values())
-    return total / len(net.knows) ** 2
+    return net.known / len(net.knows) ** 2
+
+
+def kth_set_bit(mask: int, k: int) -> int:
+    """The k-th lowest set bit of ``mask`` (k from 0), as a one-bit mask."""
+    for _ in range(k):
+        mask &= mask - 1
+    return mask & -mask
 
 
 def step(net: MetaNetwork, rng: random.Random, p: float) -> MetaNetwork:
     """One synchronous exchange round; mutates and returns the network."""
-    additions: dict[int, set[int]] = {}
-    for u, v in net.live_edges():
-        for sender, receiver in ((u, v), (v, u)):
-            if rng.random() >= p:
-                continue
-            candidates = sorted(net.knows[sender] - net.knows[receiver])
-            if not candidates:
-                continue
-            unit = candidates[rng.randrange(len(candidates))]
-            additions.setdefault(receiver, set()).add(unit)
-    for receiver, units in additions.items():
-        net.knows[receiver] |= units
+    knows = net.knows
+    draw, randrange = rng.random, rng.randrange
+    gained: dict[int, int] = {}  # receiver -> units drawn for it this round
+    for u, v in net.live_edges():  # direction u -> v first, then v -> u
+        if draw() < p and (new := knows[u] & ~knows[v]):
+            gained[v] = gained.get(v, 0) | kth_set_bit(new, randrange(new.bit_count()))
+        if draw() < p and (new := knows[v] & ~knows[u]):
+            gained[u] = gained.get(u, 0) | kth_set_bit(new, randrange(new.bit_count()))
+    for receiver, units in gained.items():
+        net.known += units.bit_count()  # each drawn unit was new to the receiver
+        knows[receiver] |= units
     return net
 
 
@@ -150,7 +165,7 @@ def isolate(
     net: MetaNetwork, strategy: IsolationStrategy, rng: random.Random
 ) -> tuple[MetaNetwork, int]:
     """Cut one agent's edges; its knowledge is retained."""
-    candidates = [a for a in net.knows if a not in net.isolated]
+    candidates = [a for a in range(len(net.knows)) if a not in net.isolated]
     if not candidates:
         raise NoAgentsLeft("all agents are already isolated")
     if strategy is IsolationStrategy.RANDOM:

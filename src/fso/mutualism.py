@@ -21,8 +21,7 @@ lexicographically least pair of action ids is reported.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 ALLOWED_EVALUATIONS = (-1, 0, 1)
@@ -201,38 +200,3 @@ def mutualistic_closure(
         for r_id in targets
         if d_id != r_id
     }
-
-
-@dataclass
-class MutualismInstance:
-    """Systems plus correspondences, as loaded from a JSON document."""
-
-    systems: list[ActionSystem] = field(default_factory=list)
-    correspondences: list[ActionCorrespondence] = field(default_factory=list)
-
-
-def load_instance(source) -> MutualismInstance:
-    """Load systems and correspondences from JSON text, a dict, or a path.
-
-    Expected shape::
-
-        {"systems": {"animals": {"exhaleCO2": 0, "inhaleO2": 1}, ...},
-         "correspondences": [{"source": "animals", "target": "plants",
-                              "pairs": [["exhaleCO2", "absorbCO2"]]}]}
-    """
-    if isinstance(source, dict):
-        data = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        data = json.loads(source)
-    else:
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
-    systems = [
-        ActionSystem(name, dict(evaluations))
-        for name, evaluations in data.get("systems", {}).items()
-    ]
-    correspondences = [
-        ActionCorrespondence(c["source"], c["target"], c.get("pairs", []))
-        for c in data.get("correspondences", [])
-    ]
-    return MutualismInstance(systems, correspondences)

@@ -371,6 +371,22 @@ def test_simulate_bad_scenario_among_several_writes_nothing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("names,extra", [
+    (["a/s.json", "b/s.json"], []),
+    (["s.json", "s.json"], []),
+    (["s.json", "s.replicates.json"], ["--dump-replicates"]),
+], ids=["shared-stem", "same-file-twice", "stem-of-a-replicates-dump"])
+def test_simulate_scenarios_writing_one_output_are_rejected(tmp_path, capsys, names, extra):
+    paths = []
+    for name in names:
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        paths.append(scenario_file(tmp_path, name=name))
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--scenario", *paths, "--replicates", "3", "--out", str(out_dir), *extra]
+    assert_input_error(capsys, argv, paths[0], paths[1], "would both write")
+    assert not out_dir.exists()
+
+
 def test_repeated_invocations_are_byte_identical(tmp_path):
     scenario = scenario_file(
         tmp_path, horizon=25, isolation_events=[[10, "max_degree"]]

