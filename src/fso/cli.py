@@ -117,6 +117,14 @@ def cmd_simulate(args) -> int:
             if name in claimed:
                 raise InputError(f"{claimed[name]} and {path} would both write {out / name}")
             claimed[name] = path
+    # an unusable output location fails now, not after the Monte Carlo runs
+    if multiple:  # a missing directory is created, so its nearest existing ancestor decides
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise InputError(f"--out must be a directory for several scenarios,"
+                             f" and {existing} is not one", out)
+    elif out.is_dir() or not out.parent.is_dir():
+        raise InputError("--out must name a file in an existing directory", out)
     for scenario_path, spec in zip(scenario_paths, specs):
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)

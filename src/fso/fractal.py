@@ -7,7 +7,8 @@ members; whenever roles are still open, the community raises an exception
 that forwards the condition and its partial assignment to the parent,
 whose scope adds its direct members and the members of its other
 descendant communities in preorder.  Assignments made on the way up are
-kept, never revoked.
+kept, never revoked.  Each level's scope is one or two slices of the
+preorder member list, searched through per-type posting lists.
 
 A fully staffed condition yields a social overlay network: a temporary
 cross-community team whose members stay booked until the overlay is
@@ -16,6 +17,7 @@ dissolved.  A member serves in at most one active overlay at a time.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -172,6 +174,16 @@ class FractalOrganization:
     list of all members, each community's own members sorted by id, and
     per community the span of that list its own members and its subtree
     take.  A tree changed afterwards needs a new organization.
+
+    On the first resolve, and again once the taxonomy has gained an edge or
+    been replaced, an inverted index is built: per type, the ascending
+    preorder positions of the members that provide it.  A member offering
+    ``o`` is listed once under every type in ``taxonomy.ancestors(o)``,
+    which is exactly ``Member.provides``: ``o`` is in ``subtypes_of(T)``
+    iff ``T`` is in ``ancestors(o)``, unregistered types included.  A slot's
+    search bisects to the start of each scope slice and walks forward in
+    preorder, so it meets the same candidates in the same order as a
+    member-by-member scan.
     """
 
     def __init__(self, root: CommunityNode, taxonomy: Taxonomy | None = None):
@@ -183,6 +195,8 @@ class FractalOrganization:
         self._homes: dict[str, str] = {}  # member id -> community id
         self._preorder: list[Member] = []
         self._spans: dict[str, tuple[int, int, int]] = {}  # id -> start, own end, subtree end
+        self._postings_key: tuple | None = None  # (taxonomy, edge count) the postings reflect
+        self._postings_by_type: dict[str, list[int]] = {}
         self._index(root)
 
     def _index(self, node: CommunityNode) -> None:
@@ -206,19 +220,6 @@ class FractalOrganization:
             raise UnknownCommunity(f"unknown community {community_id!r}")
         return self._nodes[community_id]
 
-    def _scope(self, node: CommunityNode, came_from: CommunityNode | None) -> list[Member]:
-        """Candidates visible at one escalation level, in matching order.
-
-        The origin sees its own members; an ancestor sees its direct
-        members followed by the members of its descendants in preorder,
-        skipping the already-searched child subtree.
-        """
-        start, own_end, end = self._spans[node.id]
-        if came_from is None:
-            return self._preorder[start:own_end]
-        skip_start, _, skip_end = self._spans[came_from.id]
-        return self._preorder[start:skip_start] + self._preorder[skip_end:end]
-
     def resolve(self, cond: TriggeringCondition) -> Resolution:
         """Staff a condition, escalating as far as the root if needed."""
         node = self.node(cond.origin)
@@ -230,17 +231,19 @@ class FractalOrganization:
                 assignment[slot] = cond.state[slot]
         trail: list[ExceptionRecord] = []
         came_from: CommunityNode | None = None
+        postings = self._postings()
         while True:
-            scope = self._scope(node, came_from)
+            start, own_end, end = self._spans[node.id]
+            if came_from is None:  # the origin sees its own members
+                slices = ((start, own_end),)
+            else:  # an ancestor skips the child subtree it was escalated from
+                skip_start, _, skip_end = self._spans[came_from.id]
+                slices = ((start, skip_start), (skip_end, end))
             for slot, role_type in enumerate(roles):
-                if slot in assignment:
-                    continue
-                for member in scope:
-                    if (member.provides(role_type, self.taxonomy)
-                            and member.id not in assignment.values()
-                            and member.id not in self.booked):
-                        assignment[slot] = member.id
-                        break
+                if slot not in assignment:
+                    member_id = self._first_free(postings.get(role_type, ()), slices, assignment)
+                    if member_id is not None:
+                        assignment[slot] = member_id
             missing = tuple(role for slot, role in enumerate(roles) if slot not in assignment)
             if not missing:
                 chosen = [assignment[slot] for slot in range(len(roles))]
@@ -265,6 +268,25 @@ class FractalOrganization:
         return overlay
 
     # --- helpers ---
+
+    def _postings(self) -> dict[str, list[int]]:
+        """The per-type posting lists, rebuilt when the taxonomy changed since the last build."""
+        key = (self.taxonomy, len(self.taxonomy.subclass_edges))
+        if self._postings_key != key:
+            self._postings_key, self._postings_by_type = key, {}
+            for pos, member in enumerate(self._preorder):
+                for role_type in set().union(*map(self.taxonomy.ancestors, member.offers)):
+                    self._postings_by_type.setdefault(role_type, []).append(pos)
+        return self._postings_by_type
+
+    def _first_free(self, positions: list[int], slices, assignment: dict[int, str]) -> str | None:
+        """The first member at ``positions`` within the slices, neither booked nor assigned."""
+        for lo, hi in slices:
+            for pos in positions[bisect_left(positions, lo):bisect_left(positions, hi)]:
+                member_id = self._preorder[pos].id
+                if member_id not in self.booked and member_id not in assignment.values():
+                    return member_id
+        return None
 
     def _preassign(self, member_id: str, role_type: str, assignment: dict[int, str]) -> None:
         """Check one preassigned member against the tree, its role and the bookings."""

@@ -432,8 +432,10 @@ class ReferenceFractalOrganization(FractalOrganization):
     """Role resolution as it was before the tree was indexed once.
 
     Every escalation level re-sorts each community's members and walks the
-    skipped-over subtrees again, and the home community of each assigned
-    member is collected on the way.  ``exclusive_booking`` was a knob no
+    skipped-over subtrees again, every open slot tests each member of the
+    scope with ``Member.provides`` (where the resolver now reads per-type
+    posting lists), and the home community of each assigned member is
+    collected on the way.  ``exclusive_booking`` was a knob no
     caller ever turned off.
     """
 

@@ -387,6 +387,31 @@ def test_simulate_scenarios_writing_one_output_are_rejected(tmp_path, capsys, na
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("out,several,fragment", [
+    ("taken.csv", True, "must be a directory for several scenarios"),
+    ("taken.csv/sub", True, "taken.csv is not one"),
+    ("nodir/x.csv", False, "must name a file in an existing directory"),
+    ("folder", False, "must name a file in an existing directory"),
+], ids=["several-into-a-file", "several-under-a-file", "missing-directory", "a-directory"])
+def test_simulate_unusable_out_fails_before_any_run(tmp_path, capsys, monkeypatch,
+                                                    out, several, fragment):
+    def refuse(spec, replicates):
+        raise AssertionError("monte_carlo ran before the output location was checked")
+
+    monkeypatch.setattr("fso.diffusion.monte_carlo", refuse)
+    (tmp_path / "taken.csv").write_text("keep\n")
+    (tmp_path / "folder").mkdir()
+    scenarios = [scenario_file(tmp_path, name="a.json")]
+    if several:
+        scenarios.append(scenario_file(tmp_path, name="b.json"))
+    argv = ["simulate", "--scenario", *scenarios, "--replicates", "300",
+            "--out", str(tmp_path / out)]
+    assert_input_error(capsys, argv, str(tmp_path / out), fragment)
+    assert (tmp_path / "taken.csv").read_text() == "keep\n"
+    made = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+    assert made == {"taken.csv", "folder", "a.json"} | ({"b.json"} if several else set())
+
+
 def test_repeated_invocations_are_byte_identical(tmp_path):
     scenario = scenario_file(
         tmp_path, horizon=25, isolation_events=[[10, "max_degree"]]

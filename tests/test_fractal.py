@@ -344,3 +344,118 @@ def test_resolve_agrees_with_reference_resolver():
                         overlays.append((mine.overlay, theirs.overlay))
             assert list(org.booked.items()) == list(reference.booked.items())
     assert steps > 4000 and resolved > 1000 and escalated > 1000 and rejected > 300
+
+
+# --- the typed-position index ---------------------------------------------
+
+
+def test_postings_agree_with_provides():
+    """A member's position is listed under a type iff it provides that type, once."""
+    rng = random.Random(26)
+    for _ in range(60):
+        names, edges = random_dag(rng, max_nodes=12)
+        tax = Taxonomy(edges)
+        types = names + ["Outside", "Elsewhere"]  # not in the taxonomy
+        org = FractalOrganization(random_tree(rng, types, max_depth=3, max_members=60), tax)
+        postings = org._postings()
+        for positions in postings.values():
+            assert positions == sorted(set(positions))
+        for pos, member in enumerate(org._preorder):
+            for role in types:
+                assert (pos in postings.get(role, ())) == member.provides(role, tax)
+
+
+def test_member_with_offers_sharing_an_ancestor_is_listed_once():
+    tax = Taxonomy([("Nurse", "Caregiver"), ("Doctor", "Caregiver")])
+    org = FractalOrganization(CommunityNode("c", [Member("m", ["Nurse", "Doctor"])]), tax)
+    assert org._postings() == {"Nurse": [0], "Doctor": [0], "Caregiver": [0]}
+
+
+def test_taxonomy_changed_between_resolves_is_seen():
+    """An edge added to the taxonomy, or another taxonomy, reaches the next resolve."""
+    root = CommunityNode("city", [Member("cook", ["Cooking"]), Member("nanny", ["Childcare"])])
+    root.add_child(CommunityNode("district", [Member("clinic", ["Nurse"])]))
+    org = FractalOrganization(root, Taxonomy([("Nurse", "Caregiver")]))
+    reference = ReferenceFractalOrganization(root, org.taxonomy)
+
+    def resolve_both(cid):
+        cond = TriggeringCondition(cid, "district", ("Caregiver", "Housekeeping"))
+        mine, theirs = org.resolve(cond), reference.resolve(cond)
+        assert mine.to_json_dict() == theirs.to_json_dict()
+        assert org.booked == reference.booked
+        return mine
+
+    assert resolve_both("c0").missing_roles == ("Housekeeping",)
+    org.taxonomy.add_subclass("Cooking", "Housekeeping")  # the reference's too
+    assert resolve_both("c1").overlay.assignments == (
+        ("Caregiver", "clinic"), ("Housekeeping", "cook"))
+    # as many edges as before, so only the taxonomy's identity tells it apart
+    org.taxonomy = reference.taxonomy = Taxonomy(
+        [("Childcare", "Caregiver"), ("Cooking", "Housekeeping")])
+    assert resolve_both("c2").missing_roles == ("Housekeeping",)
+
+
+def full_tree(rng, types, weights):
+    """A complete tree (781 communities at depth 4, fan-out 5) of about 2,000 members."""
+    counter = itertools.count()
+    ids = [f"m{i:04d}" for i in range(4000)]
+    rng.shuffle(ids)
+
+    def build(level):
+        node = CommunityNode(f"c{next(counter)}")
+        for _ in range(rng.randint(0, 5)):
+            node.members.append(Member(ids.pop(), rng.choices(types, weights, k=rng.randint(1, 2))))
+        for _ in range(5 if level < 4 else 0):
+            node.add_child(build(level + 1))
+        return node
+
+    return build(0)
+
+
+def test_resolve_agrees_with_reference_resolver_on_a_large_tree():
+    """About 2,000 members under booking pressure: many conditions climb to the root.
+
+    Offers are skewed towards a few types and roles towards the rare ones,
+    so those run out and their conditions escalate all the way; dissolves
+    interleave.  After every step the reports, the InputError messages and
+    the bookings agree.
+    """
+    rng = random.Random(2026)
+    names, edges = random_dag(rng, max_nodes=14)
+    tax = Taxonomy(edges)
+    types = names + ["Outside"]
+    weights = [1 / (rank + 1) ** 2 for rank in range(len(types))]
+    root = full_tree(rng, types, weights)
+    org = FractalOrganization(root, tax)
+    reference = ReferenceFractalOrganization(root, tax)
+    depths = {node.id: node.depth() for node in root.walk()}
+    assert len(depths) == 781 and 1800 < len(org._preorder) < 2200
+    nodes = list(depths) + ["nowhere"]
+    overlays = []
+    to_root = rejected = 0
+    for step in range(400):
+        if overlays and rng.random() < 0.15:
+            mine, theirs = overlays.pop(rng.randrange(len(overlays)))
+            org.dissolve(mine)
+            reference.dissolve(theirs)
+        else:
+            roles = tuple(rng.choices(types, weights[::-1], k=rng.randint(1, 3)))
+            state = random_state(rng, org, roles) if rng.random() < 0.15 else {}
+            cond = TriggeringCondition(f"t{step}", rng.choice(nodes), roles, state)
+            outcomes = []
+            for resolver in (org, reference):
+                try:
+                    outcomes.append(resolver.resolve(cond))
+                except InputError as exc:
+                    outcomes.append(f"{type(exc).__name__}: {exc}")
+            mine, theirs = outcomes
+            if isinstance(mine, str):
+                assert mine == theirs
+                rejected += 1
+            else:
+                assert mine.to_json_dict() == theirs.to_json_dict()
+                to_root += len(mine.exceptions) == depths[cond.origin] > 0
+                if mine.complete:
+                    overlays.append((mine.overlay, theirs.overlay))
+        assert list(org.booked.items()) == list(reference.booked.items())
+    assert to_root > 100 and rejected > 30
