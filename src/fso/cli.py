@@ -34,15 +34,50 @@ EXIT_INPUT = 2
 
 _INPUT_ERRORS = (OSError, InputError)
 
+_encode_string = json.encoder.encode_basestring_ascii  # C, when the _json extension is built
+
 logger = logging.getLogger("fso")
 
 
+def _dump_json(value, write, newline: str = "\n") -> None:
+    """Write the text of ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
+
+    Dict keys must be strings.  The stdlib encodes with its pure-Python
+    encoder whenever ``indent`` is set; this walk does the layout, hands
+    every string to the C escaper and never holds the whole text.
+    """
+    if isinstance(value, str):
+        write(_encode_string(value))
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            write(separator)
+            write(_encode_string(key))
+            write(": ")
+            _dump_json(value[key], write, inner)
+            separator = comma
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in value:
+            write(separator)
+            _dump_json(item, write, inner)
+            separator = comma
+        write(newline + "]")
+    else:  # a number, a boolean, None or an empty container
+        write(json.dumps(value))
+
+
 def _write_report(report: dict, out: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        _dump_json(report, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            _dump_json(report, fh.write)
+            fh.write("\n")
 
 
 def _pending_summary(community: Community) -> list[dict]:
@@ -128,7 +163,8 @@ def cmd_simulate(args) -> int:
     for scenario_path, spec in zip(scenario_paths, specs):
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
-        result = diffusion.monte_carlo(spec, args.replicates)
+        result = diffusion.monte_carlo(spec, args.replicates,
+                                       keep_traces=args.replicates == 1 or args.dump_replicates)
         if multiple:  # only now: a rejected replicate count leaves no directory
             out.mkdir(parents=True, exist_ok=True)
         target = out / f"{scenario_path.stem}.csv" if multiple else out

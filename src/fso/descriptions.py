@@ -14,6 +14,13 @@ block a lone ``a`` immediately followed by a predicate-object pair is
 tolerated and skipped, and inside location blocks bare IRIs are accepted
 (a property IRI followed by a place IRI); both forms occur in published
 description snippets in the wild.
+
+Tokens are plain ``(kind, text, offset)`` tuples from one ``finditer`` pass
+over an ordered alternation, and the parser walks the token list by index.
+The alternation ends in ``bad``, which matches any single character, so
+every position matches some alternative (none matches the empty string)
+and the pass never skips input: the first ``bad`` match is the exact
+offset where no token starts, and it becomes the ``ParseError``.
 """
 
 from __future__ import annotations
@@ -114,6 +121,8 @@ def classify(d: ServiceDescription) -> Role:
 
 # --- tokenizer ---------------------------------------------------------
 
+# Only ``bad`` is DOTALL: globally, the literal's ``\\.`` would also
+# swallow a backslash-newline.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|\#[^\n]*)
@@ -123,186 +132,174 @@ _TOKEN_RE = re.compile(
   | (?P<pname>(?:[A-Za-z_][\w.\-]*)?:[\w.\-]*)
   | (?P<a>a\b)
   | (?P<punct>[;.\[\]])
+  | (?P<bad>(?s:.))
     """,
     re.VERBOSE,
 )
 
 _LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"(?:\^\^(.+))?$', re.DOTALL)
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # prefix | iri | literal | pname | a | punct
-    text: str
-    offset: int
+_OBJECT_KINDS = frozenset({"iri", "literal", "pname", "a"})
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` per token; whitespace and comments are dropped.
+
+    ``kind`` is prefix, iri, literal, pname, a or punct.  A bracket block
+    built by the parser is ``("block", statements, offset)``, so every kind
+    test also rejects a block where a token is expected.
+    """
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
         if kind != "ws":
-            tokens.append(_Token(kind, match.group(), pos))
-        pos = match.end()
+            tokens.append((kind, match.group(), match.start()))
     return tokens
 
 
 # --- parser ------------------------------------------------------------
 
 
-class _Block:
-    """A bracketed group: statements are token lists split on ';'."""
-
-    kind = "block"  # never a valid object kind where a token is expected
-
-    def __init__(self, statements: list[list], offset: int):
-        self.statements = statements
-        self.offset = offset
-
-
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
-        self.pos = 0
         self.prefixes = {"service": SERVICE_NS, "xsd": XSD_NS}
 
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _next(self, expected: str | None = None) -> _Token:
-        tok = self._peek()
-        if tok is None:
-            offset = self.tokens[-1].offset if self.tokens else 0
-            raise ParseError("unexpected end of input", offset)
-        if expected is not None and tok.text != expected:
-            raise ParseError(f"expected {expected!r}, got {tok.text!r}", tok.offset)
-        self.pos += 1
+    def _at(self, i: int, expected: str | None = None) -> tuple[str, str, int]:
+        """Token ``i``, which must exist and, if given, read ``expected``."""
+        if i >= len(self.tokens):
+            raise ParseError("unexpected end of input", self.tokens[-1][2])
+        tok = self.tokens[i]
+        if expected is not None and tok[1] != expected:
+            raise ParseError(f"expected {expected!r}, got {tok[1]!r}", tok[2])
         return tok
 
     def parse_document(self) -> list[ServiceDescription]:
-        records = []
-        while (tok := self._peek()) is not None:
-            if tok.kind == "prefix":
-                self._parse_prefix_decl()
-            elif tok.text == "[":
-                block = self._parse_block()
-                self._next(".")
+        tokens, records, i = self.tokens, [], 0
+        while i < len(tokens):
+            kind, text, offset = tokens[i]
+            if kind == "prefix":
+                name = self._at(i + 1)
+                if name[0] != "pname" or not name[1].endswith(":"):
+                    raise ParseError("expected a prefix name ending in ':'", name[2])
+                iri = self._at(i + 2)
+                if iri[0] != "iri":
+                    raise ParseError("expected an IRI in angle brackets", iri[2])
+                self._at(i + 3, ".")
+                self.prefixes[name[1][:-1]] = iri[1][1:-1]
+                i += 4
+            elif text == "[":
+                block, i = self._parse_block(i)
+                self._at(i, ".")
                 records.append(self._build_record(block))
+                i += 1
             else:
-                raise ParseError(
-                    f"expected '@prefix' or '[', got {tok.text!r}", tok.offset
-                )
+                raise ParseError(f"expected '@prefix' or '[', got {text!r}", offset)
         return records
 
-    def _parse_prefix_decl(self):
-        self._next()
-        name_tok = self._next()
-        if name_tok.kind != "pname" or not name_tok.text.endswith(":"):
-            raise ParseError("expected a prefix name ending in ':'", name_tok.offset)
-        iri_tok = self._next()
-        if iri_tok.kind != "iri":
-            raise ParseError("expected an IRI in angle brackets", iri_tok.offset)
-        self._next(".")
-        self.prefixes[name_tok.text[:-1]] = iri_tok.text[1:-1]
+    def _parse_block(self, i: int) -> tuple[tuple, int]:
+        """The block opened by token ``i`` and the index after its ``]``.
 
-    def _parse_block(self) -> _Block:
-        open_tok = self._next("[")
-        statements: list[list] = [[]]
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise ParseError("unterminated '['", open_tok.offset)
-            if tok.text == "]":
-                self._next()
-                break
-            if tok.text == ";":
-                self._next()
+        Statements are token lists split on ``;``.  Nested blocks are kept
+        on an explicit stack, so no nesting depth exhausts the call stack.
+        """
+        tokens, open_blocks = self.tokens, []
+        statements, open_offset = [[]], tokens[i][2]
+        for i in range(i + 1, len(tokens)):
+            tok = tokens[i]
+            kind, text, offset = tok
+            if text == "]":
+                block = ("block", [s for s in statements if s], open_offset)
+                if not open_blocks:
+                    return block, i + 1
+                statements, open_offset = open_blocks.pop()
+                statements[-1].append(block)
+            elif text == ";":
                 statements.append([])
-            elif tok.text == "[":
-                statements[-1].append(self._parse_block())
-            elif tok.kind in ("iri", "literal", "pname", "a"):
-                statements[-1].append(self._next())
+            elif text == "[":
+                open_blocks.append((statements, open_offset))
+                statements, open_offset = [[]], offset
+            elif kind in _OBJECT_KINDS:
+                statements[-1].append(tok)
             else:
-                raise ParseError(f"unexpected {tok.text!r} in block", tok.offset)
-        statements = [s for s in statements if s]
-        return _Block(statements, open_tok.offset)
+                raise ParseError(f"unexpected {text!r} in block", offset)
+        raise ParseError("unterminated '['", open_offset)
 
     # --- statement interpretation ---
 
-    def _expand(self, tok: _Token) -> str:
-        """Resolve an IRI or prefixed-name token to a full IRI string."""
-        if isinstance(tok, _Block):
-            raise ParseError("expected an IRI, got a block", tok.offset)
-        if tok.kind == "iri":
-            return tok.text[1:-1]
-        if tok.kind != "pname":
-            raise ParseError(f"expected an IRI, got {tok.text!r}", tok.offset)
-        prefix, _, local = tok.text.partition(":")
+    def _resolve(self, pname: str, offset: int) -> str:
+        prefix, _, local = pname.partition(":")
         namespace = self.prefixes.get(prefix)
         if namespace is None:
-            raise ParseError(f"undeclared prefix {prefix!r}", tok.offset)
+            raise ParseError(f"undeclared prefix {prefix!r}", offset)
         return namespace + local
 
-    def _type_name(self, tok: _Token) -> str:
+    def _expand(self, tok: tuple) -> str:
+        """Resolve an IRI or prefixed-name token to a full IRI string."""
+        kind, text, offset = tok
+        if kind == "iri":
+            return text[1:-1]
+        if kind == "pname":
+            return self._resolve(text, offset)
+        if kind == "block":
+            raise ParseError("expected an IRI, got a block", offset)
+        raise ParseError(f"expected an IRI, got {text!r}", offset)
+
+    def _type_name(self, tok: tuple) -> str:
         """A service-type object: local name inside the service namespace,
         full IRI otherwise."""
-        if tok.kind not in ("iri", "pname"):
-            raise ParseError("expected a type IRI or prefixed name", tok.offset)
+        if tok[0] not in ("iri", "pname"):
+            raise ParseError("expected a type IRI or prefixed name", tok[2])
         iri = self._expand(tok)
         if iri.startswith(SERVICE_NS) and len(iri) > len(SERVICE_NS):
             return iri[len(SERVICE_NS):]
         return iri
 
-    def _datetime(self, tok: _Token) -> datetime:
-        if tok.kind != "literal":
-            raise ParseError("expected a dateTime literal", tok.offset)
-        match = _LITERAL_RE.match(tok.text)
-        lexical, datatype = match.group(1), match.group(2)
+    def _datetime(self, tok: tuple) -> datetime:
+        kind, text, offset = tok
+        if kind != "literal":
+            raise ParseError("expected a dateTime literal", offset)
+        lexical, datatype = _LITERAL_RE.match(text).groups()
         if datatype is None:
-            raise ParseError("literal is missing a ^^xsd:dateTime datatype", tok.offset)
-        kind = "iri" if datatype.startswith("<") else "pname"
-        datatype_iri = self._expand(_Token(kind, datatype, tok.offset))
+            raise ParseError("literal is missing a ^^xsd:dateTime datatype", offset)
+        if datatype.startswith("<"):
+            datatype_iri = datatype[1:-1]
+        else:
+            datatype_iri = self._resolve(datatype, offset)
         if datatype_iri != XSD_NS + "dateTime":
-            raise ParseError(f"unsupported datatype {datatype_iri!r}", tok.offset)
+            raise ParseError(f"unsupported datatype {datatype_iri!r}", offset)
         lexical = lexical.replace('\\"', '"').replace("\\\\", "\\")
         try:
-            value = datetime.fromisoformat(lexical)
+            return datetime.fromisoformat(lexical)
         except ValueError:
-            raise ParseError(f"invalid dateTime value {lexical!r}", tok.offset) from None
-        return value
+            raise ParseError(f"invalid dateTime value {lexical!r}", offset) from None
 
     @staticmethod
     def _normalize(statement: list) -> list:
         """Drop the dangling 'a' marker before a full predicate-object pair."""
-        if (
-            len(statement) == 3
-            and isinstance(statement[0], _Token)
-            and statement[0].kind == "a"
-        ):
+        if len(statement) == 3 and statement[0][0] == "a":
             return statement[1:]
         return statement
 
-    def _build_location(self, block: _Block) -> LocationSpec:
+    def _build_location(self, block: tuple) -> LocationSpec:
         place_class = None
         located_in = None
         bare: list[str] = []
-        for statement in block.statements:
+        for statement in block[1]:
             statement = self._normalize(statement)
             first = statement[0]
-            if isinstance(first, _Block):
-                raise ParseError("nested block inside a location block", first.offset)
-            if first.kind == "a" and len(statement) == 2:
+            if first[0] == "block":
+                raise ParseError("nested block inside a location block", first[2])
+            if first[0] == "a" and len(statement) == 2:
                 place_class = self._expand(statement[1])
             elif len(statement) == 2:
                 located_in = self._expand(statement[1])
             elif len(statement) == 1:
                 bare.append(self._expand(first))
             else:
-                raise ParseError("malformed location statement", first.offset)
+                raise ParseError("malformed location statement", first[2])
         if bare:
             # A property IRI followed by a place IRI, or a single place IRI.
             if len(bare) == 1:
@@ -310,42 +307,41 @@ class _Parser:
             elif len(bare) == 2:
                 located_in = bare[1]
             else:
-                raise ParseError("too many bare IRIs in location block", block.offset)
+                raise ParseError("too many bare IRIs in location block", block[2])
         if place_class is None:
             raise ValidationError("location block has no place class")
         return LocationSpec(place_class=place_class, located_in=located_in)
 
-    def _build_record(self, block: _Block) -> ServiceDescription:
+    def _build_record(self, block: tuple) -> ServiceDescription:
         fields: dict[str, object] = {}
-        for statement in block.statements:
+        for statement in block[1]:
             statement = self._normalize(statement)
             first = statement[0]
-            if isinstance(first, _Block):
-                raise ParseError("a block cannot start a statement", first.offset)
-            if first.kind == "a" and len(statement) == 2:
+            if first[0] == "block":
+                raise ParseError("a block cannot start a statement", first[2])
+            if first[0] == "a" and len(statement) == 2:
                 continue  # record-level type assertion, irrelevant here
             if len(statement) != 2:
-                raise ParseError("expected a predicate-object pair", first.offset)
+                raise ParseError("expected a predicate-object pair", first[2])
             pred_tok, obj = statement
-            if pred_tok.kind not in ("iri", "pname"):
-                raise ParseError("expected a predicate", pred_tok.offset)
+            offset = pred_tok[2]
+            if pred_tok[0] not in ("iri", "pname"):
+                raise ParseError("expected a predicate", offset)
             pred_iri = self._expand(pred_tok)
-            if not pred_iri.startswith(SERVICE_NS):
-                raise ParseError(f"unrecognized predicate {pred_iri!r}", pred_tok.offset)
             pred = pred_iri[len(SERVICE_NS):]
-            if pred not in RECOGNIZED_PREDICATES:
-                raise ParseError(f"unrecognized predicate {pred_iri!r}", pred_tok.offset)
+            if not pred_iri.startswith(SERVICE_NS) or pred not in RECOGNIZED_PREDICATES:
+                raise ParseError(f"unrecognized predicate {pred_iri!r}", offset)
             if pred in fields:
-                raise ParseError(f"duplicate predicate {pred!r}", pred_tok.offset)
+                raise ParseError(f"duplicate predicate {pred!r}", offset)
             if pred in ("creationTime", "startTime", "endTime"):
                 fields[pred] = self._datetime(obj)
             elif pred == "hasCreator":
-                if not isinstance(obj, _Token) or obj.kind not in ("iri", "pname"):
-                    raise ParseError("creator must be an IRI", pred_tok.offset)
+                if obj[0] not in ("iri", "pname"):
+                    raise ParseError("creator must be an IRI", offset)
                 fields[pred] = self._expand(obj)
             elif pred == "hasServiceLocation":
-                if not isinstance(obj, _Block):
-                    raise ParseError("location must be a bracket block", pred_tok.offset)
+                if obj[0] != "block":
+                    raise ParseError("location must be a bracket block", offset)
                 fields[pred] = self._build_location(obj)
             else:  # provide | request
                 fields[pred] = self._type_name(obj)

@@ -260,7 +260,8 @@ def run_scenario(spec: ScenarioSpec) -> DiffusionTrace:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Replicated runs of one spec plus their per-step aggregates."""
+    """Per-step aggregates of replicated runs of one spec, and the runs' traces
+    when they were kept (empty otherwise)."""
 
     spec: ScenarioSpec
     traces: tuple[DiffusionTrace, ...]
@@ -273,18 +274,32 @@ class MonteCarloResult:
         return self.mean[-1]
 
 
-def monte_carlo(spec: ScenarioSpec, replicates: int) -> MonteCarloResult:
-    """Run ``replicates`` independent runs; replicate r uses seed+r."""
+def monte_carlo(spec: ScenarioSpec, replicates: int,
+                keep_traces: bool = False) -> MonteCarloResult:
+    """Run ``replicates`` independent runs; replicate r uses seed+r.
+
+    Each step's sum, min and max are updated as a run finishes, in replicate
+    order, so the mean is the left-to-right float sum of its column and only
+    ``keep_traces`` makes memory grow with ``replicates``.
+    """
     if replicates < 1:
         raise InvalidParams("replicates must be at least 1")
-    traces = tuple(
-        run_scenario(replace(spec, seed=spec.seed + r)) for r in range(replicates)
-    )
-    columns = tuple(zip(*(trace.values for trace in traces)))
-    mean = tuple(sum(column) / replicates for column in columns)
-    return MonteCarloResult(
-        spec, traces, mean, tuple(map(min, columns)), tuple(map(max, columns))
-    )
+    kept = []
+    for r in range(replicates):
+        trace = run_scenario(replace(spec, seed=spec.seed + r))
+        if keep_traces:
+            kept.append(trace)
+        if r == 0:
+            total, low, high = list(trace.values), list(trace.values), list(trace.values)
+            continue
+        for t, value in enumerate(trace.values):
+            total[t] += value
+            if value < low[t]:
+                low[t] = value
+            elif value > high[t]:
+                high[t] = value
+    mean = tuple(value / replicates for value in total)
+    return MonteCarloResult(spec, tuple(kept), mean, tuple(low), tuple(high))
 
 
 # --- spec and trace I/O --------------------------------------------------

@@ -161,7 +161,7 @@ class Resolution:
                 {"role": role, "member": member}
                 for role, member in self.overlay.assignments
             ]
-            data["home_communities"] = dict(sorted(self.overlay.home_communities.items()))
+            data["home_communities"] = dict(self.overlay.home_communities)
         else:
             data["assignment"] = []
         return data

@@ -10,12 +10,14 @@ three-pass aggregation) as the reference for differential tests, and the
 community section keeps the publisher as it was before its index (a full
 re-scan of every record ever published) for the same purpose, and the
 fractal section keeps the resolver as it was before its tree index (a sort
-and a subtree walk at every escalation level).
+and a subtree walk at every escalation level), and the description section
+keeps the Turtle parser as it was before tuple tokens.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from itertools import combinations, permutations
@@ -32,7 +34,15 @@ from fso.community import (
     UnknownMember,
     match_pair,
 )
-from fso.descriptions import LocationSpec, ServiceDescription
+from fso.descriptions import (
+    RECOGNIZED_PREDICATES,
+    SERVICE_NS,
+    XSD_NS,
+    LocationSpec,
+    ParseError,
+    ServiceDescription,
+    ValidationError,
+)
 from fso.diffusion import (
     DiffusionTrace,
     IsolationStrategy,
@@ -166,6 +176,267 @@ def random_description(rng: random.Random) -> ServiceDescription:
         request=request,
         location=location,
     )
+
+
+# --- description parsing (reference parser) ------------------------------
+#
+# The parser as it was before tuple tokens: a frozen-dataclass token per
+# match, a ``match`` loop that stops at the first character no alternative
+# starts with, and a recursive-descent parser driven by ``_peek``/``_next``.
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+|\#[^\n]*)
+  | (?P<prefix>@prefix\b)
+  | (?P<iri><[^<>\s]*>)
+  | (?P<literal>"(?:[^"\\]|\\.)*"(?:\^\^(?:<[^<>\s]*>|[A-Za-z_][\w.\-]*:[\w.\-]*))?)
+  | (?P<pname>(?:[A-Za-z_][\w.\-]*)?:[\w.\-]*)
+  | (?P<a>a\b)
+  | (?P<punct>[;.\[\]])
+    """,
+    re.VERBOSE,
+)
+
+_LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"(?:\^\^(.+))?$', re.DOTALL)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # prefix | iri | literal | pname | a | punct
+    text: str
+    offset: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = match.lastgroup
+        if kind != "ws":
+            tokens.append(_Token(kind, match.group(), pos))
+        pos = match.end()
+    return tokens
+
+
+# --- parser ------------------------------------------------------------
+
+
+class _Block:
+    """A bracketed group: statements are token lists split on ';'."""
+
+    kind = "block"  # never a valid object kind where a token is expected
+
+    def __init__(self, statements: list[list], offset: int):
+        self.statements = statements
+        self.offset = offset
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.prefixes = {"service": SERVICE_NS, "xsd": XSD_NS}
+
+    def _peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def _next(self, expected: str | None = None) -> _Token:
+        tok = self._peek()
+        if tok is None:
+            offset = self.tokens[-1].offset if self.tokens else 0
+            raise ParseError("unexpected end of input", offset)
+        if expected is not None and tok.text != expected:
+            raise ParseError(f"expected {expected!r}, got {tok.text!r}", tok.offset)
+        self.pos += 1
+        return tok
+
+    def parse_document(self) -> list[ServiceDescription]:
+        records = []
+        while (tok := self._peek()) is not None:
+            if tok.kind == "prefix":
+                self._parse_prefix_decl()
+            elif tok.text == "[":
+                block = self._parse_block()
+                self._next(".")
+                records.append(self._build_record(block))
+            else:
+                raise ParseError(
+                    f"expected '@prefix' or '[', got {tok.text!r}", tok.offset
+                )
+        return records
+
+    def _parse_prefix_decl(self):
+        self._next()
+        name_tok = self._next()
+        if name_tok.kind != "pname" or not name_tok.text.endswith(":"):
+            raise ParseError("expected a prefix name ending in ':'", name_tok.offset)
+        iri_tok = self._next()
+        if iri_tok.kind != "iri":
+            raise ParseError("expected an IRI in angle brackets", iri_tok.offset)
+        self._next(".")
+        self.prefixes[name_tok.text[:-1]] = iri_tok.text[1:-1]
+
+    def _parse_block(self) -> _Block:
+        open_tok = self._next("[")
+        statements: list[list] = [[]]
+        while True:
+            tok = self._peek()
+            if tok is None:
+                raise ParseError("unterminated '['", open_tok.offset)
+            if tok.text == "]":
+                self._next()
+                break
+            if tok.text == ";":
+                self._next()
+                statements.append([])
+            elif tok.text == "[":
+                statements[-1].append(self._parse_block())
+            elif tok.kind in ("iri", "literal", "pname", "a"):
+                statements[-1].append(self._next())
+            else:
+                raise ParseError(f"unexpected {tok.text!r} in block", tok.offset)
+        statements = [s for s in statements if s]
+        return _Block(statements, open_tok.offset)
+
+    # --- statement interpretation ---
+
+    def _expand(self, tok: _Token) -> str:
+        """Resolve an IRI or prefixed-name token to a full IRI string."""
+        if isinstance(tok, _Block):
+            raise ParseError("expected an IRI, got a block", tok.offset)
+        if tok.kind == "iri":
+            return tok.text[1:-1]
+        if tok.kind != "pname":
+            raise ParseError(f"expected an IRI, got {tok.text!r}", tok.offset)
+        prefix, _, local = tok.text.partition(":")
+        namespace = self.prefixes.get(prefix)
+        if namespace is None:
+            raise ParseError(f"undeclared prefix {prefix!r}", tok.offset)
+        return namespace + local
+
+    def _type_name(self, tok: _Token) -> str:
+        """A service-type object: local name inside the service namespace,
+        full IRI otherwise."""
+        if tok.kind not in ("iri", "pname"):
+            raise ParseError("expected a type IRI or prefixed name", tok.offset)
+        iri = self._expand(tok)
+        if iri.startswith(SERVICE_NS) and len(iri) > len(SERVICE_NS):
+            return iri[len(SERVICE_NS):]
+        return iri
+
+    def _datetime(self, tok: _Token) -> datetime:
+        if tok.kind != "literal":
+            raise ParseError("expected a dateTime literal", tok.offset)
+        match = _LITERAL_RE.match(tok.text)
+        lexical, datatype = match.group(1), match.group(2)
+        if datatype is None:
+            raise ParseError("literal is missing a ^^xsd:dateTime datatype", tok.offset)
+        kind = "iri" if datatype.startswith("<") else "pname"
+        datatype_iri = self._expand(_Token(kind, datatype, tok.offset))
+        if datatype_iri != XSD_NS + "dateTime":
+            raise ParseError(f"unsupported datatype {datatype_iri!r}", tok.offset)
+        lexical = lexical.replace('\\"', '"').replace("\\\\", "\\")
+        try:
+            value = datetime.fromisoformat(lexical)
+        except ValueError:
+            raise ParseError(f"invalid dateTime value {lexical!r}", tok.offset) from None
+        return value
+
+    @staticmethod
+    def _normalize(statement: list) -> list:
+        """Drop the dangling 'a' marker before a full predicate-object pair."""
+        if (
+            len(statement) == 3
+            and isinstance(statement[0], _Token)
+            and statement[0].kind == "a"
+        ):
+            return statement[1:]
+        return statement
+
+    def _build_location(self, block: _Block) -> LocationSpec:
+        place_class = None
+        located_in = None
+        bare: list[str] = []
+        for statement in block.statements:
+            statement = self._normalize(statement)
+            first = statement[0]
+            if isinstance(first, _Block):
+                raise ParseError("nested block inside a location block", first.offset)
+            if first.kind == "a" and len(statement) == 2:
+                place_class = self._expand(statement[1])
+            elif len(statement) == 2:
+                located_in = self._expand(statement[1])
+            elif len(statement) == 1:
+                bare.append(self._expand(first))
+            else:
+                raise ParseError("malformed location statement", first.offset)
+        if bare:
+            # A property IRI followed by a place IRI, or a single place IRI.
+            if len(bare) == 1:
+                located_in = bare[0]
+            elif len(bare) == 2:
+                located_in = bare[1]
+            else:
+                raise ParseError("too many bare IRIs in location block", block.offset)
+        if place_class is None:
+            raise ValidationError("location block has no place class")
+        return LocationSpec(place_class=place_class, located_in=located_in)
+
+    def _build_record(self, block: _Block) -> ServiceDescription:
+        fields: dict[str, object] = {}
+        for statement in block.statements:
+            statement = self._normalize(statement)
+            first = statement[0]
+            if isinstance(first, _Block):
+                raise ParseError("a block cannot start a statement", first.offset)
+            if first.kind == "a" and len(statement) == 2:
+                continue  # record-level type assertion, irrelevant here
+            if len(statement) != 2:
+                raise ParseError("expected a predicate-object pair", first.offset)
+            pred_tok, obj = statement
+            if pred_tok.kind not in ("iri", "pname"):
+                raise ParseError("expected a predicate", pred_tok.offset)
+            pred_iri = self._expand(pred_tok)
+            if not pred_iri.startswith(SERVICE_NS):
+                raise ParseError(f"unrecognized predicate {pred_iri!r}", pred_tok.offset)
+            pred = pred_iri[len(SERVICE_NS):]
+            if pred not in RECOGNIZED_PREDICATES:
+                raise ParseError(f"unrecognized predicate {pred_iri!r}", pred_tok.offset)
+            if pred in fields:
+                raise ParseError(f"duplicate predicate {pred!r}", pred_tok.offset)
+            if pred in ("creationTime", "startTime", "endTime"):
+                fields[pred] = self._datetime(obj)
+            elif pred == "hasCreator":
+                if not isinstance(obj, _Token) or obj.kind not in ("iri", "pname"):
+                    raise ParseError("creator must be an IRI", pred_tok.offset)
+                fields[pred] = self._expand(obj)
+            elif pred == "hasServiceLocation":
+                if not isinstance(obj, _Block):
+                    raise ParseError("location must be a bracket block", pred_tok.offset)
+                fields[pred] = self._build_location(obj)
+            else:  # provide | request
+                fields[pred] = self._type_name(obj)
+        missing = {"creationTime", "startTime", "endTime", "hasCreator"} - set(fields)
+        if missing:
+            raise ValidationError(f"record is missing {sorted(missing)}")
+        return ServiceDescription(
+            creation_time=fields["creationTime"],
+            start_time=fields["startTime"],
+            end_time=fields["endTime"],
+            creator=fields["hasCreator"],
+            provide=fields.get("provide"),
+            request=fields.get("request"),
+            location=fields.get("hasServiceLocation"),
+        )
+
+
+def reference_parse_descriptions(text: str) -> list[ServiceDescription]:
+    """Parse every record in a description document, in document order."""
+    return _Parser(text).parse_document()
 
 
 # --- community publication (reference publisher) -------------------

@@ -272,7 +272,7 @@ def experiment_scale_runs():
                 ),
                 seed=0,
             )
-            runs[(topology, label)] = monte_carlo(spec, 100)
+            runs[(topology, label)] = monte_carlo(spec, 100, keep_traces=True)
     return runs, time.monotonic() - started
 
 

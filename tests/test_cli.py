@@ -2,8 +2,9 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fso.cli import main
+from fso.cli import _dump_json, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -88,8 +89,9 @@ def test_match_missing_file_is_input_error(tmp_path, capsys):
         ("member.ttl", PREFIX + "[ service:provide [ a <x> ] ] .\n", ("member.ttl", "offset")),
         ("member.ttl", b"\xff\xfe", ("member.ttl", "UTF-8")),
         ("activity:Walking.ttl", WALKING, ("activity:Walking.ttl", "reserved")),
+        ("member.ttl", "[" * 5000, ("member.ttl", "offset 4999", "unterminated")),
     ],
-    ids=["block-as-type", "not-utf8", "reserved-activity-stem"],
+    ids=["block-as-type", "not-utf8", "reserved-activity-stem", "deep-nesting"],
 )
 def test_match_bad_description_file_names_it(tmp_path, capsys, name, content, fragments):
     member = tmp_path / name
@@ -431,3 +433,19 @@ def test_repeated_invocations_are_byte_identical(tmp_path):
                      "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+_TEXT = st.text(max_size=8) | st.text('"\\/\b\f\n\r\t\x00\x7féß€\u2028😀', max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, children, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+def test_report_writer_matches_indented_sorted_json_dumps(value):
+    chunks = []
+    _dump_json(value, chunks.append)
+    assert "".join(chunks) == json.dumps(value, indent=2, sort_keys=True)

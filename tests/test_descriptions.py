@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fso.descriptions import (
+    LOCATED_IN_IRI,
+    SERVICE_NS,
+    XSD_NS,
     LocationSpec,
     ParseError,
     Role,
@@ -16,7 +19,8 @@ from fso.descriptions import (
     serialize_description,
 )
 
-from oracles import random_description
+from fso.inputs import InputError
+from oracles import random_description, reference_parse_descriptions
 
 DATA = Path(__file__).parent / "data"
 
@@ -203,3 +207,168 @@ def descriptions_strategy(draw):
 @given(descriptions_strategy())
 def test_roundtrip_property(d):
     assert parse_descriptions(serialize_description(d)) == [d]
+
+
+# --- differential test against the reference parser ------------------------------
+
+
+def ragged_document(rng: random.Random, count: int) -> tuple[str, list[ServiceDescription]]:
+    """``count`` random records written the way member files write them, not
+    canonically: comments, irregular whitespace, optional ``a`` markers,
+    full and prefixed IRIs, and location blocks with bare IRIs."""
+
+    def gap():
+        return rng.choice([" ", "  ", "\t", "\n", "\n  ", "\r\n", " # note ; [ ]\n"])
+
+    def type_ref(name):
+        if "/" in name:
+            return f"<{name}>"
+        return rng.choice([f"service:{name}", f"<{SERVICE_NS}{name}>"])
+
+    def stamp(moment):
+        datatype = rng.choice(["xsd:dateTime", f"<{XSD_NS}dateTime>"])
+        return f'"{moment.isoformat()}"^^{datatype}'
+
+    chunks = [f"# {count} records\n@prefix service: <{SERVICE_NS}> .", gap(),
+              f"@prefix xsd: <{XSD_NS}> .", gap()]
+    records = [random_description(rng) for _ in range(count)]
+    for d in records:
+        creator = f"<{d.creator}>"
+        if rng.random() < 0.5:  # redeclared before each record that uses it
+            chunks.append(f"@prefix me: <{d.creator.removesuffix('this')}> .{gap()}")
+            creator = "me:this"
+        statements = [
+            f"service:creationTime {stamp(d.creation_time)}",
+            f"service:startTime {stamp(d.start_time)}",
+            f"service:endTime {stamp(d.end_time)}",
+            f"service:hasCreator {creator}",
+        ]
+        statements += [f"service:{pred} {type_ref(name)}"
+                       for pred, name in (("provide", d.provide), ("request", d.request))
+                       if name is not None]
+        if d.location is not None:
+            place = [f"a <{d.location.place_class}>"]
+            if d.location.located_in is not None:
+                place += rng.choice([
+                    [f"<{LOCATED_IN_IRI}> <{d.location.located_in}>"],
+                    [f"<{LOCATED_IN_IRI}>", f"<{d.location.located_in}>"],  # bare IRIs
+                    [f"<{d.location.located_in}>"],  # a bare place
+                ])
+            if rng.random() < 0.5:  # the class last; bare IRIs keep their order
+                place.append(place.pop(0))
+            inner = f"{gap()};{gap()}".join(place)
+            statements.append(f"service:hasServiceLocation [{gap()}{inner}{gap()}]")
+        if rng.random() < 0.3:
+            statements.append("a service:Service")  # a record-level type assertion
+        rng.shuffle(statements)
+        if rng.random() < 0.3:  # a lone 'a' marker before a full pair
+            statements[0] = "a " + statements[0]
+        body = f"{gap()};{gap()}".join(statements)
+        chunks.append(f"[{gap()}{body}{gap()}{rng.choice(['', ';'])}]{gap()}.{gap()}")
+    return "".join(chunks), records
+
+
+_MUTATION_CHARS = '[];.<>"\\^:#@a \n\tx0-_é'
+
+
+def mutations(rng: random.Random, text: str, count: int):
+    """``count`` random one-character replacements, insertions and deletions."""
+    for _ in range(count):
+        at = rng.randrange(len(text))
+        char = rng.choice(_MUTATION_CHARS)
+        yield rng.choice([text[:at] + char + text[at + 1:], text[:at] + char + text[at:],
+                          text[:at] + text[at + 1:]])
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def assert_same_as_reference(text):
+    mine = outcome(parse_descriptions, text)
+    assert mine == outcome(reference_parse_descriptions, text), text
+    if isinstance(mine, tuple) and mine[0] is ParseError:
+        _, message, offset = mine
+        assert 0 <= offset <= len(text)
+        if "unexpected character" in message:
+            assert message.endswith(f"unexpected character {text[offset]!r}")
+    return mine
+
+
+_EDGE_BODIES = [
+    "",
+    " \n# only a comment",
+    "@prefix",
+    "@prefix ex: <http://example.org/>",
+    "@prefix ex: <http://example.org/> ;",
+    "@prefix <http://example.org/> .",
+    "@prefix ex: ex:x .",
+    "[ ] .",
+    "[ a ] .",
+    "[ ; ; ] .",
+    "[ ] ]",
+    "[ [ a <x> ] service:provide service:X ] .",
+    "[ a [ a <x> ] service:provide service:X ] .",
+    "[ service:provide [ a <x> ] ] .",
+    "[ service:hasServiceLocation [ [ a <x> ] ] ] .",
+    "[ service:hasServiceLocation [ a [ a <x> ] ] ] .",
+    "[ service:hasServiceLocation [ a <x> ; <p> <q> <r> ] ] .",
+    "[ service:hasServiceLocation [ a <x> ; <p> ; <q> ; <r> ] ] .",
+    "[ service:hasServiceLocation <x> ] .",
+    "[ service:hasCreator [ a <x> ] ] .",
+    "[ service:hasCreator \"x\" ] .",
+    "[ \"x\" service:provide ] .",
+    "[ service:creationTime \"2013-05-12T13:00:00\\\n\"^^xsd:dateTime ] .",
+    "[ service:creationTime \"2013-05-12T13:00:00\"^^ex:dateTime ] .",
+    "[ service:creationTime \"2013-05-12T13:00:00\"^^<http://example.org/t> ] .",
+    "[ service:creationTime \"2013-05-12T13:00:00\" ] .",
+    "[ service:creationTime \"yesterday\"^^xsd:dateTime ] .",
+    "[ service:creationTime service:Walking ] .",
+    "[ <http://example.org/p> <x> ] .",
+    "[ service:provide service:X ] . @prefix service: <http://example.org/> .",
+    "[ service:provide service:X ] .. ",
+    "[ service:provide service:X ] [",
+    "[ service:provide service:X ] . }",
+    "[ service:provide ab ] .",
+    "[ service:provide a: ] .",
+    "[ service:provide : ] .",
+]
+
+
+def test_parser_agrees_with_reference_on_edge_cases():
+    for body in _EDGE_BODIES:
+        assert_same_as_reference(body)
+        assert_same_as_reference(PREFIX_BLOCK + body)
+
+
+def test_parser_agrees_with_reference_on_generated_documents():
+    rng = random.Random(20261018)
+    documents = []
+    for _ in range(8):
+        count = rng.randint(1, 2)
+        ragged, records = ragged_document(rng, count)
+        assert assert_same_as_reference(ragged) == records
+        canonical = "\n".join(serialize_description(random_description(rng))
+                              for _ in range(count))
+        assert_same_as_reference(canonical)
+        documents += [ragged, canonical]
+    for text in documents:
+        for end in range(len(text)):
+            assert_same_as_reference(text[:end])
+        for mutated in mutations(rng, text, 100):
+            assert_same_as_reference(mutated)
+
+
+def test_parser_agrees_with_reference_on_a_large_document():
+    rng = random.Random(3000)
+    ragged, records = ragged_document(rng, 1500)
+    canonical = "".join(serialize_description(random_description(rng)) for _ in range(1500))
+    text = ragged + canonical
+    parsed = assert_same_as_reference(text)
+    assert len(parsed) == 3000 and parsed[:1500] == records
+    assert_same_as_reference(text[:rng.randrange(len(text))])
+    for mutated in mutations(rng, text, 1):
+        assert_same_as_reference(mutated)

@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -390,16 +393,29 @@ def test_kth_set_bit_is_kth_of_sorted_units(bits, dense):
 
 
 def test_aggregate_matches_three_pass_reference():
-    result = monte_carlo(
-        spec(
-            topology=Topology.HIERARCHY,
-            horizon=50,
-            isolation_events=((10, IsolationStrategy.MAX_DEGREE),),
-            seed=11,
-        ),
-        25,
+    s = spec(
+        topology=Topology.HIERARCHY,
+        horizon=50,
+        isolation_events=((10, IsolationStrategy.MAX_DEGREE),),
+        seed=11,
     )
-    assert (result.mean, result.min, result.max) == reference_aggregate(result.traces)
+    result = monte_carlo(s, 25)
+    traces = [run_scenario(replace(s, seed=s.seed + r)) for r in range(25)]
+    assert (result.mean, result.min, result.max) == reference_aggregate(traces)
+    assert result.traces == ()
+
+
+def test_monte_carlo_memory_does_not_grow_with_replicates():
+    s = spec(horizon=1)
+    held = 2000 * sys.getsizeof(run_scenario(s).values)  # what keeping every trace holds
+    monte_carlo(s, 2000)  # fills the interpreter's free lists, which tracemalloc counts
+    tracemalloc.start()
+    try:
+        monte_carlo(s, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak * 5 <= held
 
 
 # --- monte carlo -------------------------------------------------------------
@@ -407,14 +423,14 @@ def test_aggregate_matches_three_pass_reference():
 
 def test_single_replicate_equals_single_run():
     s = spec(horizon=40, seed=9)
-    result = monte_carlo(s, 1)
+    result = monte_carlo(s, 1, keep_traces=True)
     assert result.traces == (run_scenario(s),)
     assert result.mean == result.traces[0].values
 
 
 def test_aggregate_matches_sequential_rerun():
     s = spec(horizon=30, seed=5)
-    result = monte_carlo(s, 8)
+    result = monte_carlo(s, 8, keep_traces=True)
     replayed = [
         run_scenario(ScenarioSpec(**{**s.__dict__, "seed": s.seed + r}))
         for r in range(8)
