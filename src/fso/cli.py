@@ -20,6 +20,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -160,21 +161,27 @@ def cmd_simulate(args) -> int:
                              f" and {existing} is not one", out)
     elif out.is_dir() or not out.parent.is_dir():
         raise InputError("--out must name a file in an existing directory", out)
+    if args.replicates < 1:  # checked before any output is made
+        raise diffusion.InvalidParams("replicates must be at least 1")
     for scenario_path, spec in zip(scenario_paths, specs):
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
-        result = diffusion.monte_carlo(spec, args.replicates,
-                                       keep_traces=args.replicates == 1 or args.dump_replicates)
-        if multiple:  # only now: a rejected replicate count leaves no directory
+        if multiple:
             out.mkdir(parents=True, exist_ok=True)
         target = out / f"{scenario_path.stem}.csv" if multiple else out
-        if args.replicates == 1:
-            diffusion.write_trace_csv(result.traces[0], target)
-        else:
+        dump_path = target.with_name(target.stem + ".replicates.csv")
+        # each replicate's rows are written as it finishes; no trace is kept
+        with (diffusion.write_replicates_csv(dump_path) if args.dump_replicates
+              else nullcontext()) as dump:
+            def on_replicate(r, trace):
+                if args.replicates == 1:
+                    diffusion.write_trace_csv(trace, target)
+                if dump is not None:
+                    dump(r, trace)
+
+            result = diffusion.monte_carlo(spec, args.replicates, on_replicate)
+        if args.replicates > 1:
             diffusion.write_aggregate_csv(result, target)
-        if args.dump_replicates:
-            dump_path = target.with_name(target.stem + ".replicates.csv")
-            diffusion.write_replicates_csv(result, dump_path)
         print(
             f"{scenario_path.stem} ({spec.topology.value}):"
             f" final mean diffusion {result.final_mean:.6f}"

@@ -193,7 +193,10 @@ class _Parser:
             elif text == "[":
                 block, i = self._parse_block(i)
                 self._at(i, ".")
-                records.append(self._build_record(block))
+                try:
+                    records.append(self._build_record(block))
+                except ValidationError as exc:  # name the record by its '['
+                    raise ValidationError(f"offset {offset}: {exc}") from None
                 i += 1
             else:
                 raise ParseError(f"expected '@prefix' or '[', got {text!r}", offset)

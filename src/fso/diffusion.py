@@ -21,7 +21,18 @@ draw happens only when a transmission fires and candidates exist).
 Each agent's knowledge is an integer bitmask, bit u set when it knows unit
 u.  The unit drawn is the k-th lowest set bit of ``knows[sender] &
 ~knows[receiver]`` with ``k = randrange(popcount)``: the k-th unit of the
-sorted set difference, so the order above fixes every unit drawn.
+sorted set difference, so the order above fixes every unit drawn.  ``step``
+draws ``k`` with the stdlib's own ``randrange`` loop written inline
+(``getrandbits(popcount.bit_length())`` until below ``popcount``), which
+consumes the same words.
+
+A network is settled once every live edge joins two agents that know the
+same units: no transmission can fire, so knowledge stops changing, and
+isolation only removes edges, so it stays settled.  Its rounds would draw
+one ``random()`` per direction, two 32-bit Mersenne Twister words each, and
+use none; ``step`` takes those words with one ``getrandbits(128 * live
+edges)`` call instead, which leaves the generator in the same state for the
+isolation draws that follow and for anything else sharing it.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ from __future__ import annotations
 import csv
 import random
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
@@ -119,6 +131,7 @@ class MetaNetwork:
     known: int
     isolated: set[int] = field(default_factory=set)
     _live: tuple = field(default=(-1, ()), repr=False, compare=False)
+    settled: bool = field(default=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, edges: frozenset[tuple[int, int]], n: int) -> "MetaNetwork":
@@ -147,14 +160,28 @@ def kth_set_bit(mask: int, k: int) -> int:
 
 def step(net: MetaNetwork, rng: random.Random, p: float) -> MetaNetwork:
     """One synchronous exchange round; mutates and returns the network."""
+    live = net.live_edges()
+    if net.settled:  # nothing can transmit: take the round's 2 x 64 bits per edge
+        rng.getrandbits(128 * len(live))
+        return net
     knows = net.knows
-    draw, randrange = rng.random, rng.randrange
+    draw, bits = rng.random, rng.getrandbits
     gained: dict[int, int] = {}  # receiver -> units drawn for it this round
-    for u, v in net.live_edges():  # direction u -> v first, then v -> u
+    for u, v in live:  # direction u -> v first, then v -> u
         if draw() < p and (new := knows[u] & ~knows[v]):
-            gained[v] = gained.get(v, 0) | kth_set_bit(new, randrange(new.bit_count()))
+            n = new.bit_count()
+            k = n.bit_length()
+            while (r := bits(k)) >= n:  # r = randrange(n)
+                pass
+            gained[v] = gained.get(v, 0) | kth_set_bit(new, r)
         if draw() < p and (new := knows[v] & ~knows[u]):
-            gained[u] = gained.get(u, 0) | kth_set_bit(new, randrange(new.bit_count()))
+            n = new.bit_count()
+            k = n.bit_length()
+            while (r := bits(k)) >= n:
+                pass
+            gained[u] = gained.get(u, 0) | kth_set_bit(new, r)
+    if not gained:
+        net.settled = all(knows[u] == knows[v] for u, v in live)
     for receiver, units in gained.items():
         net.known += units.bit_count()  # each drawn unit was new to the receiver
         knows[receiver] |= units
@@ -260,11 +287,9 @@ def run_scenario(spec: ScenarioSpec) -> DiffusionTrace:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Per-step aggregates of replicated runs of one spec, and the runs' traces
-    when they were kept (empty otherwise)."""
+    """Per-step aggregates of replicated runs of one spec."""
 
     spec: ScenarioSpec
-    traces: tuple[DiffusionTrace, ...]
     mean: tuple[float, ...]
     min: tuple[float, ...]
     max: tuple[float, ...]
@@ -275,20 +300,20 @@ class MonteCarloResult:
 
 
 def monte_carlo(spec: ScenarioSpec, replicates: int,
-                keep_traces: bool = False) -> MonteCarloResult:
+                on_replicate=None) -> MonteCarloResult:
     """Run ``replicates`` independent runs; replicate r uses seed+r.
 
     Each step's sum, min and max are updated as a run finishes, in replicate
-    order, so the mean is the left-to-right float sum of its column and only
-    ``keep_traces`` makes memory grow with ``replicates``.
+    order, so the mean is the left-to-right float sum of its column and
+    memory does not grow with ``replicates``.  ``on_replicate(r, trace)``,
+    if given, sees each run's trace as it finishes.
     """
     if replicates < 1:
         raise InvalidParams("replicates must be at least 1")
-    kept = []
     for r in range(replicates):
         trace = run_scenario(replace(spec, seed=spec.seed + r))
-        if keep_traces:
-            kept.append(trace)
+        if on_replicate is not None:
+            on_replicate(r, trace)
         if r == 0:
             total, low, high = list(trace.values), list(trace.values), list(trace.values)
             continue
@@ -299,7 +324,7 @@ def monte_carlo(spec: ScenarioSpec, replicates: int,
             elif value > high[t]:
                 high[t] = value
     mean = tuple(value / replicates for value in total)
-    return MonteCarloResult(spec, tuple(kept), mean, tuple(low), tuple(high))
+    return MonteCarloResult(spec, mean, tuple(low), tuple(high))
 
 
 # --- spec and trace I/O --------------------------------------------------
@@ -353,10 +378,12 @@ def write_aggregate_csv(result: MonteCarloResult, path):
             writer.writerow([t, result.mean[t], result.min[t], result.max[t]])
 
 
-def write_replicates_csv(result: MonteCarloResult, path):
+@contextmanager
+def write_replicates_csv(path):
+    """Open a ``replicate,step,diffusion`` CSV and yield ``add(r, trace)``,
+    which writes one replicate's rows: an ``on_replicate`` for ``monte_carlo``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "step", "diffusion"])
-        for r, trace in enumerate(result.traces):
-            for t, value in enumerate(trace.values):
-                writer.writerow([r, t, value])
+        yield lambda r, trace: writer.writerows(
+            [r, t, value] for t, value in enumerate(trace.values))

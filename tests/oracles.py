@@ -262,7 +262,10 @@ class _Parser:
             elif tok.text == "[":
                 block = self._parse_block()
                 self._next(".")
-                records.append(self._build_record(block))
+                try:
+                    records.append(self._build_record(block))
+                except ValidationError as exc:
+                    raise ValidationError(f"offset {tok.offset}: {exc}") from None
             else:
                 raise ParseError(
                     f"expected '@prefix' or '[', got {tok.text!r}", tok.offset

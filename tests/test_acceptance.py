@@ -255,7 +255,7 @@ def test_criterion_8_topologies():
 @pytest.fixture(scope="module")
 def experiment_scale_runs():
     started = time.monotonic()
-    runs = {}
+    runs, traces = {}, {}
     scenarios = {
         "S1": (),
         "S2": SINGLE_ISOLATION_TIMES,
@@ -272,17 +272,19 @@ def experiment_scale_runs():
                 ),
                 seed=0,
             )
-            runs[(topology, label)] = monte_carlo(spec, 100, keep_traces=True)
-    return runs, time.monotonic() - started
+            kept = traces[(topology, label)] = []
+            runs[(topology, label)] = monte_carlo(
+                spec, 100, lambda r, trace: kept.append(trace))
+    return runs, traces, time.monotonic() - started
 
 
 def test_criterion_9_simulation_orderings(experiment_scale_runs):
     with criterion(9, "resilience orderings at experiment scale"):
-        runs, elapsed = experiment_scale_runs
+        runs, traces, elapsed = experiment_scale_runs
 
         # (a) every trace non-decreasing in [0, 1]
-        for result in runs.values():
-            for trace in result.traces:
+        for kept in traces.values():
+            for trace in kept:
                 assert all(0.0 <= value <= 1.0 for value in trace.values)
                 assert all(
                     a <= b for a, b in zip(trace.values, trace.values[1:])
@@ -294,7 +296,8 @@ def test_criterion_9_simulation_orderings(experiment_scale_runs):
         assert fractal_s1.final_mean >= hierarchy_s1.final_mean
         paired_wins = sum(
             1
-            for f, h in zip(fractal_s1.traces, hierarchy_s1.traces)
+            for f, h in zip(traces[(Topology.FRACTAL, "S1")],
+                            traces[(Topology.HIERARCHY, "S1")])
             if f.final >= h.final
         )
         assert paired_wins >= 90
@@ -320,7 +323,7 @@ def test_criterion_9_simulation_orderings(experiment_scale_runs):
 
 
 def test_committed_scenarios_are_the_experiment_specs(experiment_scale_runs):
-    runs, _ = experiment_scale_runs
+    runs, _, _ = experiment_scale_runs
     names = {"S1": "baseline", "S2": "single-isolation", "S3": "repeated-isolation"}
     expected = {
         f"{names[label]}-{topology.value}.json": result.spec

@@ -1,10 +1,16 @@
+import csv
+import io
 import json
+import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fso.cli import _dump_json, main
+from fso.diffusion import load_scenario, run_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,6 +103,26 @@ def test_match_bad_description_file_names_it(tmp_path, capsys, name, content, fr
     member = tmp_path / name
     member.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert_input_error(capsys, ["match", str(member)], *fragments)
+
+
+RECORD = WALKING[WALKING.index("["):]
+
+
+@pytest.mark.parametrize("bad_record,message", [
+    ("[ service:provide service:A ] .\n", "record is missing"),
+    (RECORD.replace("  service:provide          service:Walking ;\n", "")
+     .replace("  service:request          service:Walking ;\n", ""),
+     "both 'provide' and 'request' missing"),
+    (RECORD.replace("2013-05-12T17:00:00", "2013-05-12T22:00:00"), "start_time is after end_time"),
+    (RECORD.replace("[ a\n      <http://schema.org/Beach> ;", "["),
+     "location block has no place class"),
+], ids=["missing-fields", "no-provide-or-request", "start-after-end", "no-place-class"])
+def test_match_bad_record_names_its_offset(tmp_path, capsys, bad_record, message):
+    text = WALKING + "\n" + bad_record
+    offset = len(WALKING) + 1  # the second record's '['
+    assert text[offset] == "["
+    member = write(tmp_path / "member.ttl", text)
+    assert_input_error(capsys, ["match", member], f"member.ttl: offset {offset}: {message}")
 
 
 def test_match_taxonomy_cycle_names_the_file(tmp_path, capsys):
@@ -293,15 +319,44 @@ def test_simulate_single_replicate_writes_trace_csv(tmp_path):
 
 
 def test_simulate_dump_replicates(tmp_path):
-    scenario = scenario_file(tmp_path, horizon=5)
+    scenario = scenario_file(tmp_path, horizon=12, seed=4,
+                             isolation_events=[[3, "random"], [5, "max_degree"]])
+    spec = load_scenario(scenario)
+    runs = [run_scenario(replace(spec, seed=spec.seed + r)) for r in range(3)]
+
+    def rendered(header, rows):
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows([header, *rows])
+        return text.getvalue().encode()
+
     out = tmp_path / "trace.csv"
-    code = main(["simulate", "--scenario", scenario, "--replicates", "3",
-                 "--out", str(out), "--dump-replicates"])
-    assert code == 0
-    dump = tmp_path / "trace.replicates.csv"
-    lines = dump.read_text().splitlines()
-    assert lines[0] == "replicate,step,diffusion"
-    assert len(lines) == 1 + 3 * 6
+    for replicates in (1, 3):
+        assert main(["simulate", "--scenario", scenario, "--replicates", str(replicates),
+                     "--out", str(out), "--dump-replicates"]) == 0
+        dump = (tmp_path / "trace.replicates.csv").read_bytes()
+        assert dump == rendered(["replicate", "step", "diffusion"],
+                                [[r, t, value] for r, trace in enumerate(runs[:replicates])
+                                 for t, value in enumerate(trace.values)])
+    assert main(["simulate", "--scenario", scenario, "--out", str(out)]) == 0
+    assert out.read_bytes() == rendered(["step", "diffusion"], enumerate(runs[0].values))
+
+
+def test_simulate_dump_memory_does_not_grow_with_replicates(tmp_path):
+    scenario = scenario_file(tmp_path, horizon=1)
+    held = 2000 * sys.getsizeof(run_scenario(load_scenario(scenario)).values)
+
+    def peak(replicates):
+        argv = ["simulate", "--scenario", scenario, "--replicates", str(replicates),
+                "--out", str(tmp_path / "trace.csv"), "--dump-replicates"]
+        assert main(argv) == 0  # fills the interpreter's free lists, which tracemalloc counts
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(2000) - peak(20)) * 5 <= held
 
 
 def test_simulate_multiple_scenarios_into_directory(tmp_path, capsys):

@@ -383,6 +383,68 @@ def test_lockstep_with_reference_until_no_agents_left():
             pytest.fail("isolation never ran out")
 
 
+def late_isolation_spec(rng):
+    """A scenario at the paper's horizon whose isolations come at steps
+    60-150, mostly after the network has settled."""
+    topology = rng.choice(list(Topology))
+    if topology is Topology.FRACTAL:
+        agents = 3 * rng.randint(1, 10)
+    else:
+        agents = rng.randint(3, 30)
+    events = tuple((rng.randint(60, DEFAULT_HORIZON), rng.choice(list(IsolationStrategy)))
+                   for _ in range(rng.randint(1, 3)))
+    return ScenarioSpec(topology, horizon=DEFAULT_HORIZON,
+                        transmit_probability=rng.choice([0.05, 0.5, 1.0]),
+                        isolation_events=events, seed=rng.randrange(2**32), agents=agents)
+
+
+def test_run_scenario_matches_reference_after_settling():
+    rng = random.Random(150)
+    for _ in range(40):
+        s = late_isolation_spec(rng)
+        assert run_scenario(s) == reference_run_scenario(s), s
+
+
+def test_settled_rounds_leave_the_rng_where_the_reference_does():
+    rng = random.Random(60)
+    fast_forwarded = random_after_settling = settled_runs = 0
+    for _ in range(40):
+        s = late_isolation_spec(rng)
+        edges = s.build_edges()
+        net = MetaNetwork.initial(edges, s.agents)
+        ref = ReferenceMetaNetwork.initial(edges, s.agents)
+        ours, theirs = random.Random(s.seed), random.Random(s.seed)
+        for t in range(1, s.horizon + 1):
+            for time, strategy in s.isolation_events:
+                if time == t:
+                    random_after_settling += net.settled and strategy is IsolationStrategy.RANDOM
+                    assert isolate(net, strategy, ours)[1] == reference_isolate(ref, strategy, theirs)[1]
+            if net.settled:  # settled only where no live edge can transmit
+                assert all(net.knows[u] == net.knows[v] for u, v in net.live_edges()), s
+                fast_forwarded += 1
+            step(net, ours, s.transmit_probability)
+            reference_step(ref, theirs, s.transmit_probability)
+            assert ours.getstate() == theirs.getstate(), (s, t)
+            assert known_sets(net) == ref.knows
+        settled_runs += net.settled
+    assert fast_forwarded and random_after_settling and settled_runs
+
+
+def test_inline_unit_draw_is_randrange():
+    """``step`` draws unit indices with the stdlib's ``randrange`` loop written
+    inline; a Python whose ``randrange`` draws otherwise fails here."""
+    seeds = random.Random(11)
+    for n in range(1, 2**10 + 1):
+        seed = seeds.randrange(2**32)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            k = n.bit_length()
+            while (r := ours.getrandbits(k)) >= n:
+                pass
+            assert r == theirs.randrange(n), (seed, n)
+        assert ours.getstate() == theirs.getstate(), (seed, n)
+
+
 @given(st.sets(st.integers(min_value=0, max_value=699), min_size=1), st.booleans())
 def test_kth_set_bit_is_kth_of_sorted_units(bits, dense):
     if dense:  # the complement: hundreds of set bits, as late in a large run
@@ -402,7 +464,6 @@ def test_aggregate_matches_three_pass_reference():
     result = monte_carlo(s, 25)
     traces = [run_scenario(replace(s, seed=s.seed + r)) for r in range(25)]
     assert (result.mean, result.min, result.max) == reference_aggregate(traces)
-    assert result.traces == ()
 
 
 def test_monte_carlo_memory_does_not_grow_with_replicates():
@@ -423,19 +484,21 @@ def test_monte_carlo_memory_does_not_grow_with_replicates():
 
 def test_single_replicate_equals_single_run():
     s = spec(horizon=40, seed=9)
-    result = monte_carlo(s, 1, keep_traces=True)
-    assert result.traces == (run_scenario(s),)
-    assert result.mean == result.traces[0].values
+    seen = []
+    result = monte_carlo(s, 1, lambda r, trace: seen.append((r, trace)))
+    assert seen == [(0, run_scenario(s))]
+    assert result.mean == seen[0][1].values
 
 
 def test_aggregate_matches_sequential_rerun():
     s = spec(horizon=30, seed=5)
-    result = monte_carlo(s, 8, keep_traces=True)
+    seen = []
+    result = monte_carlo(s, 8, lambda r, trace: seen.append((r, trace)))
     replayed = [
         run_scenario(ScenarioSpec(**{**s.__dict__, "seed": s.seed + r}))
         for r in range(8)
     ]
-    assert list(result.traces) == replayed
+    assert seen == list(enumerate(replayed))
     for t in range(31):
         column = [trace.values[t] for trace in replayed]
         assert result.mean[t] == sum(column) / 8
