@@ -10,16 +10,15 @@ Subcommands::
 Match and resolve reports are JSON (stdout or ``--out``); simulation
 traces are CSV.  Identical inputs, flags and seed produce byte-identical
 outputs.  Exit codes: 0 success, 2 bad input (``OSError`` or ``InputError``),
-1 internal error (a bug).  Set ``FSO_LOG`` to DEBUG or INFO for progress logging.
+1 internal error (a bug), reported with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
+import traceback
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -36,8 +35,6 @@ EXIT_INPUT = 2
 _INPUT_ERRORS = (OSError, InputError)
 
 _encode_string = json.encoder.encode_basestring_ascii  # C, when the _json extension is built
-
-logger = logging.getLogger("fso")
 
 
 def _dump_json(value, write, newline: str = "\n") -> None:
@@ -108,14 +105,20 @@ def cmd_match(args) -> int:
         community = Community(tax, policy)
         plan = []
         seen_ids: set[str] = set()
+        listed: set[Path] = set()
         for file_name in args.descriptions:
+            records = load_descriptions(file_name)  # first: resolve() raises ValueError on a NUL
+            resolved = Path(file_name).resolve()
+            if resolved in listed:
+                raise InputError("the file is listed more than once", file_name)
+            listed.add(resolved)
             member_id = Path(file_name).stem
             if member_id in seen_ids:
                 member_id = file_name
             seen_ids.add(member_id)
             with reading(file_name):  # the stem may be a reserved member id
                 community.register(member_id)
-            plan.extend((member_id, record) for record in load_descriptions(file_name))
+            plan.extend((member_id, record) for record in records)
     events = []
     for member_id, record in plan:
         events.extend(community.publish(member_id, record))
@@ -124,7 +127,6 @@ def cmd_match(args) -> int:
         "pending": _pending_summary(community),
     }
     _write_report(report, args.out)
-    logger.info("match: %d events, %d pending", len(report["events"]), len(report["pending"]))
     return EXIT_OK
 
 
@@ -137,7 +139,6 @@ def cmd_resolve(args) -> int:
         except InputError as exc:  # an unknown origin, a bad preassignment
             raise InputError(f"conditions[{i}]: {exc}", args.fixture) from None
     _write_report({"results": results}, args.out)
-    logger.info("resolve: %d conditions", len(results))
     return EXIT_OK
 
 
@@ -226,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level_name = os.environ.get("FSO_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -235,8 +234,8 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
-        logger.exception("internal error")
+    except Exception as exc:  # a bug: the traceback, then one summary line
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -39,11 +39,6 @@ class UnknownMember(LookupError):
     """Publication from a member id that was never registered."""
 
 
-class MemberKind(Enum):
-    PERSON = "person"
-    GROUP_ACTIVITY = "group_activity"
-
-
 class MatchType(Enum):
     NO_MATCH = "no_match"
     SERVICE = "service"
@@ -85,7 +80,6 @@ NO_MATCH = Match(MatchType.NO_MATCH)
 @dataclass
 class Member:
     id: str
-    kind: MemberKind = MemberKind.PERSON
     published: list[ServiceDescription] = field(default_factory=list)
 
 
@@ -93,13 +87,10 @@ class Member:
 class GroupActivity:
     """A promoted group match, acting as a member of the community."""
 
-    activity_type: str
     member_id: str
     participants: set[str]
-    residual_request: str
     description: ServiceDescription
     location_provider: str | None = None
-    location_offer: ServiceDescription | None = None
 
 
 @dataclass(frozen=True)
@@ -199,13 +190,13 @@ class Community:
 
     # --- registry ---
 
-    def register(self, member_id: str, kind: MemberKind = MemberKind.PERSON) -> Member:
+    def register(self, member_id: str) -> Member:
         if member_id in self.members:
             raise InputError(f"member {member_id!r} already registered")
-        if kind is MemberKind.PERSON and member_id.startswith(ACTIVITY_PREFIX):
+        if member_id.startswith(ACTIVITY_PREFIX):
             raise InputError(f"member id {member_id!r}: the prefix {ACTIVITY_PREFIX!r}"
                              " is reserved for group activities")
-        member = Member(member_id, kind)
+        member = Member(member_id)
         self.members[member_id] = member
         return member
 
@@ -331,7 +322,6 @@ class Community:
             activity.participants.add(entry.owner)
         if binds:
             activity.location_provider = entry.owner
-            activity.location_offer = entry.description
             # the venue request is now satisfied; keep offering the activity
             activity.description = replace(activity.description, request=None)
             self._unindex(activity_entry)
@@ -384,17 +374,10 @@ class Community:
             provide=shared_type,
             request=self.residual_requests.get(shared_type, DEFAULT_RESIDUAL_REQUEST),
         )
-        self.register(member_id, MemberKind.GROUP_ACTIVITY)
-        activity = GroupActivity(
-            activity_type=shared_type,
-            member_id=member_id,
-            participants=set(event.members),
-            residual_request=derived.request,
-            description=derived,
-        )
+        activity = GroupActivity(member_id, set(event.members), derived)
         self.activities[shared_type] = activity
         self._activity_of[member_id] = activity
-        self.members[member_id].published.append(derived)
+        self.members[member_id] = Member(member_id, [derived])
         activity_entry = self._store(member_id, derived)
         return activity, self._sweep(activity, activity_entry)
 

@@ -15,8 +15,12 @@ Two flavours of the check are provided:
 * the extended form drops that actor-side clause, admitting actions that
   carry a cost for the actor, such as commercial services.
 
-Witnesses are deterministic: when several action pairs qualify, the
-lexicographically least pair of action ids is reported.
+A check is one search in each direction: the least linked action of one
+system whose counterpart the other system rates +1.  Witnesses are
+therefore deterministic: when several action pairs qualify, the
+lexicographically least pair of action ids is reported.  The closure over
+many systems is one depth-first search from each system over the
+pairwise relation.
 """
 
 from __future__ import annotations
@@ -49,9 +53,6 @@ class ActionSystem:
     def actions(self) -> frozenset[str]:
         return frozenset(self.evaluations)
 
-    def evaluate(self, action: str) -> int:
-        return self.evaluations[action]
-
 
 @dataclass(frozen=True)
 class ActionCorrespondence:
@@ -61,20 +62,11 @@ class ActionCorrespondence:
     target: str
     pairs: frozenset[tuple[str, str]]
 
-    def __init__(self, source: str, target: str, pairs):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "pairs", frozenset(tuple(p) for p in pairs))
-        forward = [a for a, _ in self.pairs]
-        backward = [b for _, b in self.pairs]
-        if len(set(forward)) != len(forward) or len(set(backward)) != len(backward):
+    def __post_init__(self):
+        pairs = frozenset(tuple(p) for p in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
             raise ValueError("correspondence must be injective in both coordinates")
-
-    def forward(self) -> dict[str, str]:
-        return {a: b for a, b in self.pairs}
-
-    def backward(self) -> dict[str, str]:
-        return {b: a for a, b in self.pairs}
 
     def inverse(self) -> "ActionCorrespondence":
         return ActionCorrespondence(
@@ -105,6 +97,18 @@ def _validate(d: ActionSystem, r: ActionSystem, corr: ActionCorrespondence):
             raise ValueError(f"correspondence pair ({a!r}, {b!r}) names unknown actions")
 
 
+def _least_beneficial(
+    actor: ActionSystem, other: ActionSystem, links: dict[str, str], strict: bool
+) -> str | None:
+    """The least action of ``actor`` whose linked counterpart ``other`` rates +1.
+
+    Under the strict check, actions that ``actor`` rates -1 are skipped.
+    """
+    qualifying = [a for a, b in links.items()
+                  if other.evaluations[b] > 0 and not (strict and actor.evaluations[a] < 0)]
+    return min(qualifying, default=None)
+
+
 def _witness(
     d: ActionSystem,
     r: ActionSystem,
@@ -112,29 +116,11 @@ def _witness(
     require_no_actor_cost: bool,
 ) -> MutualisticWitness | None:
     _validate(d, r, corr)
-    forward = corr.forward()
-    backward = corr.backward()
-    forward_action = None
-    for a in sorted(d.actions):
-        b = forward.get(a)
-        if b is None:
-            continue
-        if require_no_actor_cost and d.evaluate(a) < 0:
-            continue
-        if r.evaluate(b) > 0:
-            forward_action = a
-            break
-    if forward_action is None:
+    forward = _least_beneficial(d, r, dict(corr.pairs), require_no_actor_cost)
+    backward = _least_beneficial(r, d, {b: a for a, b in corr.pairs}, require_no_actor_cost)
+    if forward is None or backward is None:
         return None
-    for b in sorted(r.actions):
-        a = backward.get(b)
-        if a is None:
-            continue
-        if require_no_actor_cost and r.evaluate(b) < 0:
-            continue
-        if d.evaluate(a) > 0:
-            return MutualisticWitness(forward_action, b)
-    return None
+    return MutualisticWitness(forward, backward)
 
 
 def check_precondition(
@@ -163,12 +149,12 @@ def mutualistic_closure(
     """Reachability over pairwise mutualistic relations.
 
     An edge (D, R) is present when some listed correspondence between the
-    two systems passes the chosen check; the result is the transitive
-    closure of those edges over distinct system pairs.
+    two systems passes the chosen check; the result is every pair of
+    distinct systems joined by a path of such edges.
     """
     by_id = {s.id: s for s in systems}
     check = check_extended if extended else check_precondition
-    edges: set[tuple[str, str]] = set()
+    successors: dict[str, set[str]] = {s.id: set() for s in systems}
     for corr in correspondences:
         if corr.source not in by_id or corr.target not in by_id:
             raise ValueError(
@@ -178,25 +164,14 @@ def mutualistic_closure(
         for oriented in (corr, corr.inverse()):
             d, r = by_id[oriented.source], by_id[oriented.target]
             if d.id != r.id and check(d, r, oriented) is not None:
-                edges.add((d.id, r.id))
-    # transitive closure over distinct pairs
-    reachable: dict[str, set[str]] = {s.id: set() for s in systems}
-    for d_id, r_id in edges:
-        reachable[d_id].add(r_id)
-    changed = True
-    while changed:
-        changed = False
-        for d_id in reachable:
-            expansion = set()
-            for mid in reachable[d_id]:
-                expansion |= reachable[mid]
-            expansion -= reachable[d_id]
-            if expansion:
-                reachable[d_id] |= expansion
-                changed = True
-    return {
-        (d_id, r_id)
-        for d_id, targets in reachable.items()
-        for r_id in targets
-        if d_id != r_id
-    }
+                successors[d.id].add(r.id)
+    closure: set[tuple[str, str]] = set()
+    for start in successors:
+        reached: set[str] = set()
+        stack = [start]
+        while stack:
+            for node in successors[stack.pop()] - reached:
+                reached.add(node)
+                stack.append(node)
+        closure.update((start, node) for node in reached if node != start)
+    return closure

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written against the definitions, not
 against the library code: closure via the Warshall bitset algorithm,
-mutualism via exhaustive pair enumeration, knowledge diffusion via a
+mutualism via exhaustive pair enumeration, two descriptions translated
+into action systems straight from the taxonomy, knowledge diffusion via a
 literal replay of the documented RNG discipline.  The diffusion section
 also keeps the simulator as it was before its data layout was trimmed
 (full meta-network, per-step edge sort, per-candidate degree scan,
@@ -30,7 +31,6 @@ from fso.community import (
     MatchPolicy,
     MatchType,
     Member,
-    MemberKind,
     UnknownMember,
     match_pair,
 )
@@ -58,6 +58,7 @@ from fso.fractal import (
     TriggeringCondition,
 )
 from fso.inputs import InputError
+from fso.mutualism import ActionCorrespondence, ActionSystem
 from fso.taxonomy import Taxonomy
 
 # --- transitive closure (taxonomy) --------------------------------------
@@ -130,6 +131,39 @@ def random_mutualism_instance(rng: random.Random, max_actions: int = 4):
     targets = rng.sample(sorted(r_evals), k)
     pairs = tuple(zip(sources, targets))
     return d_evals, r_evals, pairs
+
+
+def translate_pair(
+    d1: ServiceDescription, d2: ServiceDescription, tax: Taxonomy, policy: MatchPolicy
+) -> tuple[ActionSystem, ActionSystem, ActionCorrespondence]:
+    """Two descriptions as action systems ``D1``, ``D2`` and their correspondence.
+
+    A record's offer is an action worth 0 to its actor; receiving what it
+    requests is worth +1.  One record's offer is linked to the other's
+    request exactly when the offered type serves the requested type: it is
+    a subtype of it or, when specialization is allowed, a supertype.
+    """
+
+    def serves(provide, request) -> bool:
+        return provide is not None and request is not None and (
+            tax.is_subtype(provide, request)
+            or (policy.allow_specialization and tax.is_subtype(request, provide))
+        )
+
+    def system(name: str, d: ServiceDescription) -> ActionSystem:
+        evaluations = {}
+        if d.provide is not None:
+            evaluations["offer"] = 0
+        if d.request is not None:
+            evaluations["receive"] = 1
+        return ActionSystem(name, evaluations)
+
+    pairs = []
+    if serves(d1.provide, d2.request):
+        pairs.append(("offer", "receive"))
+    if serves(d2.provide, d1.request):
+        pairs.append(("receive", "offer"))
+    return system("D1", d1), system("D2", d2), ActionCorrespondence("D1", "D2", pairs)
 
 
 # --- description records -------------------------------------------------
@@ -476,16 +510,15 @@ class ReferenceCommunity:
 
     # --- registry ---
 
-    def register(self, member_id: str, kind: MemberKind = MemberKind.PERSON) -> Member:
+    def register(self, member_id: str) -> Member:
         if member_id in self.members:
             raise ValueError(f"member {member_id!r} already registered")
-        member = Member(member_id, kind)
+        member = Member(member_id)
         self.members[member_id] = member
         return member
 
     def _activity_of(self, member_id: str) -> GroupActivity | None:
-        member = self.members.get(member_id)
-        if member is None or member.kind is not MemberKind.GROUP_ACTIVITY:
+        if not member_id.startswith("activity:"):
             return None
         for activity in self.activities.values():
             if activity.member_id == member_id:
@@ -582,7 +615,6 @@ class ReferenceCommunity:
             activity.participants.add(entry.owner)
         if binds:
             activity.location_provider = entry.owner
-            activity.location_offer = entry.description
             # the venue request is now satisfied; keep offering the activity
             activity.description = replace(activity.description, request=None)
             activity_entry.description = activity.description
@@ -633,12 +665,10 @@ class ReferenceCommunity:
             provide=shared_type,
             request=self.residual_requests.get(shared_type, DEFAULT_RESIDUAL_REQUEST),
         )
-        self.register(member_id, MemberKind.GROUP_ACTIVITY)
+        self.register(member_id)
         activity = GroupActivity(
-            activity_type=shared_type,
             member_id=member_id,
             participants=set(event.members),
-            residual_request=derived.request,
             description=derived,
         )
         self.activities[shared_type] = activity

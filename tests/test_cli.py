@@ -125,6 +125,13 @@ def test_match_bad_record_names_its_offset(tmp_path, capsys, bad_record, message
     assert_input_error(capsys, ["match", member], f"member.ttl: offset {offset}: {message}")
 
 
+@pytest.mark.parametrize("copies", [2, 3])
+def test_match_repeated_description_path_is_input_error(tmp_path, capsys, copies):
+    member = write(tmp_path / "a.ttl", WALKING)
+    assert_input_error(capsys, ["match", *[member] * copies],
+                       f"{member}: the file is listed more than once")
+
+
 def test_match_taxonomy_cycle_names_the_file(tmp_path, capsys):
     types = write(tmp_path / "types.txt", CYCLE)
     assert_input_error(capsys, ["match", "--taxonomy", types], "types.txt", "line 2")
@@ -488,6 +495,18 @@ def test_repeated_invocations_are_byte_identical(tmp_path):
                      "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_internal_error_exits_1_with_traceback(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("fso.cli.cmd_resolve", broken)
+    assert main(["resolve", "--fixture", str(tmp_path / "absent.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):"), err
+    assert "RuntimeError: boom" in err
+    assert err.splitlines()[-1] == "internal error: boom"
 
 
 _TEXT = st.text(max_size=8) | st.text('"\\/\b\f\n\r\t\x00\x7féß€\u2028😀', max_size=8)

@@ -8,7 +8,6 @@ from fso.community import (
     Community,
     MatchPolicy,
     MatchType,
-    MemberKind,
     UnknownMember,
     match_pair,
 )
@@ -166,7 +165,7 @@ def test_group_walk_scenario(fitness_tax):
     assert [e.kind for e in second] == [MatchType.GROUP]
     activity = community.activities["Walking"]
     assert activity.participants == {"m1", "m2"}
-    assert community.members[activity.member_id].kind is MemberKind.GROUP_ACTIVITY
+    assert activity.member_id in community.members
     assert activity.description.provide == "Walking"
     assert activity.description.request == "Location"
 

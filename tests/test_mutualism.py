@@ -1,10 +1,14 @@
 import json
 import random
+from collections import Counter
+from datetime import datetime, timedelta
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fso.community import MatchPolicy, MatchType, match_pair
+from fso.descriptions import ServiceDescription
 from fso.mutualism import (
     ActionCorrespondence,
     ActionSystem,
@@ -14,8 +18,15 @@ from fso.mutualism import (
     check_precondition,
     mutualistic_closure,
 )
+from fso.taxonomy import Taxonomy
 
-from oracles import all_partial_bijections, brute_force_witness, random_mutualism_instance
+from oracles import (
+    all_partial_bijections,
+    brute_force_witness,
+    random_dag,
+    random_mutualism_instance,
+    translate_pair,
+)
 
 
 def make_pair(d_evals, r_evals, pairs):
@@ -214,33 +225,81 @@ def test_closure_rejects_unlisted_systems():
 
 def test_closure_matches_oracle_on_random_instances():
     rng = random.Random(99)
-    for _ in range(150):
-        ids = [f"S{i}" for i in range(5)]
-        systems = []
-        for sid in ids:
-            n = rng.randint(1, 3)
-            systems.append(
-                ActionSystem(
-                    sid, {f"{sid}x{i}": rng.choice((-1, 0, 1)) for i in range(n)}
-                )
+    # 5 systems; then 12 systems with up to 20 correspondences, for long chains
+    for rounds, size, max_corrs in ((150, 5, 6), (100, 12, 20)):
+        for _ in range(rounds):
+            _check_random_closure(rng, size, max_corrs)
+
+
+def _check_random_closure(rng, size, max_corrs):
+    ids = [f"S{i}" for i in range(size)]
+    systems = []
+    for sid in ids:
+        n = rng.randint(1, 3)
+        systems.append(
+            ActionSystem(
+                sid, {f"{sid}x{i}": rng.choice((-1, 0, 1)) for i in range(n)}
             )
-        by_id = {s.id: s for s in systems}
-        corrs = []
-        for _ in range(rng.randint(0, 6)):
-            src, dst = rng.sample(ids, 2)
-            d_actions = sorted(by_id[src].actions)
-            r_actions = sorted(by_id[dst].actions)
-            k = rng.randint(0, min(len(d_actions), len(r_actions)))
-            corrs.append(
-                ActionCorrespondence(
-                    src, dst,
-                    list(zip(rng.sample(d_actions, k), rng.sample(r_actions, k))),
-                )
-            )
-        extended = rng.random() < 0.5
-        assert mutualistic_closure(systems, corrs, extended) == closure_oracle(
-            systems, corrs, extended
         )
+    by_id = {s.id: s for s in systems}
+    corrs = []
+    for _ in range(rng.randint(0, max_corrs)):
+        src, dst = rng.sample(ids, 2)
+        d_actions = sorted(by_id[src].actions)
+        r_actions = sorted(by_id[dst].actions)
+        k = rng.randint(0, min(len(d_actions), len(r_actions)))
+        corrs.append(
+            ActionCorrespondence(
+                src, dst,
+                list(zip(rng.sample(d_actions, k), rng.sample(r_actions, k))),
+            )
+        )
+    extended = rng.random() < 0.5
+    assert mutualistic_closure(systems, corrs, extended) == closure_oracle(
+        systems, corrs, extended
+    )
+
+
+def _translation_record(rng, types):
+    """A record over ``types``, mostly one that both provides and requests."""
+    shape = rng.choices(("provide", "request", "both"), weights=(1, 1, 4))[0]
+    day = datetime(2013, 5, 12)  # one window for all: time overlap is granted
+    return ServiceDescription(
+        creation_time=day,
+        start_time=day,
+        end_time=day + timedelta(hours=1),
+        creator="http://example.org/u",
+        provide=None if shape == "request" else rng.choice(types),
+        request=None if shape == "provide" else rng.choice(types),
+    )
+
+
+def test_match_kind_follows_the_translated_precondition():
+    """Matching two records is the mutualism check on their translation.
+
+    3,000 record pairs over random DAG taxonomies, each under all four
+    policies: a mutualistic or group match exactly when the strict
+    precondition has a witness, a service match exactly when the offer of
+    one record alone serves the other.
+    """
+    rng = random.Random(8)
+    kinds = Counter()
+    for _ in range(3000):
+        names, edges = random_dag(rng, max_nodes=6)
+        tax = Taxonomy(edges)
+        types = names + ["Outside"]  # a type the taxonomy does not know
+        d1, d2 = _translation_record(rng, types), _translation_record(rng, types)
+        for special, overlap in product((False, True), repeat=2):
+            policy = MatchPolicy(allow_specialization=special, require_time_overlap=overlap)
+            kind = match_pair(d1, d2, tax, policy).kind
+            kinds[kind] += 1
+            d, r, corr = translate_pair(d1, d2, tax, policy)
+            mutual = check_precondition(d, r, corr) is not None
+            assert (kind in (MatchType.MUTUALISTIC, MatchType.GROUP)) == mutual
+            assert (kind is MatchType.SERVICE) == (len(corr.pairs) == 1)
+    minimum = {MatchType.NO_MATCH: 5000, MatchType.SERVICE: 2500,
+               MatchType.MUTUALISTIC: 150, MatchType.GROUP: 50}
+    assert all(kinds[kind] >= count for kind, count in minimum.items()), kinds
 
 
 def test_load_instance_from_json_text():
