@@ -1,79 +1,8 @@
 """Mutualistic service matching, fractal community trees, and
-knowledge-diffusion resilience experiments."""
+knowledge-diffusion resilience experiments.
 
-__version__ = "0.1.0"
-
-from .community import Community, Match, MatchEvent, MatchPolicy, MatchType, match_pair
-from .descriptions import (
-    LocationSpec,
-    Role,
-    ServiceDescription,
-    classify,
-    parse_descriptions,
-    serialize_description,
-)
-from .diffusion import (
-    DiffusionTrace,
-    IsolationStrategy,
-    MetaNetwork,
-    ScenarioSpec,
-    Topology,
-    diffusion_measure,
-    gen_fractal,
-    gen_hierarchy,
-    monte_carlo,
-    run_scenario,
-)
-from .fractal import (
-    CommunityNode,
-    FractalOrganization,
-    SocialOverlayNetwork,
-    TriggeringCondition,
-)
-from .mutualism import (
-    ActionCorrespondence,
-    ActionSystem,
-    MutualisticWitness,
-    check_extended,
-    check_precondition,
-    mutualistic_closure,
-)
-from .taxonomy import CycleError, Taxonomy, parse_taxonomy
-
-__all__ = [
-    "ActionCorrespondence",
-    "ActionSystem",
-    "Community",
-    "CommunityNode",
-    "CycleError",
-    "DiffusionTrace",
-    "FractalOrganization",
-    "IsolationStrategy",
-    "LocationSpec",
-    "Match",
-    "MatchEvent",
-    "MatchPolicy",
-    "MatchType",
-    "MetaNetwork",
-    "MutualisticWitness",
-    "Role",
-    "ScenarioSpec",
-    "ServiceDescription",
-    "SocialOverlayNetwork",
-    "Taxonomy",
-    "Topology",
-    "TriggeringCondition",
-    "check_extended",
-    "check_precondition",
-    "classify",
-    "diffusion_measure",
-    "gen_fractal",
-    "gen_hierarchy",
-    "match_pair",
-    "monte_carlo",
-    "mutualistic_closure",
-    "parse_descriptions",
-    "parse_taxonomy",
-    "run_scenario",
-    "serialize_description",
-]
+The package root re-exports nothing: import from the defining modules
+(``fso.taxonomy``, ``fso.descriptions``, ``fso.mutualism``,
+``fso.community``, ``fso.fractal``, ``fso.diffusion``), so that a command
+loads only the layers it uses.
+"""

@@ -104,7 +104,7 @@ def cmd_match(args) -> int:
                              require_time_overlap=not args.no_time_overlap)
         community = Community(tax, policy)
         plan = []
-        seen_ids: set[str] = set()
+        owners: dict[str, str] = {}  # member id -> the file that registered it
         listed: set[Path] = set()
         for file_name in args.descriptions:
             records = load_descriptions(file_name)  # first: resolve() raises ValueError on a NUL
@@ -113,9 +113,12 @@ def cmd_match(args) -> int:
                 raise InputError("the file is listed more than once", file_name)
             listed.add(resolved)
             member_id = Path(file_name).stem
-            if member_id in seen_ids:
+            if member_id in owners:  # a second file with this stem is named by its path
                 member_id = file_name
-            seen_ids.add(member_id)
+            if member_id in owners:
+                raise InputError(f"member id {member_id!r} is already taken by"
+                                 f" {owners[member_id]}", file_name)
+            owners[member_id] = file_name
             with reading(file_name):  # the stem may be a reserved member id
                 community.register(member_id)
             plan.extend((member_id, record) for record in records)

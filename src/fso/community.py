@@ -174,12 +174,10 @@ class Community:
         taxonomy: Taxonomy | None = None,
         policy: MatchPolicy = MatchPolicy(),
         auto_promote_groups: bool = True,
-        residual_requests: dict[str, str] | None = None,
     ):
         self.taxonomy = taxonomy if taxonomy is not None else Taxonomy()
         self.policy = policy
         self.auto_promote_groups = auto_promote_groups
-        self.residual_requests = dict(residual_requests or {})
         self.members: dict[str, Member] = {}
         self.activities: dict[str, GroupActivity] = {}  # activity type -> activity
         self._activity_of: dict[str, GroupActivity] = {}  # member id -> activity
@@ -372,7 +370,7 @@ class Community:
             end_time=end,
             creator=member_id,
             provide=shared_type,
-            request=self.residual_requests.get(shared_type, DEFAULT_RESIDUAL_REQUEST),
+            request=DEFAULT_RESIDUAL_REQUEST,
         )
         activity = GroupActivity(member_id, set(event.members), derived)
         self.activities[shared_type] = activity

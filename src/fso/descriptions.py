@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import datetime
-from enum import Enum
 
 from .inputs import InputError, read_text, reading
 
@@ -59,12 +58,6 @@ class ParseError(InputError):
 
 class ValidationError(InputError):
     """A parsed record violates a description invariant."""
-
-
-class Role(Enum):
-    PROVIDER_ONLY = "provider_only"
-    REQUESTER_ONLY = "requester_only"
-    MUTUALISTIC = "mutualistic"
 
 
 @dataclass(frozen=True)
@@ -108,15 +101,6 @@ class ServiceDescription:
         return max(self.start_time, other.start_time) <= min(
             self.end_time, other.end_time
         )
-
-
-def classify(d: ServiceDescription) -> Role:
-    """Which side of an exchange the record is on, from field presence."""
-    if d.provide is None:
-        return Role.REQUESTER_ONLY
-    if d.request is None:
-        return Role.PROVIDER_ONLY
-    return Role.MUTUALISTIC
 
 
 # --- tokenizer ---------------------------------------------------------

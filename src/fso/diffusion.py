@@ -51,10 +51,6 @@ class InvalidParams(InputError):
     """Topology or scenario parameters out of range."""
 
 
-class NoAgentsLeft(RuntimeError):
-    """Every agent is already isolated."""
-
-
 class IsolationStrategy(Enum):
     RANDOM = "random"
     MAX_DEGREE = "max_degree"
@@ -191,10 +187,12 @@ def step(net: MetaNetwork, rng: random.Random, p: float) -> MetaNetwork:
 def isolate(
     net: MetaNetwork, strategy: IsolationStrategy, rng: random.Random
 ) -> tuple[MetaNetwork, int]:
-    """Cut one agent's edges; its knowledge is retained."""
+    """Cut one agent's edges; its knowledge is retained.
+
+    Some agent must still be unisolated: ``ScenarioSpec`` allows at most
+    ``agents`` isolation events.
+    """
     candidates = [a for a in range(len(net.knows)) if a not in net.isolated]
-    if not candidates:
-        raise NoAgentsLeft("all agents are already isolated")
     if strategy is IsolationStrategy.RANDOM:
         agent = candidates[rng.randrange(len(candidates))]
     else:
@@ -205,9 +203,6 @@ def isolate(
 
 
 # --- scenarios ----------------------------------------------------------
-
-SINGLE_ISOLATION_TIMES = (10,)
-REPEATED_ISOLATION_TIMES = (10, 20, 40, 70, 120)
 
 DEFAULT_TRANSMIT_PROBABILITY = 0.5
 DEFAULT_HORIZON = 150

@@ -65,23 +65,11 @@ class CommunityNode:
         self.children.append(child)
         return child
 
-    def proxy_members(self) -> list[str]:
-        """Child communities, as they appear among this node's members."""
-        return [child.id for child in self.children]
-
     def walk(self):
         """Preorder traversal of the subtree rooted here."""
         yield self
         for child in self.children:
             yield from child.walk()
-
-    def depth(self) -> int:
-        depth = 0
-        node = self
-        while node.parent is not None:
-            depth += 1
-            node = node.parent
-        return depth
 
     def __repr__(self) -> str:
         return f"CommunityNode({self.id!r}, {len(self.members)} members, {len(self.children)} children)"

@@ -89,9 +89,6 @@ class Taxonomy:
             self._subtype_cache[b] = cached
         return cached
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.types
-
     def __repr__(self) -> str:
         return f"Taxonomy({len(self.types)} types, {len(self.subclass_edges)} edges)"
 

@@ -46,7 +46,6 @@ from fso.descriptions import (
 from fso.diffusion import (
     DiffusionTrace,
     IsolationStrategy,
-    NoAgentsLeft,
     ScenarioSpec,
 )
 from fso.fractal import (
@@ -498,12 +497,10 @@ class ReferenceCommunity:
         taxonomy: Taxonomy | None = None,
         policy: MatchPolicy = MatchPolicy(),
         auto_promote_groups: bool = True,
-        residual_requests: dict[str, str] | None = None,
     ):
         self.taxonomy = taxonomy if taxonomy is not None else Taxonomy()
         self.policy = policy
         self.auto_promote_groups = auto_promote_groups
-        self.residual_requests = dict(residual_requests or {})
         self.members: dict[str, Member] = {}
         self.activities: dict[str, GroupActivity] = {}  # activity type -> activity
         self._entries: list[_ReferenceEntry] = []
@@ -663,7 +660,7 @@ class ReferenceCommunity:
             end_time=end,
             creator=member_id,
             provide=shared_type,
-            request=self.residual_requests.get(shared_type, DEFAULT_RESIDUAL_REQUEST),
+            request=DEFAULT_RESIDUAL_REQUEST,
         )
         self.register(member_id)
         activity = GroupActivity(
@@ -730,6 +727,14 @@ def has_cut_vertex(n: int, edges) -> bool:
 
 
 # --- fractal role resolution (reference resolver) ---------------------------
+
+
+def node_depth(node: CommunityNode) -> int:
+    """Edges from ``node`` up to the root: the most escalations it can raise."""
+    levels = 0
+    while node.parent is not None:
+        levels, node = levels + 1, node.parent
+    return levels
 
 
 class ReferenceFractalOrganization(FractalOrganization):
@@ -904,8 +909,6 @@ def reference_isolate(
 ) -> tuple[ReferenceMetaNetwork, int]:
     """Cut one agent's edges; its knowledge is retained."""
     candidates = [a for a in net.agents if a not in net.isolated]
-    if not candidates:
-        raise NoAgentsLeft("all agents are already isolated")
     if strategy is IsolationStrategy.RANDOM:
         agent = candidates[rng.randrange(len(candidates))]
     else:

@@ -28,8 +28,6 @@ from fso.diffusion import (
     gen_hierarchy,
     load_scenario,
     monte_carlo,
-    SINGLE_ISOLATION_TIMES,
-    REPEATED_ISOLATION_TIMES,
 )
 from fso.fractal import load_fixture
 from fso.mutualism import (
@@ -48,6 +46,7 @@ from oracles import (
     closure_matrix,
     connected_after_removal,
     has_cut_vertex,
+    node_depth,
     random_dag,
     random_description,
     random_mutualism_instance,
@@ -229,7 +228,7 @@ def test_criterion_7_fso_escalation():
                 rng, org, favor_local=index % 2 == 0
             )
             result = org.resolve(cond)
-            assert len(result.exceptions) <= origin.depth()
+            assert len(result.exceptions) <= node_depth(origin)
             if test_fractal.local_greedy_completes(
                 origin, cond.required_roles, org.taxonomy
             ):
@@ -252,26 +251,16 @@ def test_criterion_8_topologies():
         assert has_cut_vertex(15, gen_hierarchy(15, 2))
 
 
+EXPERIMENT_FILES = {"S1": "baseline", "S2": "single-isolation", "S3": "repeated-isolation"}
+
+
 @pytest.fixture(scope="module")
 def experiment_scale_runs():
     started = time.monotonic()
     runs, traces = {}, {}
-    scenarios = {
-        "S1": (),
-        "S2": SINGLE_ISOLATION_TIMES,
-        "S3": REPEATED_ISOLATION_TIMES,
-    }
     for topology in (Topology.FRACTAL, Topology.HIERARCHY):
-        for label, times in scenarios.items():
-            spec = ScenarioSpec(
-                topology=topology,
-                horizon=150,
-                transmit_probability=0.5,
-                isolation_events=tuple(
-                    (t, IsolationStrategy.MAX_DEGREE) for t in times
-                ),
-                seed=0,
-            )
+        for label, stem in EXPERIMENT_FILES.items():
+            spec = load_scenario(SCENARIOS / f"{stem}-{topology.value}.json")
             kept = traces[(topology, label)] = []
             runs[(topology, label)] = monte_carlo(
                 spec, 100, lambda r, trace: kept.append(trace))
@@ -322,12 +311,18 @@ def test_criterion_9_simulation_orderings(experiment_scale_runs):
         assert elapsed < 60.0
 
 
-def test_committed_scenarios_are_the_experiment_specs(experiment_scale_runs):
-    runs, _, _ = experiment_scale_runs
-    names = {"S1": "baseline", "S2": "single-isolation", "S3": "repeated-isolation"}
+def test_committed_scenarios_are_the_experiment_specs():
+    schedules = {"S1": (), "S2": (10,), "S3": (10, 20, 40, 70, 120)}
     expected = {
-        f"{names[label]}-{topology.value}.json": result.spec
-        for (topology, label), result in runs.items()
+        f"{EXPERIMENT_FILES[label]}-{topology.value}.json": ScenarioSpec(
+            topology=topology,
+            horizon=150,
+            transmit_probability=0.5,
+            isolation_events=tuple((t, IsolationStrategy.MAX_DEGREE) for t in times),
+            seed=0,
+        )
+        for topology in (Topology.FRACTAL, Topology.HIERARCHY)
+        for label, times in schedules.items()
     }
     assert sorted(path.name for path in SCENARIOS.glob("*.json")) == sorted(expected)
     for name, spec in expected.items():

@@ -132,6 +132,18 @@ def test_match_repeated_description_path_is_input_error(tmp_path, capsys, copies
                        f"{member}: the file is listed more than once")
 
 
+def test_match_member_id_collision_names_both_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "a.ttl", WALKING)
+    write(tmp_path / "a", WALKING)
+    # the second file with stem "a" falls back to its path, which is again "a"
+    assert_input_error(capsys, ["match", "a.ttl", "a"], "a: member id 'a'", "a.ttl")
+    # in the other order the path is free, and it becomes the member id
+    assert main(["match", "a", "a.ttl"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["events"][0]["members"] == ["a", "a.ttl"]
+
+
 def test_match_taxonomy_cycle_names_the_file(tmp_path, capsys):
     types = write(tmp_path / "types.txt", CYCLE)
     assert_input_error(capsys, ["match", "--taxonomy", types], "types.txt", "line 2")
@@ -177,6 +189,36 @@ def test_match_community_document(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert [e["kind"] for e in report["events"]] == ["group"]
     assert report["events"][0]["members"] == ["alice", "bob"]
+
+
+PROVIDE = "  service:provide          service:Walking ;\n"
+REQUEST = "  service:request          service:Walking ;\n"
+
+
+def offer(provide=None, request=None) -> str:
+    """The Walking record with its provide and request types replaced or dropped."""
+    return (WALKING.replace(PROVIDE, PROVIDE.replace("Walking", provide) if provide else "")
+            .replace(REQUEST, REQUEST.replace("Walking", request) if request else ""))
+
+
+def test_match_community_reports_service_and_mutualistic_events(tmp_path, capsys):
+    members = {"bob": offer(request="Fitness"), "alice": offer(provide="Walking"),
+               "carol": offer("Cooking", "Cleaning"), "dave": offer("Cleaning", "Cooking")}
+    for member, text in members.items():
+        write(tmp_path / f"{member}.ttl", text)
+    document = {"taxonomy_edges": [["Walking", "Fitness"]],
+                "members": [{"id": m, "descriptions": [f"{m}.ttl"]} for m in members]}
+    community = write(tmp_path / "community.json", json.dumps(document))
+    assert main(["match", "--community", community]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "events": [
+            {"kind": "service", "members": ["bob", "alice"], "provider": "alice",
+             "requester": "bob", "matched_type": "Walking"},
+            {"kind": "mutualistic", "members": ["carol", "dave"],
+             "x_type": "Cooking", "y_type": "Cleaning"},
+        ],
+        "pending": [],
+    }
 
 
 def test_match_community_policy_flag_must_be_boolean(tmp_path, capsys):
@@ -288,12 +330,21 @@ CITY = {"id": "city", "members": [{"id": "m", "offers": ["Cooking"]}]}
         ({"community": CITY, "conditions": [condition(roles=["Cooking"], state={"Cooking": "m"}),
                                             condition(roles=["Cooking"], state={"Cooking": "m"})]},
          ("conditions[1]", "booked")),
+        ({"community": {"id": "city", "children": [{"id": "city"}]}},
+         ("duplicate community id 'city'",)),
+        ({"community": {**CITY, "children": [{"id": "a", "members": [{"id": "m"}]}]}},
+         ("duplicate member id 'm'",)),
+        ({"community": CITY, "conditions": [condition(state={"Doctor": "m"})]},
+         ("conditions[0].state['Doctor']",)),
+        ({"community": CITY, "conditions": [condition(state={"Nurse": 5})]},
+         ("conditions[0].state['Nurse']",)),
     ],
     ids=["top-level-array", "community-without-id", "member-without-id",
          "state-not-an-object", "unknown-origin", "offers-not-a-list",
          "members-not-a-list", "roles-not-a-list", "edges-not-a-list",
          "id-not-a-string", "preassigned-not-in-tree", "preassigned-lacks-role",
-         "preassigned-already-booked"],
+         "preassigned-already-booked", "duplicate-community-id",
+         "member-in-two-communities", "state-key-not-a-role", "state-member-not-a-string"],
 )
 def test_resolve_malformed_fixture_names_file_and_field(tmp_path, capsys, fixture, fragments):
     path = write(tmp_path / "bad.json", json.dumps(fixture))
@@ -410,10 +461,12 @@ def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
          "transmit_probability"),
         ({"topology": "fractal", "agents": 16}, "not divisible by cell size"),
         ({"topology": "hierarchy", "agents": -3}, "agents must be at least 1"),
+        ({"topology": "fractal", "speed": 9}, "unknown scenario keys: ['speed']"),
+        ({"topology": "fractal", "horizon": -1}, "horizon must be non-negative"),
     ],
     ids=["more-isolations-than-agents", "top-level-array", "fractional-horizon",
          "fractional-isolation-time", "one-element-event", "string-probability",
-         "fractal-shape", "negative-agents"],
+         "fractal-shape", "negative-agents", "unknown-key", "negative-horizon"],
 )
 def test_simulate_malformed_scenario_names_the_field(tmp_path, capsys, scenario, message):
     path = write(tmp_path / "bad.json", json.dumps(scenario))

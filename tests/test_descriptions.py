@@ -11,10 +11,8 @@ from fso.descriptions import (
     XSD_NS,
     LocationSpec,
     ParseError,
-    Role,
     ServiceDescription,
     ValidationError,
-    classify,
     parse_descriptions,
     serialize_description,
 )
@@ -57,12 +55,6 @@ def test_verbatim_sample_parses_to_exact_fields():
         place_class="http://schema.org/Beach",
         located_in="http://dbpedia.org/resource/Borgerhout",
     )
-
-
-def test_classify_cases():
-    assert classify(make_description()) is Role.MUTUALISTIC
-    assert classify(make_description(request=None)) is Role.PROVIDER_ONLY
-    assert classify(make_description(provide=None, request="Fitness")) is Role.REQUESTER_ONLY
 
 
 def test_prefixes_only_yields_no_records():
