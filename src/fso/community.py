@@ -13,16 +13,19 @@ that could serve its request and the request-buckets of the types its
 offer could serve, as the taxonomy gives them, and visits that union by
 ascending sequence number; ``match_pair`` alone decides each candidate.
 
-A match where both sides end up enacting the same type is a group
-activity.  The community can promote such a match to a member of its own:
-the promoted activity offers the shared type, requests a venue for it,
-accumulates later requesters as participants, and is bound by the first
-member that offers the venue type.
+A match is the pair of types each side enacts for the other, the paper's
+witness pair read as service types.  A match where both sides enact the
+same type is a group activity.  The community can promote such a match to
+a standing record of its own: the activity offers the shared type,
+requests a venue for it, accumulates later requesters as participants,
+and is bound by the first member that offers the venue type.  It matches
+like a member through that record, but it is not a member: nobody can
+publish as it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import count
 from pathlib import Path
@@ -62,30 +65,24 @@ class MatchPolicy:
 class Match:
     """Outcome of matching two descriptions (argument order matters).
 
-    For a SERVICE match ``first_provides`` tells which argument is the
-    providing side.  For MUTUALISTIC, ``x_type`` is what the first
-    description provides and ``y_type`` what the second one provides.
+    ``forward`` is the type the first description enacts for the second
+    and ``backward`` the type the second enacts for the first, each None
+    where that side serves nothing: the ``mutualism.MutualisticWitness``
+    of the two records.  One side set is a SERVICE match, two different
+    types MUTUALISTIC, the same type twice GROUP.
     """
 
     kind: MatchType
-    first_provides: bool | None = None
-    matched_type: str | None = None
-    x_type: str | None = None
-    y_type: str | None = None
+    forward: str | None = None
+    backward: str | None = None
 
 
 NO_MATCH = Match(MatchType.NO_MATCH)
 
 
 @dataclass
-class Member:
-    id: str
-    published: list[ServiceDescription] = field(default_factory=list)
-
-
-@dataclass
 class GroupActivity:
-    """A promoted group match, acting as a member of the community."""
+    """A promoted group match; it matches like a member through its record."""
 
     member_id: str
     participants: set[str]
@@ -95,28 +92,30 @@ class GroupActivity:
 
 @dataclass(frozen=True)
 class MatchEvent:
-    """One emitted match: which members matched, and on what."""
+    """One emitted match: the two parties and the Match of their records.
 
-    kind: MatchType
+    ``match`` reads from the first member's side, so its ``forward`` type
+    is what the first member enacts for the second.
+    """
+
     members: tuple[str, str]  # standing party first; activities always first
-    matched_type: str | None = None
-    provider: str | None = None
-    requester: str | None = None
-    x_type: str | None = None
-    y_type: str | None = None
+    match: Match
+
+    @property
+    def kind(self) -> MatchType:
+        return self.match.kind
 
     def to_json_dict(self) -> dict:
+        forward, backward = self.match.forward, self.match.backward
         data: dict = {"kind": self.kind.value, "members": list(self.members)}
         if self.kind is MatchType.SERVICE:
-            data.update(
-                provider=self.provider,
-                requester=self.requester,
-                matched_type=self.matched_type,
-            )
+            provider, requester = self.members if forward is not None else self.members[::-1]
+            data.update(provider=provider, requester=requester,
+                        matched_type=forward if forward is not None else backward)
         elif self.kind is MatchType.GROUP:
-            data["matched_type"] = self.matched_type
+            data["matched_type"] = forward
         elif self.kind is MatchType.MUTUALISTIC:
-            data.update(x_type=self.x_type, y_type=self.y_type)
+            data.update(x_type=forward, y_type=backward)
         return data
 
 
@@ -150,13 +149,10 @@ def match_pair(
         backward = _satisfies(d2.provide, d1.request, tax, pol)
     if forward is None and backward is None:
         return NO_MATCH
-    if forward is not None and backward is not None:
-        if forward == backward:
-            return Match(MatchType.GROUP, matched_type=forward)
-        return Match(MatchType.MUTUALISTIC, x_type=forward, y_type=backward)
-    if forward is not None:
-        return Match(MatchType.SERVICE, first_provides=True, matched_type=forward)
-    return Match(MatchType.SERVICE, first_provides=False, matched_type=backward)
+    if forward is None or backward is None:
+        return Match(MatchType.SERVICE, forward, backward)
+    kind = MatchType.GROUP if forward == backward else MatchType.MUTUALISTIC
+    return Match(kind, forward, backward)
 
 
 @dataclass
@@ -178,9 +174,9 @@ class Community:
         self.taxonomy = taxonomy if taxonomy is not None else Taxonomy()
         self.policy = policy
         self.auto_promote_groups = auto_promote_groups
-        self.members: dict[str, Member] = {}
+        self.members: dict[str, list[ServiceDescription]] = {}  # id -> its records
         self.activities: dict[str, GroupActivity] = {}  # activity type -> activity
-        self._activity_of: dict[str, GroupActivity] = {}  # member id -> activity
+        self._activity_of: dict[str, GroupActivity] = {}  # activity id -> activity
         self._outstanding: dict[int, _Entry] = {}  # seq -> entry, in seq order
         self._by_provide: dict[str, dict[int, _Entry]] = {}
         self._by_request: dict[str, dict[int, _Entry]] = {}
@@ -188,15 +184,13 @@ class Community:
 
     # --- registry ---
 
-    def register(self, member_id: str) -> Member:
+    def register(self, member_id: str) -> None:
         if member_id in self.members:
             raise InputError(f"member {member_id!r} already registered")
         if member_id.startswith(ACTIVITY_PREFIX):
             raise InputError(f"member id {member_id!r}: the prefix {ACTIVITY_PREFIX!r}"
                              " is reserved for group activities")
-        member = Member(member_id)
-        self.members[member_id] = member
-        return member
+        self.members[member_id] = []
 
     # --- outstanding-record index ---
 
@@ -257,7 +251,7 @@ class Community:
         """
         if member_id not in self.members:
             raise UnknownMember(member_id)
-        self.members[member_id].published.append(description)
+        self.members[member_id].append(description)
         candidates = self._candidates(description)
         entry = self._store(member_id, description)
         events: list[MatchEvent] = []
@@ -276,22 +270,12 @@ class Community:
                 continue
             self._consume(candidate)
             self._consume(entry)
-            event = self._event(candidate.owner, member_id, match)
+            event = MatchEvent((candidate.owner, member_id), match)
             events.append(event)
             if match.kind is MatchType.GROUP and self.auto_promote_groups:
-                _, follow_ups = self.form_group_activity(event)
-                events.extend(follow_ups)
+                events.extend(self._promote(event))
             break
         return events
-
-    def _event(self, first_owner: str, second_owner: str, match: Match) -> MatchEvent:
-        members = (first_owner, second_owner)
-        if match.kind is MatchType.SERVICE:
-            provider, requester = members if match.first_provides else members[::-1]
-            return MatchEvent(match.kind, members, match.matched_type, provider, requester)
-        # a group match carries only matched_type, a mutualistic one only x/y
-        return MatchEvent(match.kind, members, match.matched_type,
-                          x_type=match.x_type, y_type=match.y_type)
 
     def _match_activity(
         self,
@@ -310,15 +294,9 @@ class Community:
         )
         if match.kind is MatchType.NO_MATCH:
             return False
-        joins = match.kind in (MatchType.MUTUALISTIC, MatchType.GROUP) or (
-            match.kind is MatchType.SERVICE and match.first_provides
-        )
-        binds = match.kind in (MatchType.MUTUALISTIC, MatchType.GROUP) or (
-            match.kind is MatchType.SERVICE and not match.first_provides
-        )
-        if joins:
+        if match.forward is not None:  # the activity serves the newcomer
             activity.participants.add(entry.owner)
-        if binds:
+        if match.backward is not None:  # the newcomer serves the venue request
             activity.location_provider = entry.owner
             # the venue request is now satisfied; keep offering the activity
             activity.description = replace(activity.description, request=None)
@@ -326,39 +304,31 @@ class Community:
             activity_entry.description = activity.description
             self._index(activity_entry)
         self._consume(entry)
-        events.append(self._event(activity.member_id, entry.owner, match))
+        events.append(MatchEvent((activity.member_id, entry.owner), match))
         return True
 
     # --- group promotion ---
 
-    def form_group_activity(
-        self, event: MatchEvent
-    ) -> tuple[GroupActivity, list[MatchEvent]]:
-        """Promote a GROUP match event into a community member.
+    def _promote(self, event: MatchEvent) -> list[MatchEvent]:
+        """Promote a GROUP match event into a standing group activity.
 
         One activity exists per shared type: a second group match on the
         same type merges its members into the standing activity.  The
         promoted record immediately sweeps the outstanding descriptions,
         so earlier-published requesters and venue offers attach to it.
         """
-        if event.kind is not MatchType.GROUP:
-            raise ValueError("only GROUP events can be promoted")
-        shared_type = event.matched_type
+        shared_type = event.match.forward
         existing = self.activities.get(shared_type)
         if existing is not None:
             existing.participants.update(event.members)
-            return existing, []
+            return []
         member_id = ACTIVITY_PREFIX + shared_type
         founders = [
             d
             for m in event.members
-            for d in self.members[m].published
+            for d in self.members[m]
             if d.provide == shared_type or d.request == shared_type
         ]
-        if not founders:
-            raise ValueError(
-                f"group members {event.members} never published {shared_type!r}"
-            )
         start = max(d.start_time for d in founders)
         end = min(d.end_time for d in founders)
         if start > end:  # disjoint founders (overlap not required): use the span
@@ -375,9 +345,8 @@ class Community:
         activity = GroupActivity(member_id, set(event.members), derived)
         self.activities[shared_type] = activity
         self._activity_of[member_id] = activity
-        self.members[member_id] = Member(member_id, [derived])
         activity_entry = self._store(member_id, derived)
-        return activity, self._sweep(activity, activity_entry)
+        return self._sweep(activity, activity_entry)
 
     def _sweep(
         self, activity: GroupActivity, activity_entry: _Entry

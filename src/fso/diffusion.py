@@ -284,7 +284,6 @@ def run_scenario(spec: ScenarioSpec) -> DiffusionTrace:
 class MonteCarloResult:
     """Per-step aggregates of replicated runs of one spec."""
 
-    spec: ScenarioSpec
     mean: tuple[float, ...]
     min: tuple[float, ...]
     max: tuple[float, ...]
@@ -319,7 +318,7 @@ def monte_carlo(spec: ScenarioSpec, replicates: int,
             elif value > high[t]:
                 high[t] = value
     mean = tuple(value / replicates for value in total)
-    return MonteCarloResult(spec, mean, tuple(low), tuple(high))
+    return MonteCarloResult(mean, tuple(low), tuple(high))
 
 
 # --- spec and trace I/O --------------------------------------------------

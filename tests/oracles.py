@@ -26,11 +26,9 @@ from itertools import combinations, permutations
 from fso.community import (
     DEFAULT_RESIDUAL_REQUEST,
     GroupActivity,
-    Match,
     MatchEvent,
     MatchPolicy,
     MatchType,
-    Member,
     UnknownMember,
     match_pair,
 )
@@ -501,18 +499,16 @@ class ReferenceCommunity:
         self.taxonomy = taxonomy if taxonomy is not None else Taxonomy()
         self.policy = policy
         self.auto_promote_groups = auto_promote_groups
-        self.members: dict[str, Member] = {}
+        self.members: dict[str, list[ServiceDescription]] = {}  # id -> its records
         self.activities: dict[str, GroupActivity] = {}  # activity type -> activity
         self._entries: list[_ReferenceEntry] = []
 
     # --- registry ---
 
-    def register(self, member_id: str) -> Member:
+    def register(self, member_id: str) -> None:
         if member_id in self.members:
             raise ValueError(f"member {member_id!r} already registered")
-        member = Member(member_id)
-        self.members[member_id] = member
-        return member
+        self.members[member_id] = []
 
     def _activity_of(self, member_id: str) -> GroupActivity | None:
         if not member_id.startswith("activity:"):
@@ -534,7 +530,7 @@ class ReferenceCommunity:
         """
         if member_id not in self.members:
             raise UnknownMember(member_id)
-        self.members[member_id].published.append(description)
+        self.members[member_id].append(description)
         entry = _ReferenceEntry(member_id, description)
         events: list[MatchEvent] = []
         for candidate in self._entries:
@@ -552,38 +548,13 @@ class ReferenceCommunity:
                 continue
             candidate.consumed = True
             entry.consumed = True
-            event = self._event(candidate.owner, member_id, match)
+            event = MatchEvent((candidate.owner, member_id), match)
             events.append(event)
             if match.kind is MatchType.GROUP and self.auto_promote_groups:
-                _, follow_ups = self.form_group_activity(event)
-                events.extend(follow_ups)
+                events.extend(self._promote(event))
             break
         self._entries.append(entry)
         return events
-
-    def _event(self, first_owner: str, second_owner: str, match: Match) -> MatchEvent:
-        if match.kind is MatchType.SERVICE:
-            provider = first_owner if match.first_provides else second_owner
-            requester = second_owner if match.first_provides else first_owner
-            return MatchEvent(
-                MatchType.SERVICE,
-                members=(first_owner, second_owner),
-                matched_type=match.matched_type,
-                provider=provider,
-                requester=requester,
-            )
-        if match.kind is MatchType.GROUP:
-            return MatchEvent(
-                MatchType.GROUP,
-                members=(first_owner, second_owner),
-                matched_type=match.matched_type,
-            )
-        return MatchEvent(
-            MatchType.MUTUALISTIC,
-            members=(first_owner, second_owner),
-            x_type=match.x_type,
-            y_type=match.y_type,
-        )
 
     def _match_activity(
         self,
@@ -602,53 +573,39 @@ class ReferenceCommunity:
         )
         if match.kind is MatchType.NO_MATCH:
             return False
-        joins = match.kind in (MatchType.MUTUALISTIC, MatchType.GROUP) or (
-            match.kind is MatchType.SERVICE and match.first_provides
-        )
-        binds = match.kind in (MatchType.MUTUALISTIC, MatchType.GROUP) or (
-            match.kind is MatchType.SERVICE and not match.first_provides
-        )
-        if joins:
+        if match.forward is not None:  # the activity serves the newcomer
             activity.participants.add(entry.owner)
-        if binds:
+        if match.backward is not None:  # the newcomer serves the venue request
             activity.location_provider = entry.owner
             # the venue request is now satisfied; keep offering the activity
             activity.description = replace(activity.description, request=None)
             activity_entry.description = activity.description
         entry.consumed = True
-        events.append(self._event(activity.member_id, entry.owner, match))
+        events.append(MatchEvent((activity.member_id, entry.owner), match))
         return True
 
     # --- group promotion ---
 
-    def form_group_activity(
-        self, event: MatchEvent
-    ) -> tuple[GroupActivity, list[MatchEvent]]:
-        """Promote a GROUP match event into a community member.
+    def _promote(self, event: MatchEvent) -> list[MatchEvent]:
+        """Promote a GROUP match event into a standing group activity.
 
         One activity exists per shared type: a second group match on the
         same type merges its members into the standing activity.  The
         promoted record immediately sweeps the outstanding descriptions,
         so earlier-published requesters and venue offers attach to it.
         """
-        if event.kind is not MatchType.GROUP:
-            raise ValueError("only GROUP events can be promoted")
-        shared_type = event.matched_type
+        shared_type = event.match.forward
         existing = self.activities.get(shared_type)
         if existing is not None:
             existing.participants.update(event.members)
-            return existing, []
+            return []
         member_id = f"activity:{shared_type}"
         founders = [
             d
             for m in event.members
-            for d in self.members[m].published
+            for d in self.members[m]
             if d.provide == shared_type or d.request == shared_type
         ]
-        if not founders:
-            raise ValueError(
-                f"group members {event.members} never published {shared_type!r}"
-            )
         start = max(d.start_time for d in founders)
         end = min(d.end_time for d in founders)
         if start > end:  # disjoint founders (overlap not required): use the span
@@ -662,18 +619,16 @@ class ReferenceCommunity:
             provide=shared_type,
             request=DEFAULT_RESIDUAL_REQUEST,
         )
-        self.register(member_id)
         activity = GroupActivity(
             member_id=member_id,
             participants=set(event.members),
             description=derived,
         )
         self.activities[shared_type] = activity
-        self.members[member_id].published.append(derived)
         activity_entry = _ReferenceEntry(member_id, derived)
         events = self._sweep(activity, activity_entry)
         self._entries.append(activity_entry)
-        return activity, events
+        return events
 
     def _sweep(
         self, activity: GroupActivity, activity_entry: _ReferenceEntry

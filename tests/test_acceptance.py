@@ -187,7 +187,7 @@ def test_criterion_6_matching():
 
         offered = match_pair(desc(provide="Walking"), desc(request="Fitness"), tax)
         assert offered.kind is MatchType.SERVICE
-        assert offered.first_provides and offered.matched_type == "Walking"
+        assert (offered.forward, offered.backward) == ("Walking", None)
 
         strict = match_pair(desc(provide="Fitness"), desc(request="Walking"), tax)
         assert strict.kind is MatchType.NO_MATCH
@@ -204,7 +204,8 @@ def test_criterion_6_matching():
             desc(provide="Walking", request="Walking"),
             tax,
         )
-        assert both.kind is MatchType.GROUP and both.matched_type == "Walking"
+        assert both.kind is MatchType.GROUP
+        assert (both.forward, both.backward) == ("Walking", "Walking")
 
         community = Community(tax)
         for member in ("m1", "m2", "m3", "m4"):

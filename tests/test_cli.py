@@ -202,23 +202,40 @@ def offer(provide=None, request=None) -> str:
 
 
 def test_match_community_reports_service_and_mutualistic_events(tmp_path, capsys):
-    members = {"bob": offer(request="Fitness"), "alice": offer(provide="Walking"),
-               "carol": offer("Cooking", "Cleaning"), "dave": offer("Cleaning", "Cooking")}
-    for member, text in members.items():
-        write(tmp_path / f"{member}.ttl", text)
-    document = {"taxonomy_edges": [["Walking", "Fitness"]],
-                "members": [{"id": m, "descriptions": [f"{m}.ttl"]} for m in members]}
-    community = write(tmp_path / "community.json", json.dumps(document))
-    assert main(["match", "--community", community]) == 0
-    assert json.loads(capsys.readouterr().out) == {
-        "events": [
+    """Every event kind in exact JSON, the group walk's joins and venue binding too."""
+    direct = {"bob": offer(request="Fitness"), "alice": offer(provide="Walking"),
+              "carol": offer("Cooking", "Cleaning"), "dave": offer("Cleaning", "Cooking")}
+    group_walk = {"m1": WALKING, "m2": WALKING, "m3": offer(request="Walking"),
+                  "m4": offer(provide="Location")}
+    activity = "activity:Walking"
+    cases = [
+        (direct, [
             {"kind": "service", "members": ["bob", "alice"], "provider": "alice",
              "requester": "bob", "matched_type": "Walking"},
             {"kind": "mutualistic", "members": ["carol", "dave"],
              "x_type": "Cooking", "y_type": "Cleaning"},
-        ],
-        "pending": [],
-    }
+        ], []),
+        (group_walk, [
+            {"kind": "group", "members": ["m1", "m2"], "matched_type": "Walking"},
+            {"kind": "service", "members": [activity, "m3"], "provider": activity,
+             "requester": "m3", "matched_type": "Walking"},
+            {"kind": "service", "members": [activity, "m4"], "provider": "m4",
+             "requester": activity, "matched_type": "Location"},
+        ], [
+            {"member": activity, "provide": "Walking", "request": None,
+             "start_time": "2013-05-12T17:00:00", "end_time": "2013-05-12T21:00:00"},
+        ]),
+    ]
+    for n, (members, events, pending) in enumerate(cases):
+        folder = tmp_path / str(n)
+        folder.mkdir()
+        for member, text in members.items():
+            write(folder / f"{member}.ttl", text)
+        document = {"taxonomy_edges": [["Walking", "Fitness"]],
+                    "members": [{"id": m, "descriptions": [f"{m}.ttl"]} for m in members]}
+        community = write(folder / "community.json", json.dumps(document))
+        assert main(["match", "--community", community]) == 0
+        assert json.loads(capsys.readouterr().out) == {"events": events, "pending": pending}
 
 
 def test_match_community_policy_flag_must_be_boolean(tmp_path, capsys):

@@ -280,7 +280,9 @@ def test_match_kind_follows_the_translated_precondition():
     3,000 record pairs over random DAG taxonomies, each under all four
     policies: a mutualistic or group match exactly when the strict
     precondition has a witness, a service match exactly when the offer of
-    one record alone serves the other.
+    one record alone serves the other.  Each direction of the match is set
+    exactly when the correspondence links that offer to that request, and
+    then holds the more specific of the two types.
     """
     rng = random.Random(8)
     kinds = Counter()
@@ -291,12 +293,22 @@ def test_match_kind_follows_the_translated_precondition():
         d1, d2 = _translation_record(rng, types), _translation_record(rng, types)
         for special, overlap in product((False, True), repeat=2):
             policy = MatchPolicy(allow_specialization=special, require_time_overlap=overlap)
-            kind = match_pair(d1, d2, tax, policy).kind
+            match = match_pair(d1, d2, tax, policy)
+            kind = match.kind
             kinds[kind] += 1
             d, r, corr = translate_pair(d1, d2, tax, policy)
             mutual = check_precondition(d, r, corr) is not None
             assert (kind in (MatchType.MUTUALISTIC, MatchType.GROUP)) == mutual
             assert (kind is MatchType.SERVICE) == (len(corr.pairs) == 1)
+            for enacted, offered, requested, link in (
+                (match.forward, d1.provide, d2.request, ("offer", "receive")),
+                (match.backward, d2.provide, d1.request, ("receive", "offer")),
+            ):
+                assert (enacted is not None) == (link in corr.pairs)
+                if enacted is not None:
+                    assert enacted in (offered, requested)
+                    assert tax.is_subtype(enacted, offered)
+                    assert tax.is_subtype(enacted, requested)
     minimum = {MatchType.NO_MATCH: 5000, MatchType.SERVICE: 2500,
                MatchType.MUTUALISTIC: 150, MatchType.GROUP: 50}
     assert all(kinds[kind] >= count for kind, count in minimum.items()), kinds
