@@ -82,11 +82,14 @@ NO_MATCH = Match(MatchType.NO_MATCH)
 
 @dataclass
 class GroupActivity:
-    """A promoted group match; it matches like a member through its record."""
+    """A promoted group match: who joined it and who bound its venue.
+
+    Its record is an outstanding entry owned by ``member_id``, matched like
+    a member's.
+    """
 
     member_id: str
     participants: set[str]
-    description: ServiceDescription
     location_provider: str | None = None
 
 
@@ -175,8 +178,7 @@ class Community:
         self.policy = policy
         self.auto_promote_groups = auto_promote_groups
         self.members: dict[str, list[ServiceDescription]] = {}  # id -> its records
-        self.activities: dict[str, GroupActivity] = {}  # activity type -> activity
-        self._activity_of: dict[str, GroupActivity] = {}  # activity id -> activity
+        self.activities: dict[str, GroupActivity] = {}  # activity id -> activity
         self._outstanding: dict[int, _Entry] = {}  # seq -> entry, in seq order
         self._by_provide: dict[str, dict[int, _Entry]] = {}
         self._by_request: dict[str, dict[int, _Entry]] = {}
@@ -258,54 +260,40 @@ class Community:
         for candidate in candidates:
             if candidate.owner == member_id:
                 continue
-            activity = self._activity_of.get(candidate.owner)
-            if activity is not None:
-                if self._match_activity(activity, candidate, entry, events):
-                    break
-                continue
             match = match_pair(
                 candidate.description, description, self.taxonomy, self.policy
             )
             if match.kind is MatchType.NO_MATCH:
                 continue
-            self._consume(candidate)
             self._consume(entry)
             event = MatchEvent((candidate.owner, member_id), match)
             events.append(event)
-            if match.kind is MatchType.GROUP and self.auto_promote_groups:
-                events.extend(self._promote(event))
+            activity = self.activities.get(candidate.owner)
+            if activity is not None:
+                self._attach(activity, candidate, member_id, match)
+            else:
+                self._consume(candidate)
+                if match.kind is MatchType.GROUP and self.auto_promote_groups:
+                    events.extend(self._promote(event))
             break
         return events
 
-    def _match_activity(
-        self,
-        activity: GroupActivity,
-        activity_entry: _Entry,
-        entry: _Entry,
-        events: list[MatchEvent],
-    ) -> bool:
-        """Match a fresh description against a standing group activity.
+    def _attach(
+        self, activity: GroupActivity, activity_entry: _Entry, newcomer: str, match: Match
+    ):
+        """Apply a match between the activity's record and a record of ``newcomer``.
 
         Joining and venue-binding leave the activity's own record
         outstanding, so one activity serves any number of later matches.
         """
-        match = match_pair(
-            activity_entry.description, entry.description, self.taxonomy, self.policy
-        )
-        if match.kind is MatchType.NO_MATCH:
-            return False
         if match.forward is not None:  # the activity serves the newcomer
-            activity.participants.add(entry.owner)
+            activity.participants.add(newcomer)
         if match.backward is not None:  # the newcomer serves the venue request
-            activity.location_provider = entry.owner
+            activity.location_provider = newcomer
             # the venue request is now satisfied; keep offering the activity
-            activity.description = replace(activity.description, request=None)
             self._unindex(activity_entry)
-            activity_entry.description = activity.description
+            activity_entry.description = replace(activity_entry.description, request=None)
             self._index(activity_entry)
-        self._consume(entry)
-        events.append(MatchEvent((activity.member_id, entry.owner), match))
-        return True
 
     # --- group promotion ---
 
@@ -314,15 +302,16 @@ class Community:
 
         One activity exists per shared type: a second group match on the
         same type merges its members into the standing activity.  The
-        promoted record immediately sweeps the outstanding descriptions,
-        so earlier-published requesters and venue offers attach to it.
+        promoted record immediately matches the outstanding records its
+        types could match, oldest first, so earlier-published requesters
+        and venue offers attach to it.
         """
         shared_type = event.match.forward
-        existing = self.activities.get(shared_type)
+        member_id = ACTIVITY_PREFIX + shared_type
+        existing = self.activities.get(member_id)
         if existing is not None:
             existing.participants.update(event.members)
             return []
-        member_id = ACTIVITY_PREFIX + shared_type
         founders = [
             d
             for m in event.members
@@ -342,20 +331,21 @@ class Community:
             provide=shared_type,
             request=DEFAULT_RESIDUAL_REQUEST,
         )
-        activity = GroupActivity(member_id, set(event.members), derived)
-        self.activities[shared_type] = activity
-        self._activity_of[member_id] = activity
+        candidates = self._candidates(derived)  # before the venue request can drop
+        activity = GroupActivity(member_id, set(event.members))
+        self.activities[member_id] = activity
         activity_entry = self._store(member_id, derived)
-        return self._sweep(activity, activity_entry)
-
-    def _sweep(
-        self, activity: GroupActivity, activity_entry: _Entry
-    ) -> list[MatchEvent]:
-        """Attach all outstanding matching descriptions to a new activity."""
         events: list[MatchEvent] = []
-        for candidate in list(self._outstanding.values()):
-            if candidate.owner not in self._activity_of:
-                self._match_activity(activity, activity_entry, candidate, events)
+        for candidate in candidates:
+            if candidate.owner in self.activities:
+                continue
+            match = match_pair(
+                activity_entry.description, candidate.description, self.taxonomy, self.policy
+            )
+            if match.kind is not MatchType.NO_MATCH:
+                self._consume(candidate)
+                events.append(MatchEvent((member_id, candidate.owner), match))
+                self._attach(activity, activity_entry, candidate.owner, match)
         return events
 
     # --- views ---

@@ -1,14 +1,15 @@
 """Fractal organization of communities: role resolution with escalation.
 
-Communities form a tree; every community is also visible as a proxy member
-of its parent.  A triggering condition fired in one community names the
-roles a response activity needs.  Resolution first tries the origin's own
-members; whenever roles are still open, the community raises an exception
-that forwards the condition and its partial assignment to the parent,
-whose scope adds its direct members and the members of its other
-descendant communities in preorder.  Assignments made on the way up are
-kept, never revoked.  Each level's scope is one or two slices of the
-preorder member list, searched through per-type posting lists.
+Communities form a tree; the members of every subtree are one contiguous
+slice of the tree's preorder member list, its root's own members first.  A
+triggering condition fired in one community names the roles a response
+activity needs.  Resolution first tries the origin's own members; whenever
+roles are still open, the community raises an exception that forwards the
+condition and its partial assignment to the parent, whose scope adds its
+direct members and the members of its other descendant communities in
+preorder.  Assignments made on the way up are kept, never revoked.  Each
+level's scope is one or two slices of the preorder member list, searched
+through per-type posting lists.
 
 A fully staffed condition yields a social overlay network: a temporary
 cross-community team whose members stay booked until the overlay is

@@ -32,18 +32,12 @@ class Taxonomy:
     """A DAG of service types under a subclass relation."""
 
     def __init__(self, edges: Iterable[tuple[str, str]] = ()):
-        self.types: set[str] = set()
         self.subclass_edges: set[tuple[str, str]] = set()
-        self._parents: dict[str, set[str]] = {}
+        self._parents: dict[str, set[str]] = {}  # every registered type -> its parents
         self._ancestor_cache: dict[str, frozenset[str]] = {}
         self._subtype_cache: dict[str, frozenset[str]] = {}
         for child, parent in edges:
             self.add_subclass(child, parent)
-
-    def add_type(self, name: str) -> "Taxonomy":
-        self.types.add(name)
-        self._parents.setdefault(name, set())
-        return self
 
     def add_subclass(self, child: str, parent: str) -> "Taxonomy":
         """Record ``child`` as a subclass of ``parent``, registering both.
@@ -53,10 +47,9 @@ class Taxonomy:
         """
         if self.is_subtype(parent, child):
             raise CycleError(f"edge {child!r} -> {parent!r} would create a cycle")
-        self.add_type(child)
-        self.add_type(parent)
+        self._parents.setdefault(child, set()).add(parent)
+        self._parents.setdefault(parent, set())
         self.subclass_edges.add((child, parent))
-        self._parents[child].add(parent)
         self._ancestor_cache.clear()
         self._subtype_cache.clear()
         return self
@@ -85,12 +78,12 @@ class Taxonomy:
         """Every registered type subsumed by ``b``, plus ``b`` itself."""
         cached = self._subtype_cache.get(b)
         if cached is None:
-            cached = frozenset({a for a in self.types if b in self.ancestors(a)} | {b})
+            cached = frozenset({a for a in self._parents if b in self.ancestors(a)} | {b})
             self._subtype_cache[b] = cached
         return cached
 
     def __repr__(self) -> str:
-        return f"Taxonomy({len(self.types)} types, {len(self.subclass_edges)} edges)"
+        return f"Taxonomy({len(self._parents)} types, {len(self.subclass_edges)} edges)"
 
 
 def parse_taxonomy(text: str) -> Taxonomy:

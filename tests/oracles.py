@@ -78,9 +78,9 @@ def closure_matrix(names: list[str], edges) -> dict[str, set[str]]:
     }
 
 
-def random_dag(rng: random.Random, max_nodes: int = 50):
+def random_dag(rng: random.Random, max_nodes: int = 50, min_nodes: int = 2):
     """A random DAG as (names, edges); acyclic by construction."""
-    n = rng.randint(2, max_nodes)
+    n = rng.randint(min_nodes, max_nodes)
     names = [f"T{i}" for i in range(n)]
     rng.shuffle(names)
     edges = []
@@ -500,7 +500,7 @@ class ReferenceCommunity:
         self.policy = policy
         self.auto_promote_groups = auto_promote_groups
         self.members: dict[str, list[ServiceDescription]] = {}  # id -> its records
-        self.activities: dict[str, GroupActivity] = {}  # activity type -> activity
+        self.activities: dict[str, GroupActivity] = {}  # activity id -> activity
         self._entries: list[_ReferenceEntry] = []
 
     # --- registry ---
@@ -578,8 +578,7 @@ class ReferenceCommunity:
         if match.backward is not None:  # the newcomer serves the venue request
             activity.location_provider = entry.owner
             # the venue request is now satisfied; keep offering the activity
-            activity.description = replace(activity.description, request=None)
-            activity_entry.description = activity.description
+            activity_entry.description = replace(activity_entry.description, request=None)
         entry.consumed = True
         events.append(MatchEvent((activity.member_id, entry.owner), match))
         return True
@@ -595,11 +594,11 @@ class ReferenceCommunity:
         so earlier-published requesters and venue offers attach to it.
         """
         shared_type = event.match.forward
-        existing = self.activities.get(shared_type)
+        member_id = f"activity:{shared_type}"
+        existing = self.activities.get(member_id)
         if existing is not None:
             existing.participants.update(event.members)
             return []
-        member_id = f"activity:{shared_type}"
         founders = [
             d
             for m in event.members
@@ -619,12 +618,8 @@ class ReferenceCommunity:
             provide=shared_type,
             request=DEFAULT_RESIDUAL_REQUEST,
         )
-        activity = GroupActivity(
-            member_id=member_id,
-            participants=set(event.members),
-            description=derived,
-        )
-        self.activities[shared_type] = activity
+        activity = GroupActivity(member_id=member_id, participants=set(event.members))
+        self.activities[member_id] = activity
         activity_entry = _ReferenceEntry(member_id, derived)
         events = self._sweep(activity, activity_entry)
         self._entries.append(activity_entry)

@@ -214,7 +214,7 @@ def test_criterion_6_matching():
         community.publish("m2", desc(provide="Walking", request="Walking"))
         community.publish("m3", desc(request="Walking"))
         community.publish("m4", desc(provide="Location"))
-        activity = community.activities["Walking"]
+        activity = community.activities["activity:Walking"]
         assert activity.participants == {"m1", "m2", "m3"}
         assert activity.location_provider == "m4"
 

@@ -37,6 +37,12 @@ def fitness_tax():
     )
 
 
+def activity_record(community, activity):
+    """The activity's one outstanding record."""
+    [record] = [d for owner, d in community.pending_entries() if owner == activity.member_id]
+    return record
+
+
 # --- match_pair ----------------------------------------------------------
 
 
@@ -156,11 +162,10 @@ def test_group_walk_scenario(fitness_tax):
     assert first == []
     second = community.publish("m2", desc(provide="Walking", request="Walking"))
     assert [e.kind for e in second] == [MatchType.GROUP]
-    activity = community.activities["Walking"]
+    activity = community.activities["activity:Walking"]
     assert activity.participants == {"m1", "m2"}
-    assert (activity.member_id, activity.description) in community.pending_entries()
-    assert activity.description.provide == "Walking"
-    assert activity.description.request == "Location"
+    assert activity_record(community, activity).provide == "Walking"
+    assert activity_record(community, activity).request == "Location"
 
     third = community.publish("m3", desc(request="Walking"))
     assert [e.kind for e in third] == [MatchType.SERVICE]
@@ -171,7 +176,7 @@ def test_group_walk_scenario(fitness_tax):
     assert [e.kind for e in fourth] == [MatchType.SERVICE]
     assert fourth[0].to_json_dict()["provider"] == "m4"
     assert activity.location_provider == "m4"
-    assert activity.description.request is None
+    assert activity_record(community, activity).request is None
     assert activity.participants == {"m1", "m2", "m3"}
 
 
@@ -181,16 +186,15 @@ def test_an_activity_cannot_publish_records_of_its_own(fitness_tax):
         community.register(member)
     community.publish("m1", desc(provide="Walking", request="Walking"))
     community.publish("m2", desc(provide="Walking", request="Walking"))
-    activity = community.activities["Walking"]
+    activity = community.activities["activity:Walking"]
     with pytest.raises(UnknownMember):
         community.publish(activity.member_id, desc(request="Cooking"))
     cooking = desc(provide="Cooking")
     assert community.publish("m3", cooking) == []
     assert activity.location_provider is None
-    assert activity.description.request == "Location"
-    assert community.pending_entries() == [
-        (activity.member_id, activity.description), ("m3", cooking)
-    ]
+    record = activity_record(community, activity)
+    assert record.request == "Location"
+    assert community.pending_entries() == [(activity.member_id, record), ("m3", cooking)]
 
 
 def test_unlocated_activity_keeps_residual_request(fitness_tax):
@@ -199,10 +203,9 @@ def test_unlocated_activity_keeps_residual_request(fitness_tax):
     community.register("m2")
     community.publish("m1", desc(provide="Jogging", request="Jogging"))
     community.publish("m2", desc(provide="Jogging", request="Jogging"))
-    activity = community.activities["Jogging"]
+    activity = community.activities["activity:Jogging"]
     assert activity.location_provider is None
-    assert activity.description.request == "Location"
-    assert activity.description in community.pending()
+    assert activity_record(community, activity).request == "Location"
 
 
 def test_requesters_join_one_activity_under_any_publication_order(fitness_tax):
@@ -220,8 +223,8 @@ def test_requesters_join_one_activity_under_any_publication_order(fitness_tax):
             community.register(member)
         for member, record in order:
             community.publish(member, record)
-        assert list(community.activities) == ["Walking"]
-        activity = community.activities["Walking"]
+        assert list(community.activities) == ["activity:Walking"]
+        activity = community.activities["activity:Walking"]
         assert activity.participants == {"m1", "m2", "m3", "m4"}
         assert activity.location_provider == "m5"
 
@@ -232,8 +235,7 @@ def test_promoted_description_is_valid(fitness_tax):
     community.register("m2")
     community.publish("m1", desc(provide="Cycling", request="Cycling", start_hour=10, end_hour=20))
     community.publish("m2", desc(provide="Cycling", request="Cycling", start_hour=12, end_hour=22))
-    activity = community.activities["Cycling"]
-    d = activity.description
+    d = activity_record(community, community.activities["activity:Cycling"])
     assert d.start_time == DAY + timedelta(hours=12)
     assert d.end_time == DAY + timedelta(hours=20)
     assert d.provide == "Cycling"
@@ -324,46 +326,59 @@ def test_consumed_descriptions_never_match_again(fitness_tax):
 # --- indexed publish versus the reference re-scan publisher ---------------
 
 
-def _random_publication(rng, people, types):
+SHAPES = ("provide", "request", "both", "same")
+
+
+def _random_publication(rng, people, types, shapes=SHAPES, horizon=40):
     owner = rng.choice(people)
-    shape = rng.choice(("provide", "request", "both", "same"))
+    shape = rng.choice(shapes)
     provide = rng.choice(types) if shape in ("provide", "both", "same") else None
     request = provide if shape == "same" else None
     if shape in ("request", "both"):
         request = rng.choice(types)
-    start = rng.randint(0, 40)
+    start = rng.randint(0, horizon)
     end = start + rng.randint(0, 10)
     return owner, desc(provide, request, start_hour=start, end_hour=end)
 
 
 def test_indexed_publish_agrees_with_reference_publisher():
-    """12,000 random publications: same events, pending list and activities.
+    """12,600 random publications: same events, pending list and activities.
 
     Random DAG taxonomies plus types outside them, both policy flags,
     windows that are often disjoint, group promotion with later joiners
     and venue binding (offers of Location itself and, in half the
-    taxonomies, of its subtypes).
+    taxonomies, of its subtypes).  A last, larger trial publishes mostly
+    group records over 30 types and a long horizon, so that each
+    promotion happens while a hundred or more records are outstanding.
     """
     rng = random.Random(2024)
-    for _ in range(100):
-        names, edges = random_dag(rng, max_nodes=12)
-        if rng.random() < 0.5:  # some of the DAG's types become venues
+    for trial in range(101):
+        big = trial == 100
+        if big:
+            rng = random.Random(2025)  # its own stream: the first 100 trials keep theirs
+        size = 30 if big else 12
+        names, edges = random_dag(rng, size, min_nodes=size if big else 2)
+        if big or rng.random() < 0.5:  # some of the DAG's types become venues
             edges += [(name, "Location") for name in rng.sample(names, len(names) // 3)]
         tax = Taxonomy(edges)
         types = names + ["Location", "Outside", "Elsewhere"]  # the last two are in no taxonomy
-        policy = MatchPolicy(
-            allow_specialization=rng.random() < 0.5,
-            require_time_overlap=rng.random() < 0.7,
-        )
-        auto_promote = rng.random() < 0.8
+        if big:
+            policy, auto_promote = MatchPolicy(), True
+        else:
+            policy = MatchPolicy(
+                allow_specialization=rng.random() < 0.5,
+                require_time_overlap=rng.random() < 0.7,
+            )
+            auto_promote = rng.random() < 0.8
         community = Community(tax, policy, auto_promote)
         reference = ReferenceCommunity(tax, policy, auto_promote)
         people = [f"m{i}" for i in range(rng.randint(2, 8))]
         for member in people:
             community.register(member)
             reference.register(member)
-        for _ in range(120):
-            owner, record = _random_publication(rng, people, types)
+        shapes = SHAPES + ("same", "same") if big else SHAPES
+        for _ in range(600 if big else 120):
+            owner, record = _random_publication(rng, people, types, shapes, 600 if big else 40)
             assert community.publish(owner, record) == reference.publish(owner, record)
         assert community.pending_entries() == reference.pending_entries()
         assert community.activities == reference.activities
@@ -376,8 +391,9 @@ def test_bound_activity_is_no_longer_a_venue_candidate(fitness_tax, monkeypatch)
     community.publish("m1", desc(provide="Walking", request="Walking"))
     community.publish("m2", desc(provide="Walking", request="Walking"))
     community.publish("m3", desc(provide="Location"))
-    activity = community.activities["Walking"]
+    activity = community.activities["activity:Walking"]
     assert activity.location_provider == "m3"
+    record = activity_record(community, activity)
     examined = []
 
     def counting_match_pair(d1, d2, tax, pol):
@@ -386,4 +402,26 @@ def test_bound_activity_is_no_longer_a_venue_candidate(fitness_tax, monkeypatch)
 
     monkeypatch.setattr("fso.community.match_pair", counting_match_pair)
     assert community.publish("m4", desc(provide="Location")) == []
-    assert activity.description not in examined
+    assert record not in examined
+
+
+def test_promotion_examines_only_index_candidates(fitness_tax, monkeypatch):
+    community = Community(fitness_tax)
+    cooks = [f"cook{i}" for i in range(50)]
+    for member in cooks + ["w1", "w2"]:
+        community.register(member)
+    for member in cooks:
+        community.publish(member, desc(provide="Cooking"))
+    examined = []
+
+    def counting_match_pair(d1, d2, tax, pol):
+        examined.extend((d1, d2))
+        return match_pair(d1, d2, tax, pol)
+
+    monkeypatch.setattr("fso.community.match_pair", counting_match_pair)
+    community.publish("w1", desc(provide="Walking", request="Walking"))
+    events = community.publish("w2", desc(provide="Walking", request="Walking"))
+    assert [e.kind for e in events] == [MatchType.GROUP]
+    assert len(community.activities) == 1
+    assert examined  # the second walker met the first
+    assert not any(d.provide == "Cooking" for d in examined)

@@ -85,13 +85,16 @@ def test_parse_single_edge():
 
 def test_parse_empty_text():
     tax = parse_taxonomy("")
-    assert tax.types == set()
+    assert tax.subtypes_of("Walking") == {"Walking"}
     assert tax.subclass_edges == set()
+    assert repr(tax) == "Taxonomy(0 types, 0 edges)"
 
 
 def test_parse_comments_and_blanks():
     text = "# a comment\n\nWalking subClassOf Fitness\n"
-    assert parse_taxonomy(text).types == {"Walking", "Fitness"}
+    tax = parse_taxonomy(text)
+    assert tax.subtypes_of("Fitness") == {"Walking", "Fitness"}
+    assert repr(tax) == "Taxonomy(2 types, 1 edges)"
 
 
 def test_parse_malformed_line_reports_line_number():
