@@ -15,16 +15,18 @@ tolerated and skipped, and inside location blocks bare IRIs are accepted
 (a property IRI followed by a place IRI); both forms occur in published
 description snippets in the wild.
 
-Tokens are plain ``(kind, text, offset)`` tuples from one ``finditer`` pass
-over an ordered alternation, and the parser walks the token list by index.
-The alternation ends in ``bad``, which matches any single character, so
-every position matches some alternative (none matches the empty string)
-and the pass never skips input: the first ``bad`` match is the exact
-offset where no token starts, and it becomes the ``ParseError``.
+Tokens are plain strings from one ``findall`` pass, and a token's kind
+follows from its text: ``<`` starts an IRI and ``"`` a literal, ``@prefix``,
+``a`` and ``[];.`` stand for themselves, anything else is a prefixed name.
+The parser walks the tokens by index and keeps no offsets: an error finds
+its offset by scanning the text again up to the failing token.  Within a
+document each prefixed name and predicate is resolved once, until a
+``@prefix`` line may change what it means.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from datetime import datetime
@@ -105,42 +107,40 @@ class ServiceDescription:
 
 # --- tokenizer ---------------------------------------------------------
 
-# Only ``bad`` is DOTALL: globally, the literal's ``\\.`` would also
-# swallow a backslash-newline.
+# One ``(token, bad)`` pair per match.  The lead absorbs whitespace and
+# comments; ``bad`` takes the first character that starts no token, and the
+# rest of the text; ``\Z`` takes trailing whitespace or a trailing comment.
+# So every position matches, none is retried, and the pairs end in an empty
+# one.  Only ``bad`` is DOTALL: globally, ``\\.`` would also swallow a
+# backslash-newline.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<prefix>@prefix\b)
-  | (?P<iri><[^<>\s]*>)
-  | (?P<literal>"(?:[^"\\]|\\.)*"(?:\^\^(?:<[^<>\s]*>|[A-Za-z_][\w.\-]*:[\w.\-]*))?)
-  | (?P<pname>(?:[A-Za-z_][\w.\-]*)?:[\w.\-]*)
-  | (?P<a>a\b)
-  | (?P<punct>[;.\[\]])
-  | (?P<bad>(?s:.))
+    \s*(?:\#[^\n]*\s*)*
+    (?:
+      ( @prefix\b
+      | <[^<>\s]*>
+      | "[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^(?:<[^<>\s]*>|[A-Za-z_][\w.\-]*:[\w.\-]*))?
+      | (?:[A-Za-z_][\w.\-]*)?:[\w.\-]*
+      | a\b
+      | [;.\[\]]
+      )
+    | (?s:(.).*)
+    | \Z
+    )
     """,
     re.VERBOSE,
 )
 
-_LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"(?:\^\^(.+))?$', re.DOTALL)
-
-_OBJECT_KINDS = frozenset({"iri", "literal", "pname", "a"})
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` per token; whitespace and comments are dropped.
-
-    ``kind`` is prefix, iri, literal, pname, a or punct.  A bracket block
-    built by the parser is ``("block", statements, offset)``, so every kind
-    test also rejects a block where a token is expected.
-    """
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {match.group()!r}", match.start())
-        if kind != "ws":
-            tokens.append((kind, match.group(), match.start()))
-    return tokens
+_STRUCTURE = frozenset({"@prefix", ".", ";", "[", "]"})
+# The xsd:dateTime lexical form.  Python 3.11's fromisoformat alone also
+# reads bare dates, week dates and the basic format; 3.10's does not.
+_DATETIME_RE = re.compile(
+    r"(-?[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})"
+    r"(?:\.([0-9]+))?(Z|[+-][0-9]{2}:[0-9]{2})?"
+)
+_XSD_DATETIME = XSD_NS + "dateTime"
+_TIMES = frozenset({"creationTime", "startTime", "endTime"})
+_REQUIRED = _TIMES | {"hasCreator"}
 
 
 # --- parser ------------------------------------------------------------
@@ -148,202 +148,204 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        found = _TOKEN_RE.findall(text)
+        if len(found) > 1 and found[-2][1]:
+            raise self._error(f"unexpected character {found[-2][1]!r}", len(found) - 2)
+        self.tokens = [token for token, _ in found if token]
         self.prefixes = {"service": SERVICE_NS, "xsd": XSD_NS}
+        self.blocks: dict[int, list[list[int]]] = {}  # '[' index -> statements
+        self.names: dict[str, str] = {}  # IRI or prefixed-name token -> IRI
+        self.preds: dict[str, str] = {}  # predicate token -> predicate name
 
-    def _at(self, i: int, expected: str | None = None) -> tuple[str, str, int]:
+    def _offset(self, i: int) -> int:
+        """Where token ``i`` starts, found by scanning again up to it."""
+        match = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None))
+        return match.start(match.lastindex)
+
+    def _error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self._offset(i))
+
+    def _at(self, i: int, expected: str | None = None) -> str:
         """Token ``i``, which must exist and, if given, read ``expected``."""
         if i >= len(self.tokens):
-            raise ParseError("unexpected end of input", self.tokens[-1][2])
-        tok = self.tokens[i]
-        if expected is not None and tok[1] != expected:
-            raise ParseError(f"expected {expected!r}, got {tok[1]!r}", tok[2])
-        return tok
+            raise self._error("unexpected end of input", len(self.tokens) - 1)
+        if expected is not None and self.tokens[i] != expected:
+            raise self._error(f"expected {expected!r}, got {self.tokens[i]!r}", i)
+        return self.tokens[i]
 
     def parse_document(self) -> list[ServiceDescription]:
         tokens, records, i = self.tokens, [], 0
         while i < len(tokens):
-            kind, text, offset = tokens[i]
-            if kind == "prefix":
+            if tokens[i] == "@prefix":
                 name = self._at(i + 1)
-                if name[0] != "pname" or not name[1].endswith(":"):
-                    raise ParseError("expected a prefix name ending in ':'", name[2])
-                iri = self._at(i + 2)
-                if iri[0] != "iri":
-                    raise ParseError("expected an IRI in angle brackets", iri[2])
+                if not name.endswith(":") or name[0] == '"':
+                    raise self._error("expected a prefix name ending in ':'", i + 1)
+                if self._at(i + 2)[0] != "<":
+                    raise self._error("expected an IRI in angle brackets", i + 2)
                 self._at(i + 3, ".")
-                self.prefixes[name[1][:-1]] = iri[1][1:-1]
+                self.prefixes[name[:-1]] = tokens[i + 2][1:-1]
+                self.names, self.preds = {}, {}  # memoized names may use it
                 i += 4
-            elif text == "[":
-                block, i = self._parse_block(i)
-                self._at(i, ".")
+            elif tokens[i] == "[":
+                end = self._parse_block(i)
+                self._at(end, ".")
                 try:
-                    records.append(self._build_record(block))
+                    records.append(self._build_record(i))
                 except ValidationError as exc:  # name the record by its '['
-                    raise ValidationError(f"offset {offset}: {exc}") from None
-                i += 1
+                    raise ValidationError(f"offset {self._offset(i)}: {exc}") from None
+                i = end + 1
             else:
-                raise ParseError(f"expected '@prefix' or '[', got {text!r}", offset)
+                raise self._error(f"expected '@prefix' or '[', got {tokens[i]!r}", i)
         return records
 
-    def _parse_block(self, i: int) -> tuple[tuple, int]:
-        """The block opened by token ``i`` and the index after its ``]``.
+    def _parse_block(self, i: int) -> int:
+        """Read the block opened by token ``i``; return the index after its ``]``.
 
-        Statements are token lists split on ``;``.  Nested blocks are kept
-        on an explicit stack, so no nesting depth exhausts the call stack.
+        Its statements, lists of token indices split on ``;``, go to
+        ``self.blocks`` under the index of the ``[``, which stands for the
+        block in its parent's statement.  Nested blocks are kept on an
+        explicit stack, so no nesting depth exhausts the call stack.
         """
         tokens, open_blocks = self.tokens, []
-        statements, open_offset = [[]], tokens[i][2]
+        statements, opened = [[]], i
         for i in range(i + 1, len(tokens)):
-            tok = tokens[i]
-            kind, text, offset = tok
-            if text == "]":
-                block = ("block", [s for s in statements if s], open_offset)
-                if not open_blocks:
-                    return block, i + 1
-                statements, open_offset = open_blocks.pop()
-                statements[-1].append(block)
-            elif text == ";":
+            token = tokens[i]
+            if token not in _STRUCTURE:
+                statements[-1].append(i)
+            elif token == ";":
                 statements.append([])
-            elif text == "[":
-                open_blocks.append((statements, open_offset))
-                statements, open_offset = [[]], offset
-            elif kind in _OBJECT_KINDS:
-                statements[-1].append(tok)
+            elif token == "]":
+                self.blocks[opened] = [s for s in statements if s]
+                if not open_blocks:
+                    return i + 1
+                statements, opened = open_blocks.pop()
+            elif token == "[":
+                statements[-1].append(i)
+                open_blocks.append((statements, opened))
+                statements, opened = [[]], i
             else:
-                raise ParseError(f"unexpected {text!r} in block", offset)
-        raise ParseError("unterminated '['", open_offset)
+                raise self._error(f"unexpected {token!r} in block", i)
+        raise self._error("unterminated '['", opened)
 
     # --- statement interpretation ---
 
-    def _resolve(self, pname: str, offset: int) -> str:
-        prefix, _, local = pname.partition(":")
-        namespace = self.prefixes.get(prefix)
-        if namespace is None:
-            raise ParseError(f"undeclared prefix {prefix!r}", offset)
-        return namespace + local
-
-    def _expand(self, tok: tuple) -> str:
-        """Resolve an IRI or prefixed-name token to a full IRI string."""
-        kind, text, offset = tok
-        if kind == "iri":
-            return text[1:-1]
-        if kind == "pname":
-            return self._resolve(text, offset)
-        if kind == "block":
-            raise ParseError("expected an IRI, got a block", offset)
-        raise ParseError(f"expected an IRI, got {text!r}", offset)
-
-    def _type_name(self, tok: tuple) -> str:
-        """A service-type object: local name inside the service namespace,
-        full IRI otherwise."""
-        if tok[0] not in ("iri", "pname"):
-            raise ParseError("expected a type IRI or prefixed name", tok[2])
-        iri = self._expand(tok)
-        if iri.startswith(SERVICE_NS) and len(iri) > len(SERVICE_NS):
-            return iri[len(SERVICE_NS):]
+    def _expand(self, i: int, text: str | None = None) -> str:
+        """The IRI of token ``i``, or of ``text`` read from it; memoized."""
+        text = self.tokens[i] if text is None else text
+        if text == "[":
+            raise self._error("expected an IRI, got a block", i)
+        if text[0] == '"' or text == "a":
+            raise self._error(f"expected an IRI, got {text!r}", i)
+        if text[0] == "<":
+            iri = text[1:-1]
+        else:
+            prefix, _, local = text.partition(":")
+            if prefix not in self.prefixes:
+                raise self._error(f"undeclared prefix {prefix!r}", i)
+            iri = self.prefixes[prefix] + local
+        self.names[text] = iri
         return iri
 
-    def _datetime(self, tok: tuple) -> datetime:
-        kind, text, offset = tok
-        if kind != "literal":
-            raise ParseError("expected a dateTime literal", offset)
-        lexical, datatype = _LITERAL_RE.match(text).groups()
-        if datatype is None:
-            raise ParseError("literal is missing a ^^xsd:dateTime datatype", offset)
-        if datatype.startswith("<"):
-            datatype_iri = datatype[1:-1]
-        else:
-            datatype_iri = self._resolve(datatype, offset)
-        if datatype_iri != XSD_NS + "dateTime":
-            raise ParseError(f"unsupported datatype {datatype_iri!r}", offset)
-        lexical = lexical.replace('\\"', '"').replace("\\\\", "\\")
+    def _name(self, i: int, message: str, at: int) -> str:
+        """The IRI of token ``i``, or ``message`` at token ``at`` if it names none."""
+        token = self.tokens[i]
+        if token[0] in '"[' or token == "a":
+            raise self._error(message, at)
+        return self._expand(i)
+
+    def _predicate(self, i: int) -> str:
+        """The recognized predicate that token ``i`` names; memoized."""
+        iri = self._name(i, "expected a predicate", i)
+        pred = iri[len(SERVICE_NS):]
+        if not iri.startswith(SERVICE_NS) or pred not in RECOGNIZED_PREDICATES:
+            raise self._error(f"unrecognized predicate {iri!r}", i)
+        self.preds[self.tokens[i]] = pred
+        return pred
+
+    def _datetime(self, i: int) -> datetime:
+        """The xsd:dateTime literal at token ``i``."""
+        token = self.tokens[i]
+        if token[0] != '"':
+            raise self._error("expected a dateTime literal", i)
+        if token[-1] == '"':
+            raise self._error("literal is missing a ^^xsd:dateTime datatype", i)
+        lexical, _, datatype = token[1:].rpartition('"^^')
+        datatype_iri = self.names.get(datatype) or self._expand(i, datatype)
+        if datatype_iri != _XSD_DATETIME:
+            raise self._error(f"unsupported datatype {datatype_iri!r}", i)
+        match = _DATETIME_RE.fullmatch(lexical)  # escaped or not: no escape passes
         try:
-            return datetime.fromisoformat(lexical)
+            if match is None:
+                raise ValueError(lexical)
+            iso = lexical
+            if match.lastindex > 1:  # six fraction digits and ±hh:mm, as 3.10 reads
+                head, fraction, zone = match.groups()
+                zone = "+00:00" if zone == "Z" else zone or ""
+                iso = f"{head}.{(fraction or '').ljust(6, '0')[:6]}{zone}"
+            return datetime.fromisoformat(iso)
         except ValueError:
-            raise ParseError(f"invalid dateTime value {lexical!r}", offset) from None
+            lexical = lexical.replace('\\"', '"').replace("\\\\", "\\")
+            raise self._error(f"invalid dateTime value {lexical!r}", i) from None
 
-    @staticmethod
-    def _normalize(statement: list) -> list:
-        """Drop the dangling 'a' marker before a full predicate-object pair."""
-        if len(statement) == 3 and statement[0][0] == "a":
-            return statement[1:]
-        return statement
-
-    def _build_location(self, block: tuple) -> LocationSpec:
-        place_class = None
-        located_in = None
-        bare: list[str] = []
-        for statement in block[1]:
-            statement = self._normalize(statement)
+    def _build_location(self, i: int) -> LocationSpec:
+        tokens, place_class, located_in, bare = self.tokens, None, None, []
+        for statement in self.blocks[i]:
+            if len(statement) == 3 and tokens[statement[0]] == "a":
+                statement = statement[1:]  # a dangling 'a' before a full pair
             first = statement[0]
-            if first[0] == "block":
-                raise ParseError("nested block inside a location block", first[2])
-            if first[0] == "a" and len(statement) == 2:
+            if tokens[first] == "[":
+                raise self._error("nested block inside a location block", first)
+            if tokens[first] == "a" and len(statement) == 2:
                 place_class = self._expand(statement[1])
             elif len(statement) == 2:
                 located_in = self._expand(statement[1])
             elif len(statement) == 1:
                 bare.append(self._expand(first))
             else:
-                raise ParseError("malformed location statement", first[2])
-        if bare:
-            # A property IRI followed by a place IRI, or a single place IRI.
-            if len(bare) == 1:
-                located_in = bare[0]
-            elif len(bare) == 2:
-                located_in = bare[1]
-            else:
-                raise ParseError("too many bare IRIs in location block", block[2])
+                raise self._error("malformed location statement", first)
+        if len(bare) > 2:
+            raise self._error("too many bare IRIs in location block", i)
+        if bare:  # a property IRI then a place IRI, or a single place IRI
+            located_in = bare[-1]
         if place_class is None:
             raise ValidationError("location block has no place class")
         return LocationSpec(place_class=place_class, located_in=located_in)
 
-    def _build_record(self, block: tuple) -> ServiceDescription:
-        fields: dict[str, object] = {}
-        for statement in block[1]:
-            statement = self._normalize(statement)
-            first = statement[0]
-            if first[0] == "block":
-                raise ParseError("a block cannot start a statement", first[2])
-            if first[0] == "a" and len(statement) == 2:
-                continue  # record-level type assertion, irrelevant here
+    def _build_record(self, i: int) -> ServiceDescription:
+        tokens, names, preds, fields = self.tokens, self.names, self.preds, {}
+        for statement in self.blocks[i]:
+            if len(statement) == 3 and tokens[statement[0]] == "a":
+                statement = statement[1:]  # a dangling 'a' before a full pair
+            first = tokens[statement[0]]
+            if first == "[":
+                raise self._error("a block cannot start a statement", statement[0])
             if len(statement) != 2:
-                raise ParseError("expected a predicate-object pair", first[2])
-            pred_tok, obj = statement
-            offset = pred_tok[2]
-            if pred_tok[0] not in ("iri", "pname"):
-                raise ParseError("expected a predicate", offset)
-            pred_iri = self._expand(pred_tok)
-            pred = pred_iri[len(SERVICE_NS):]
-            if not pred_iri.startswith(SERVICE_NS) or pred not in RECOGNIZED_PREDICATES:
-                raise ParseError(f"unrecognized predicate {pred_iri!r}", offset)
+                raise self._error("expected a predicate-object pair", statement[0])
+            if first == "a":
+                continue  # record-level type assertion, irrelevant here
+            p, o = statement
+            pred, obj = preds.get(first) or self._predicate(p), tokens[o]
             if pred in fields:
-                raise ParseError(f"duplicate predicate {pred!r}", offset)
-            if pred in ("creationTime", "startTime", "endTime"):
-                fields[pred] = self._datetime(obj)
+                raise self._error(f"duplicate predicate {pred!r}", p)
+            if pred in _TIMES:
+                fields[pred] = self._datetime(o)
             elif pred == "hasCreator":
-                if obj[0] not in ("iri", "pname"):
-                    raise ParseError("creator must be an IRI", offset)
-                fields[pred] = self._expand(obj)
+                fields[pred] = names.get(obj) or self._name(o, "creator must be an IRI", p)
             elif pred == "hasServiceLocation":
-                if obj[0] != "block":
-                    raise ParseError("location must be a bracket block", offset)
-                fields[pred] = self._build_location(obj)
-            else:  # provide | request
-                fields[pred] = self._type_name(obj)
-        missing = {"creationTime", "startTime", "endTime", "hasCreator"} - set(fields)
+                if obj != "[":
+                    raise self._error("location must be a bracket block", p)
+                fields[pred] = self._build_location(o)
+            else:  # provide | request: a service-namespace IRI by its local name
+                iri = names.get(obj) or self._name(o, "expected a type IRI or prefixed name", o)
+                local = iri[len(SERVICE_NS):]
+                fields[pred] = local if local and iri.startswith(SERVICE_NS) else iri
+        missing = _REQUIRED - fields.keys()
         if missing:
             raise ValidationError(f"record is missing {sorted(missing)}")
-        return ServiceDescription(
-            creation_time=fields["creationTime"],
-            start_time=fields["startTime"],
-            end_time=fields["endTime"],
-            creator=fields["hasCreator"],
-            provide=fields.get("provide"),
-            request=fields.get("request"),
-            location=fields.get("hasServiceLocation"),
-        )
+        return ServiceDescription(  # in field order
+            fields["creationTime"], fields["startTime"], fields["endTime"], fields["hasCreator"],
+            fields.get("provide"), fields.get("request"), fields.get("hasServiceLocation"))
 
 
 def parse_descriptions(text: str) -> list[ServiceDescription]:
@@ -399,12 +401,8 @@ def serialize_description(d: ServiceDescription) -> str:
         pairs.append(("request", _render_type(d.request)))
     pairs.append(("startTime", f'"{d.start_time.isoformat()}"^^xsd:dateTime'))
     pairs.sort(key=lambda pair: pair[0])
-    rendered = []
-    for pred, obj in pairs:
-        if pred == "hasServiceLocation":
-            rendered.append(f"  {obj}")
-        else:
-            rendered.append(f"  service:{pred} {obj}")
+    rendered = [f"  {obj}" if pred == "hasServiceLocation" else f"  service:{pred} {obj}"
+                for pred, obj in pairs]
     lines.append(" ;\n".join(rendered))
     lines.append("] .")
     return "\n".join(lines) + "\n"

@@ -214,6 +214,8 @@ def random_description(rng: random.Random) -> ServiceDescription:
 # The parser as it was before tuple tokens: a frozen-dataclass token per
 # match, a ``match`` loop that stops at the first character no alternative
 # starts with, and a recursive-descent parser driven by ``_peek``/``_next``.
+# One rule was added since: a dateTime literal must have the xsd:dateTime
+# lexical form before ``fromisoformat``, which reads more, reads it.
 
 
 _TOKEN_RE = re.compile(
@@ -230,6 +232,12 @@ _TOKEN_RE = re.compile(
 )
 
 _LITERAL_RE = re.compile(r'^"((?:[^"\\]|\\.)*)"(?:\^\^(.+))?$', re.DOTALL)
+
+# xsd:dateTime: -?YYYY-MM-DDThh:mm:ss(.s+)?(Z|(+|-)hh:mm)?, ASCII digits only.
+_XSD_DATETIME_RE = re.compile(
+    r"^(-?\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2})(?:\.(\d+))?(Z|[+-]\d{2}:\d{2})?\Z",
+    re.ASCII,
+)
 
 
 @dataclass(frozen=True)
@@ -374,8 +382,15 @@ class _Parser:
         if datatype_iri != XSD_NS + "dateTime":
             raise ParseError(f"unsupported datatype {datatype_iri!r}", tok.offset)
         lexical = lexical.replace('\\"', '"').replace("\\\\", "\\")
+        match = _XSD_DATETIME_RE.match(lexical)
         try:
-            value = datetime.fromisoformat(lexical)
+            if match is None:
+                raise ValueError("not the xsd:dateTime lexical form")
+            # six fraction digits and a numeric zone: Python 3.10 reads them too
+            stamp, fraction, zone = match.groups()
+            micro = (fraction or "")[:6].ljust(6, "0")
+            zone = "+00:00" if zone == "Z" else (zone or "")
+            value = datetime.fromisoformat(f"{stamp}.{micro}{zone}")
         except ValueError:
             raise ParseError(f"invalid dateTime value {lexical!r}", tok.offset) from None
         return value

@@ -125,6 +125,21 @@ def test_match_bad_record_names_its_offset(tmp_path, capsys, bad_record, message
     assert_input_error(capsys, ["match", member], f"member.ttl: offset {offset}: {message}")
 
 
+@pytest.mark.parametrize("stamp", [
+    "2013-05-12", "2013-05-12 13:00:00", "20130512T130000", "2013-W19-7T13:00:00",
+    "2013-05-12T13", "2013-05-12T13:00", "2013-05-12T130000", "2013-05-12T13:00:00,5",
+    "2013-05-12T13:00:00+0100",
+], ids=["bare-date", "space-separator", "basic-format", "week-date", "no-minutes",
+        "no-seconds", "basic-time", "comma-fraction", "basic-zone"])
+def test_match_datetime_outside_the_xsd_lexical_form_names_its_offset(tmp_path, capsys, stamp):
+    """Python 3.11's fromisoformat reads every one of these stamps."""
+    text = WALKING.replace("2013-05-12T13:00:00", stamp)
+    offset = text.index(f'"{stamp}"')
+    member = write(tmp_path / "member.ttl", text)
+    assert_input_error(capsys, ["match", member],
+                       f"member.ttl: offset {offset}: invalid dateTime value {stamp!r}")
+
+
 @pytest.mark.parametrize("copies", [2, 3])
 def test_match_repeated_description_path_is_input_error(tmp_path, capsys, copies):
     member = write(tmp_path / "a.ttl", WALKING)

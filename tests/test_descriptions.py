@@ -3,7 +3,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fso.descriptions import (
     LOCATED_IN_IRI,
@@ -263,10 +263,11 @@ def ragged_document(rng: random.Random, count: int) -> tuple[str, list[ServiceDe
 _MUTATION_CHARS = '[];.<>"\\^:#@a \n\tx0-_é'
 
 
-def mutations(rng: random.Random, text: str, count: int):
-    """``count`` random one-character replacements, insertions and deletions."""
+def mutations(rng: random.Random, text: str, count: int, start: int = 0):
+    """``count`` random one-character replacements, insertions and deletions,
+    each at or after ``start``."""
     for _ in range(count):
-        at = rng.randrange(len(text))
+        at = rng.randrange(start, len(text))
         char = rng.choice(_MUTATION_CHARS)
         yield rng.choice([text[:at] + char + text[at + 1:], text[:at] + char + text[at:],
                           text[:at] + text[at + 1:]])
@@ -364,3 +365,63 @@ def test_parser_agrees_with_reference_on_a_large_document():
     assert_same_as_reference(text[:rng.randrange(len(text))])
     for mutated in mutations(rng, text, 1):
         assert_same_as_reference(mutated)
+
+
+def test_parser_agrees_with_reference_on_escapes_inside_literals():
+    for literal in ['"2013-05-12T13:00:00\\"^^xsd:dateTime"', '"a\\"^^b"', '"a\\\\"^^xsd:dateTime',
+                    '"2013-05-12T13:00:00\\\\"^^xsd:dateTime', '"\\u0032"^^xsd:dateTime']:
+        assert_same_as_reference(PREFIX_BLOCK + f"[ service:creationTime {literal} ] .")
+
+
+@pytest.mark.parametrize("tail", [" " * 200_000, "# " + "x" * 200_000, " " * 200_000 + "}",
+                                  '[ service:provide "' + "x" * 200_000],
+                         ids=["trailing-spaces", "unterminated-comment", "bad-after-spaces",
+                              "unterminated-literal"])
+def test_long_tails_are_scanned_once(tail):
+    """A tail that the tokenizer retried at every position would take
+    minutes here; the reference tokenizer scans it once."""
+    assert_same_as_reference(PREFIX_BLOCK + tail)
+
+
+# Whitespace that ``\s`` matches but a hand-written split might miss, and a BOM.
+_ODD_CHARS = "\x0b\x1c\xa0\u2028\u3000\ufeff"
+_FRAGMENTS = ["service:provide", "service:creationTime", "service:hasCreator", "xsd:dateTime",
+              '"2013-05-12T13:00:00"^^xsd:dateTime', "<http://example.org/x>", "@prefix",
+              "service:", "[", "] .", " ; ", "a "]
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_MUTATION_CHARS + _ODD_CHARS),
+                          st.sampled_from(_FRAGMENTS)), max_size=40).map("".join),
+       st.booleans())
+def test_parser_agrees_with_reference_on_arbitrary_text(text, with_prefixes):
+    assert_same_as_reference(PREFIX_BLOCK + text if with_prefixes else text)
+
+
+def test_parser_agrees_with_reference_deep_in_documents():
+    """Errors far from the start: the offset is recovered only then."""
+    rng = random.Random(14)
+    ragged, _ = ragged_document(rng, 300)
+    rng_large = random.Random(3000)  # the document of the test above
+    large, _ = ragged_document(rng_large, 1500)
+    large += "".join(serialize_description(random_description(rng_large)) for _ in range(1500))
+    for text, count in ((ragged, 30), (large, 3)):
+        for mutated in mutations(rng, text, count, start=len(text) // 2):
+            assert_same_as_reference(mutated)
+
+
+@pytest.mark.parametrize("stamp,expected", [
+    ("2013-05-12T13:00:00.5", datetime(2013, 5, 12, 13, 0, 0, 500_000)),
+    ("2013-05-12T13:00:00.1234567", datetime(2013, 5, 12, 13, 0, 0, 123_456)),
+    ("-2013-05-12T13:00:00", ParseError),
+    ("2013-05-12T13:00:00Z", ValidationError),
+    ("2013-05-12T13:00:00+01:00", ValidationError),
+], ids=["fraction", "long-fraction", "negative-year", "utc", "offset"])
+def test_datetime_lexical_forms_inside_xsd(stamp, expected):
+    text = (DATA / "walking_service.ttl").read_text().replace("2013-05-12T13:00:00", stamp)
+    if isinstance(expected, datetime):
+        assert parse_descriptions(text)[0].creation_time == expected
+    else:
+        with pytest.raises(expected):
+            parse_descriptions(text)
+    assert_same_as_reference(text)

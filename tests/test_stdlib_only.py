@@ -1,6 +1,7 @@
 """The package stays stdlib-only: every absolute import is the stdlib or fso."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -33,3 +34,33 @@ def test_package_imports_only_the_stdlib():
 def test_pyproject_declares_no_dependencies():
     lines = (ROOT / "pyproject.toml").read_text(encoding="utf-8").splitlines()
     assert "dependencies = []" in lines
+
+
+SOURCES = sorted((ROOT / "src" / "fso").glob("*.py"))
+# Possessive quantifiers and atomic groups: regex syntax new in Python 3.11.
+NEW_IN_311 = ("*+", "++", "?+", "}+", "(?>")
+
+
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml declares requires-python >= 3.10."""
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def regex_literals(path: Path):
+    """Every string literal passed first to a function of ``re``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                and node.args and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            yield node.args[0].value
+
+
+def test_regexes_need_no_python_3_11_syntax():
+    found = [(path.name, pattern) for path in SOURCES for pattern in regex_literals(path)]
+    assert any("@prefix" in pattern for _, pattern in found)  # the tokenizer's is seen
+    for name, pattern in found:
+        # An escaped character or a character class holds no quantifier.
+        bare = re.sub(r"\[[^\]]*\]", "", re.sub(r"\\.", "x", pattern))
+        assert not [c for c in NEW_IN_311 if c in bare], f"{name}: {pattern!r}"
