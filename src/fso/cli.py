@@ -87,7 +87,7 @@ def _pending_summary(community: Community) -> list[dict]:
             "start_time": d.start_time.isoformat(),
             "end_time": d.end_time.isoformat(),
         }
-        for owner, d in community.pending_entries()
+        for owner, d in community.pending()
     ]
 
 
@@ -166,7 +166,7 @@ def cmd_simulate(args) -> int:
     elif out.is_dir() or not out.parent.is_dir():
         raise InputError("--out must name a file in an existing directory", out)
     if args.replicates < 1:  # checked before any output is made
-        raise diffusion.InvalidParams("replicates must be at least 1")
+        raise InputError("replicates must be at least 1")
     for scenario_path, spec in zip(scenario_paths, specs):
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)

@@ -84,11 +84,10 @@ NO_MATCH = Match(MatchType.NO_MATCH)
 class GroupActivity:
     """A promoted group match: who joined it and who bound its venue.
 
-    Its record is an outstanding entry owned by ``member_id``, matched like
-    a member's.
+    Its record is an outstanding entry owned by its key in
+    ``Community.activities``, matched like a member's.
     """
 
-    member_id: str
     participants: set[str]
     location_provider: str | None = None
 
@@ -168,15 +167,9 @@ class _Entry:
 class Community:
     """Member registry plus the publish-subscribe matching state."""
 
-    def __init__(
-        self,
-        taxonomy: Taxonomy | None = None,
-        policy: MatchPolicy = MatchPolicy(),
-        auto_promote_groups: bool = True,
-    ):
-        self.taxonomy = taxonomy if taxonomy is not None else Taxonomy()
+    def __init__(self, taxonomy: Taxonomy, policy: MatchPolicy = MatchPolicy()):
+        self.taxonomy = taxonomy
         self.policy = policy
-        self.auto_promote_groups = auto_promote_groups
         self.members: dict[str, list[ServiceDescription]] = {}  # id -> its records
         self.activities: dict[str, GroupActivity] = {}  # activity id -> activity
         self._outstanding: dict[int, _Entry] = {}  # seq -> entry, in seq order
@@ -273,7 +266,7 @@ class Community:
                 self._attach(activity, candidate, member_id, match)
             else:
                 self._consume(candidate)
-                if match.kind is MatchType.GROUP and self.auto_promote_groups:
+                if match.kind is MatchType.GROUP:
                     events.extend(self._promote(event))
             break
         return events
@@ -332,7 +325,7 @@ class Community:
             request=DEFAULT_RESIDUAL_REQUEST,
         )
         candidates = self._candidates(derived)  # before the venue request can drop
-        activity = GroupActivity(member_id, set(event.members))
+        activity = GroupActivity(set(event.members))
         self.activities[member_id] = activity
         activity_entry = self._store(member_id, derived)
         events: list[MatchEvent] = []
@@ -350,11 +343,8 @@ class Community:
 
     # --- views ---
 
-    def pending(self) -> list[ServiceDescription]:
-        """Unconsumed descriptions, in publication order."""
-        return [e.description for e in self._outstanding.values()]
-
-    def pending_entries(self) -> list[tuple[str, ServiceDescription]]:
+    def pending(self) -> list[tuple[str, ServiceDescription]]:
+        """(member id, record) of each unconsumed record, in publication order."""
         return [(e.owner, e.description) for e in self._outstanding.values()]
 
 

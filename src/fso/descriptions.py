@@ -289,6 +289,8 @@ class _Parser:
             raise self._error(f"invalid dateTime value {lexical!r}", i) from None
 
     def _build_location(self, i: int) -> LocationSpec:
+        """The place class and the place, each stated once; one or two bare
+        IRIs together state the place."""
         tokens, place_class, located_in, bare = self.tokens, None, None, []
         for statement in self.blocks[i]:
             if len(statement) == 3 and tokens[statement[0]] == "a":
@@ -297,13 +299,17 @@ class _Parser:
             if tokens[first] == "[":
                 raise self._error("nested block inside a location block", first)
             if tokens[first] == "a" and len(statement) == 2:
+                if place_class is not None:
+                    raise self._error("duplicate place class in location block", first)
                 place_class = self._expand(statement[1])
+            elif len(statement) > 2:
+                raise self._error("malformed location statement", first)
+            elif located_in is not None or bare and len(statement) == 2:
+                raise self._error("duplicate located-in place in location block", first)
             elif len(statement) == 2:
                 located_in = self._expand(statement[1])
-            elif len(statement) == 1:
-                bare.append(self._expand(first))
             else:
-                raise self._error("malformed location statement", first)
+                bare.append(self._expand(first))
         if len(bare) > 2:
             raise self._error("too many bare IRIs in location block", i)
         if bare:  # a property IRI then a place IRI, or a single place IRI

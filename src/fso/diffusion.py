@@ -47,10 +47,6 @@ from enum import Enum
 from .inputs import InputError, get_field, read_json, reading
 
 
-class InvalidParams(InputError):
-    """Topology or scenario parameters out of range."""
-
-
 class IsolationStrategy(Enum):
     RANDOM = "random"
     MAX_DEGREE = "max_degree"
@@ -61,7 +57,7 @@ class IsolationStrategy(Enum):
         for strategy in cls:
             if strategy.value.replace("_", "") == key:
                 return strategy
-        raise InvalidParams(f"unknown isolation strategy {name!r}")
+        raise InputError(f"unknown isolation strategy {name!r}")
 
 
 class Topology(Enum):
@@ -74,7 +70,7 @@ class Topology(Enum):
         for topology in cls:
             if topology.value == key:
                 return topology
-        raise InvalidParams(f"unknown topology {name!r}")
+        raise InputError(f"unknown topology {name!r}")
 
 
 # --- topologies ---------------------------------------------------------
@@ -83,9 +79,9 @@ class Topology(Enum):
 def gen_hierarchy(n: int, branching: int = 2) -> frozenset[tuple[int, int]]:
     """Balanced rooted tree over agents 0..n-1 in level order."""
     if n < 1:
-        raise InvalidParams("need at least one agent")
+        raise InputError("need at least one agent")
     if branching < 2:
-        raise InvalidParams("branching must be at least 2")
+        raise InputError("branching must be at least 2")
     return frozenset((((i - 1) // branching), i) for i in range(1, n))
 
 
@@ -96,9 +92,9 @@ def gen_fractal(n: int, cell_size: int = 3) -> frozenset[tuple[int, int]]:
     agent leaves the rest connected.
     """
     if cell_size < 3:
-        raise InvalidParams("cell_size must be at least 3")
+        raise InputError("cell_size must be at least 3")
     if n < 1 or n % cell_size != 0:
-        raise InvalidParams(f"agent count {n} is not divisible by cell size {cell_size}")
+        raise InputError(f"agent count {n} is not divisible by cell size {cell_size}")
     cells = n // cell_size
     edges: set[tuple[int, int]] = set()
     for c in range(cells):
@@ -225,23 +221,21 @@ class ScenarioSpec:
         for name in ("horizon", "seed", "agents", "cell_size", "branching"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidParams(f"{name} must be an integer, got {value!r}")
+                raise InputError(f"{name} must be an integer, got {value!r}")
         p = self.transmit_probability
         if isinstance(p, bool) or not isinstance(p, (int, float)):
-            raise InvalidParams(f"transmit_probability must be a number, got {p!r}")
+            raise InputError(f"transmit_probability must be a number, got {p!r}")
         if not 0 < p <= 1:
-            raise InvalidParams("transmit_probability must be in (0, 1]")
+            raise InputError("transmit_probability must be in (0, 1]")
         if self.horizon < 0:
-            raise InvalidParams("horizon must be non-negative")
+            raise InputError("horizon must be non-negative")
         if self.agents < 1:
-            raise InvalidParams(f"agents must be at least 1, got {self.agents}")
+            raise InputError(f"agents must be at least 1, got {self.agents}")
         for time, _ in self.isolation_events:
             if not 1 <= time <= self.horizon:
-                raise InvalidParams(
-                    f"isolation time {time} outside 1..{self.horizon}"
-                )
+                raise InputError(f"isolation time {time} outside 1..{self.horizon}")
         if len(self.isolation_events) > self.agents:
-            raise InvalidParams(
+            raise InputError(
                 f"isolation_events: {len(self.isolation_events)} events"
                 f" but only {self.agents} agents"
             )
@@ -258,10 +252,6 @@ class DiffusionTrace:
 
     values: tuple[float, ...]
     isolations: tuple[tuple[int, int], ...] = ()  # (step, agent)
-
-    @property
-    def final(self) -> float:
-        return self.values[-1]
 
 
 def run_scenario(spec: ScenarioSpec) -> DiffusionTrace:
@@ -303,7 +293,7 @@ def monte_carlo(spec: ScenarioSpec, replicates: int,
     if given, sees each run's trace as it finishes.
     """
     if replicates < 1:
-        raise InvalidParams("replicates must be at least 1")
+        raise InputError("replicates must be at least 1")
     for r in range(replicates):
         trace = run_scenario(replace(spec, seed=spec.seed + r))
         if on_replicate is not None:
@@ -328,18 +318,16 @@ _SCENARIO_KEYS = {f.name for f in fields(ScenarioSpec)}
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
     if not isinstance(data, dict):
-        raise InvalidParams(
-            f"scenario must be a JSON object, got {type(data).__name__}"
-        )
+        raise InputError(f"scenario must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - _SCENARIO_KEYS
     if unknown:
-        raise InvalidParams(f"unknown scenario keys: {sorted(unknown)}")
+        raise InputError(f"unknown scenario keys: {sorted(unknown)}")
     if "topology" not in data:
-        raise InvalidParams("scenario must name a topology")
+        raise InputError("scenario must name a topology")
     events = []
     for i, event in enumerate(get_field(data, "isolation_events", list, default=())):
         if not (isinstance(event, list) and len(event) == 2 and type(event[0]) is int):
-            raise InvalidParams(
+            raise InputError(
                 f"isolation_events[{i}] must be [integer step, strategy], got {event!r}"
             )
         events.append((event[0], IsolationStrategy.parse(event[1])))

@@ -27,10 +27,6 @@ from .inputs import InputError, get_field, read_json, reading
 from .taxonomy import Taxonomy, taxonomy_from_spec
 
 
-class UnknownCommunity(InputError):
-    """A condition names an origin community that is not in the tree."""
-
-
 class AlreadyDissolved(Exception):
     """The overlay was dissolved before."""
 
@@ -175,9 +171,9 @@ class FractalOrganization:
     member-by-member scan.
     """
 
-    def __init__(self, root: CommunityNode, taxonomy: Taxonomy | None = None):
+    def __init__(self, root: CommunityNode, taxonomy: Taxonomy):
         self.root = root
-        self.taxonomy = taxonomy if taxonomy is not None else Taxonomy()
+        self.taxonomy = taxonomy
         self.booked: dict[str, str] = {}  # member id -> condition id
         self._nodes: dict[str, CommunityNode] = {}
         self._members: dict[str, Member] = {}
@@ -206,7 +202,7 @@ class FractalOrganization:
 
     def node(self, community_id: str) -> CommunityNode:
         if community_id not in self._nodes:
-            raise UnknownCommunity(f"unknown community {community_id!r}")
+            raise InputError(f"unknown community {community_id!r}")
         return self._nodes[community_id]
 
     def resolve(self, cond: TriggeringCondition) -> Resolution:

@@ -49,10 +49,6 @@ class ActionSystem:
                     f"evaluation of {action!r} must be -1, 0 or 1, got {value!r}"
                 )
 
-    @property
-    def actions(self) -> frozenset[str]:
-        return frozenset(self.evaluations)
-
 
 @dataclass(frozen=True)
 class ActionCorrespondence:

@@ -16,18 +16,6 @@ from pathlib import Path
 from .inputs import InputError, get_field, read_text, reading
 
 
-class CycleError(InputError):
-    """Adding this subclass edge would make the subclass graph cyclic."""
-
-
-class TaxonomyParseError(InputError):
-    """Malformed taxonomy file."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 class Taxonomy:
     """A DAG of service types under a subclass relation."""
 
@@ -42,11 +30,11 @@ class Taxonomy:
     def add_subclass(self, child: str, parent: str) -> "Taxonomy":
         """Record ``child`` as a subclass of ``parent``, registering both.
 
-        Raises CycleError for a self-edge or an edge that would close a
+        Raises InputError for a self-edge or an edge that would close a
         directed cycle.
         """
         if self.is_subtype(parent, child):
-            raise CycleError(f"edge {child!r} -> {parent!r} would create a cycle")
+            raise InputError(f"edge {child!r} -> {parent!r} would create a cycle")
         self._parents.setdefault(child, set()).add(parent)
         self._parents.setdefault(parent, set())
         self.subclass_edges.add((child, parent))
@@ -98,14 +86,13 @@ def parse_taxonomy(text: str) -> Taxonomy:
             continue
         fields = line.split()
         if len(fields) != 3 or fields[1] != "subClassOf":
-            raise TaxonomyParseError(
-                f"expected '<child> subClassOf <parent>', got {line!r}", lineno
-            )
+            raise InputError(f"line {lineno}: expected '<child> subClassOf <parent>',"
+                             f" got {line!r}")
         child, _, parent = fields
         try:
             tax.add_subclass(child, parent)
-        except CycleError as exc:
-            raise CycleError(f"line {lineno}: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"line {lineno}: {exc}") from None
     return tax
 
 
@@ -124,6 +111,6 @@ def taxonomy_from_spec(data: dict, base: Path) -> Taxonomy:
             raise InputError(f"taxonomy_edges[{i}] must be a [child, parent] pair of strings")
         try:
             tax.add_subclass(*edge)
-        except CycleError as exc:
-            raise CycleError(f"taxonomy_edges[{i}]: {exc}") from None
+        except InputError as exc:
+            raise InputError(f"taxonomy_edges[{i}]: {exc}") from None
     return tax

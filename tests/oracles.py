@@ -274,6 +274,9 @@ class _Block:
         self.offset = offset
 
 
+_DUPLICATE_PLACE = "duplicate located-in place in location block"
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -416,10 +419,16 @@ class _Parser:
             if isinstance(first, _Block):
                 raise ParseError("nested block inside a location block", first.offset)
             if first.kind == "a" and len(statement) == 2:
+                if place_class is not None:  # one place class per block
+                    raise ParseError("duplicate place class in location block", first.offset)
                 place_class = self._expand(statement[1])
             elif len(statement) == 2:
+                if located_in is not None or bare:  # one place, by a pair or by bare IRIs
+                    raise ParseError(_DUPLICATE_PLACE, first.offset)
                 located_in = self._expand(statement[1])
             elif len(statement) == 1:
+                if located_in is not None:
+                    raise ParseError(_DUPLICATE_PLACE, first.offset)
                 bare.append(self._expand(first))
             else:
                 raise ParseError("malformed location statement", first.offset)
@@ -528,8 +537,8 @@ class ReferenceCommunity:
     def _activity_of(self, member_id: str) -> GroupActivity | None:
         if not member_id.startswith("activity:"):
             return None
-        for activity in self.activities.values():
-            if activity.member_id == member_id:
+        for activity_id, activity in self.activities.items():
+            if activity_id == member_id:
                 return activity
         return None
 
@@ -595,7 +604,7 @@ class ReferenceCommunity:
             # the venue request is now satisfied; keep offering the activity
             activity_entry.description = replace(activity_entry.description, request=None)
         entry.consumed = True
-        events.append(MatchEvent((activity.member_id, entry.owner), match))
+        events.append(MatchEvent((activity_entry.owner, entry.owner), match))
         return True
 
     # --- group promotion ---
@@ -633,7 +642,7 @@ class ReferenceCommunity:
             provide=shared_type,
             request=DEFAULT_RESIDUAL_REQUEST,
         )
-        activity = GroupActivity(member_id=member_id, participants=set(event.members))
+        activity = GroupActivity(participants=set(event.members))
         self.activities[member_id] = activity
         activity_entry = _ReferenceEntry(member_id, derived)
         events = self._sweep(activity, activity_entry)
@@ -646,7 +655,7 @@ class ReferenceCommunity:
         """Attach all outstanding matching descriptions to a new activity."""
         events: list[MatchEvent] = []
         for candidate in self._entries:
-            if candidate.consumed or candidate.owner == activity.member_id:
+            if candidate.consumed or candidate.owner == activity_entry.owner:
                 continue
             if self._activity_of(candidate.owner) is not None:
                 continue
@@ -655,11 +664,8 @@ class ReferenceCommunity:
 
     # --- views ---
 
-    def pending(self) -> list[ServiceDescription]:
-        """Unconsumed descriptions, in publication order."""
-        return [e.description for e in self._entries if not e.consumed]
-
-    def pending_entries(self) -> list[tuple[str, ServiceDescription]]:
+    def pending(self) -> list[tuple[str, ServiceDescription]]:
+        """(member id, record) of each unconsumed record, in publication order."""
         return [(e.owner, e.description) for e in self._entries if not e.consumed]
 
 

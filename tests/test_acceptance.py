@@ -288,7 +288,7 @@ def test_criterion_9_simulation_orderings(experiment_scale_runs):
             1
             for f, h in zip(traces[(Topology.FRACTAL, "S1")],
                             traces[(Topology.HIERARCHY, "S1")])
-            if f.final >= h.final
+            if f.values[-1] >= h.values[-1]
         )
         assert paired_wins >= 90
 

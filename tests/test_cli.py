@@ -89,6 +89,21 @@ def test_match_missing_file_is_input_error(tmp_path, capsys):
     assert_input_error(capsys, ["match", str(tmp_path / "absent.ttl")], "absent.ttl")
 
 
+WALKING_PLACE = ("[ a\n      <http://schema.org/Beach> ;\n"
+                 "      <http://dbpedia.org/ontology/location> ;\n"
+                 "      <http://dbpedia.org/resource/Borgerhout>\n    ]")
+
+
+def relocated(place: str, later: str, message: str):
+    """The sample with location block ``place``, rejected at the statement ``later``."""
+    text = WALKING.replace(WALKING_PLACE, place)
+    assert text != WALKING and text.count(later) == 1
+    return "member.ttl", text, (f"member.ttl: offset {text.index(later)}: {message}",)
+
+
+TWICE_PLACED = "duplicate located-in place in location block"
+
+
 @pytest.mark.parametrize(
     "name,content,fragments",
     [
@@ -96,8 +111,21 @@ def test_match_missing_file_is_input_error(tmp_path, capsys):
         ("member.ttl", b"\xff\xfe", ("member.ttl", "UTF-8")),
         ("activity:Walking.ttl", WALKING, ("activity:Walking.ttl", "reserved")),
         ("member.ttl", "[" * 5000, ("member.ttl", "offset 4999", "unterminated")),
+        relocated("[ a <http://x/Park> ; a <http://x/Beach> ; <http://p> <http://q1> ;"
+                  " <http://p> <http://q2> ]", "a <http://x/Beach>",
+                  "duplicate place class in location block"),
+        relocated("[ a <http://x/Park> ; <http://p> <http://q1> ; <http://p> <http://q2> ]",
+                  "<http://p> <http://q2>", TWICE_PLACED),
+        relocated("[ a <http://x/Park> ; <http://p> <http://q1> ; <http://q2> ]",
+                  "<http://q2>", TWICE_PLACED),
+        relocated("[ <http://q1> ; a <http://x/Park> ; <http://p> <http://q2> ]",
+                  "<http://p>", TWICE_PLACED),
+        relocated("[ a <http://x/Park> ; <http://p> ; <http://q1> ; <http://p> <http://q2> ]",
+                  "<http://p> <http://q2>", TWICE_PLACED),
     ],
-    ids=["block-as-type", "not-utf8", "reserved-activity-stem", "deep-nesting"],
+    ids=["block-as-type", "not-utf8", "reserved-activity-stem", "deep-nesting",
+         "place-class-twice", "place-pair-twice", "place-pair-then-bare",
+         "place-bare-then-pair", "place-bare-pair-then-pair"],
 )
 def test_match_bad_description_file_names_it(tmp_path, capsys, name, content, fragments):
     member = tmp_path / name
@@ -162,6 +190,12 @@ def test_match_member_id_collision_names_both_files(tmp_path, capsys, monkeypatc
 def test_match_taxonomy_cycle_names_the_file(tmp_path, capsys):
     types = write(tmp_path / "types.txt", CYCLE)
     assert_input_error(capsys, ["match", "--taxonomy", types], "types.txt", "line 2")
+
+
+def test_match_malformed_taxonomy_line_names_the_file(tmp_path, capsys):
+    types = write(tmp_path / "types.txt", "A isa B\n")
+    assert_input_error(capsys, ["match", "--taxonomy", types],
+                       f"{types}: line 1: expected '<child> subClassOf <parent>', got 'A isa B'")
 
 
 def test_match_community_and_descriptions_are_exclusive(tmp_path, capsys):
@@ -269,6 +303,8 @@ def test_match_community_policy_flag_must_be_boolean(tmp_path, capsys):
         ({"members": [{"descriptions": []}]}, {}, ("community.json", "members[0].id")),
         ({"members": 5}, {}, ("community.json", "members must be a list")),
         ({"taxonomy": "types.txt"}, {"types.txt": CYCLE}, ("types.txt", "line 2")),
+        ({"taxonomy": "types.txt"}, {"types.txt": "A isa B\n"},
+         ("types.txt: line 1: expected '<child> subClassOf <parent>'",)),
         ("{", {}, ("community.json", "invalid JSON")),
         ({"members": [{"id": "a", "descriptions": ["bad.ttl"]}]},
          {"bad.ttl": "[ not turtle\n"}, ("bad.ttl", "offset 2")),
@@ -286,8 +322,8 @@ def test_match_community_policy_flag_must_be_boolean(tmp_path, capsys):
          ("community.json", "members[1].id", "'activity:Walking'", "reserved")),
     ],
     ids=["top-level-array", "member-without-id", "members-not-a-list",
-         "taxonomy-file-cycle", "malformed-json", "bad-turtle", "unknown-policy-flag",
-         "one-element-edge", "inline-edge-cycle", "duplicate-member",
+         "taxonomy-file-cycle", "taxonomy-file-syntax", "malformed-json", "bad-turtle",
+         "unknown-policy-flag", "one-element-edge", "inline-edge-cycle", "duplicate-member",
          "description-path-not-a-string", "integer-too-long", "deep-nesting",
          "nul-in-file-name", "reserved-activity-id"],
 )
@@ -495,10 +531,15 @@ def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
         ({"topology": "hierarchy", "agents": -3}, "agents must be at least 1"),
         ({"topology": "fractal", "speed": 9}, "unknown scenario keys: ['speed']"),
         ({"topology": "fractal", "horizon": -1}, "horizon must be non-negative"),
+        ({"topology": "ring"}, "unknown topology 'ring'"),
+        ({"topology": "fractal", "isolation_events": [[1, "sideways"]]},
+         "unknown isolation strategy 'sideways'"),
+        ({"seed": 0}, "scenario must name a topology"),
     ],
     ids=["more-isolations-than-agents", "top-level-array", "fractional-horizon",
          "fractional-isolation-time", "one-element-event", "string-probability",
-         "fractal-shape", "negative-agents", "unknown-key", "negative-horizon"],
+         "fractal-shape", "negative-agents", "unknown-key", "negative-horizon",
+         "unknown-topology", "unknown-isolation-strategy", "no-topology"],
 )
 def test_simulate_malformed_scenario_names_the_field(tmp_path, capsys, scenario, message):
     path = write(tmp_path / "bad.json", json.dumps(scenario))

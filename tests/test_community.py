@@ -37,9 +37,16 @@ def fitness_tax():
     )
 
 
-def activity_record(community, activity):
+class NonPromotingCommunity(Community):
+    """A community that leaves every group match unpromoted, as the rescan oracle does."""
+
+    def _promote(self, event):
+        return []
+
+
+def activity_record(community, activity_id):
     """The activity's one outstanding record."""
-    [record] = [d for owner, d in community.pending_entries() if owner == activity.member_id]
+    [record] = [d for owner, d in community.pending() if owner == activity_id]
     return record
 
 
@@ -164,19 +171,19 @@ def test_group_walk_scenario(fitness_tax):
     assert [e.kind for e in second] == [MatchType.GROUP]
     activity = community.activities["activity:Walking"]
     assert activity.participants == {"m1", "m2"}
-    assert activity_record(community, activity).provide == "Walking"
-    assert activity_record(community, activity).request == "Location"
+    assert activity_record(community, "activity:Walking").provide == "Walking"
+    assert activity_record(community, "activity:Walking").request == "Location"
 
     third = community.publish("m3", desc(request="Walking"))
     assert [e.kind for e in third] == [MatchType.SERVICE]
-    assert third[0].to_json_dict()["provider"] == activity.member_id
+    assert third[0].to_json_dict()["provider"] == "activity:Walking"
     assert activity.participants == {"m1", "m2", "m3"}
 
     fourth = community.publish("m4", desc(provide="Location"))
     assert [e.kind for e in fourth] == [MatchType.SERVICE]
     assert fourth[0].to_json_dict()["provider"] == "m4"
     assert activity.location_provider == "m4"
-    assert activity_record(community, activity).request is None
+    assert activity_record(community, "activity:Walking").request is None
     assert activity.participants == {"m1", "m2", "m3"}
 
 
@@ -188,13 +195,13 @@ def test_an_activity_cannot_publish_records_of_its_own(fitness_tax):
     community.publish("m2", desc(provide="Walking", request="Walking"))
     activity = community.activities["activity:Walking"]
     with pytest.raises(UnknownMember):
-        community.publish(activity.member_id, desc(request="Cooking"))
+        community.publish("activity:Walking", desc(request="Cooking"))
     cooking = desc(provide="Cooking")
     assert community.publish("m3", cooking) == []
     assert activity.location_provider is None
-    record = activity_record(community, activity)
+    record = activity_record(community, "activity:Walking")
     assert record.request == "Location"
-    assert community.pending_entries() == [(activity.member_id, record), ("m3", cooking)]
+    assert community.pending() == [("activity:Walking", record), ("m3", cooking)]
 
 
 def test_unlocated_activity_keeps_residual_request(fitness_tax):
@@ -205,7 +212,7 @@ def test_unlocated_activity_keeps_residual_request(fitness_tax):
     community.publish("m2", desc(provide="Jogging", request="Jogging"))
     activity = community.activities["activity:Jogging"]
     assert activity.location_provider is None
-    assert activity_record(community, activity).request == "Location"
+    assert activity_record(community, "activity:Jogging").request == "Location"
 
 
 def test_requesters_join_one_activity_under_any_publication_order(fitness_tax):
@@ -235,7 +242,7 @@ def test_promoted_description_is_valid(fitness_tax):
     community.register("m2")
     community.publish("m1", desc(provide="Cycling", request="Cycling", start_hour=10, end_hour=20))
     community.publish("m2", desc(provide="Cycling", request="Cycling", start_hour=12, end_hour=22))
-    d = activity_record(community, community.activities["activity:Cycling"])
+    d = activity_record(community, "activity:Cycling")
     assert d.start_time == DAY + timedelta(hours=12)
     assert d.end_time == DAY + timedelta(hours=20)
     assert d.provide == "Cycling"
@@ -249,7 +256,7 @@ def test_pending_reflects_publication_order(fitness_tax):
     second = desc(request="Transport")
     community.publish("m1", first)
     community.publish("m2", second)
-    assert community.pending() == [first, second]
+    assert community.pending() == [("m1", first), ("m2", second)]
 
 
 # --- publish versus a quadratic re-scan oracle ---------------------------
@@ -278,7 +285,7 @@ class RescanOracle:
             self.events.append((old[0], owner, match))
 
     def pending(self):
-        return [record for _, record, consumed in self.log if not consumed]
+        return [(owner, record) for owner, record, consumed in self.log if not consumed]
 
 
 def test_publish_agrees_with_rescan_oracle(fitness_tax):
@@ -290,7 +297,7 @@ def test_publish_agrees_with_rescan_oracle(fitness_tax):
             allow_specialization=rng.random() < 0.5,
             require_time_overlap=rng.random() < 0.5,
         )
-        community = Community(fitness_tax, policy, auto_promote_groups=False)
+        community = NonPromotingCommunity(fitness_tax, policy)
         oracle = RescanOracle(fitness_tax, policy)
         for member in members:
             community.register(member)
@@ -370,7 +377,7 @@ def test_indexed_publish_agrees_with_reference_publisher():
                 require_time_overlap=rng.random() < 0.7,
             )
             auto_promote = rng.random() < 0.8
-        community = Community(tax, policy, auto_promote)
+        community = (Community if auto_promote else NonPromotingCommunity)(tax, policy)
         reference = ReferenceCommunity(tax, policy, auto_promote)
         people = [f"m{i}" for i in range(rng.randint(2, 8))]
         for member in people:
@@ -380,7 +387,7 @@ def test_indexed_publish_agrees_with_reference_publisher():
         for _ in range(600 if big else 120):
             owner, record = _random_publication(rng, people, types, shapes, 600 if big else 40)
             assert community.publish(owner, record) == reference.publish(owner, record)
-        assert community.pending_entries() == reference.pending_entries()
+        assert community.pending() == reference.pending()
         assert community.activities == reference.activities
 
 
@@ -393,7 +400,7 @@ def test_bound_activity_is_no_longer_a_venue_candidate(fitness_tax, monkeypatch)
     community.publish("m3", desc(provide="Location"))
     activity = community.activities["activity:Walking"]
     assert activity.location_provider == "m3"
-    record = activity_record(community, activity)
+    record = activity_record(community, "activity:Walking")
     examined = []
 
     def counting_match_pair(d1, d2, tax, pol):

@@ -311,6 +311,13 @@ _EDGE_BODIES = [
     "[ service:hasServiceLocation [ a <x> ; <p> <q> <r> ] ] .",
     "[ service:hasServiceLocation [ a <x> ; <p> ; <q> ; <r> ] ] .",
     "[ service:hasServiceLocation <x> ] .",
+    "[ service:hasServiceLocation [ a <x> ; a <y> ] ] .",
+    "[ service:hasServiceLocation [ a <x> ; <p> <q> ; <p> <r> ] ] .",
+    "[ service:hasServiceLocation [ a <x> ; <p> <q> ; <r> ] ] .",
+    "[ service:hasServiceLocation [ <q> ; a <x> ; <p> <r> ] ] .",
+    "[ service:hasServiceLocation [ a <x> ; <p> ; <q> ; <p> <r> ] ] .",
+    "[ service:hasServiceLocation [ a <x> ; <p> <q> ; a ] ] .",
+    "[ service:hasServiceLocation [ a <x> ; <p> <q> ; <p> \"r\" ] ] .",
     "[ service:hasCreator [ a <x> ] ] .",
     "[ service:hasCreator \"x\" ] .",
     "[ \"x\" service:provide ] .",

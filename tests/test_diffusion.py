@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from fso.diffusion import (
     DEFAULT_HORIZON,
-    InvalidParams,
     IsolationStrategy,
     MetaNetwork,
     ScenarioSpec,
@@ -24,6 +23,7 @@ from fso.diffusion import (
     scenario_from_dict,
     step,
 )
+from fso.inputs import InputError
 
 from oracles import (
     ReferenceMetaNetwork,
@@ -69,9 +69,9 @@ def test_hierarchy_has_a_cut_vertex():
 
 
 def test_hierarchy_invalid_params():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^need at least one agent$"):
         gen_hierarchy(0, 2)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^branching must be at least 2$"):
         gen_hierarchy(15, 1)
 
 
@@ -97,9 +97,9 @@ def test_fractal_single_cell_is_a_clique():
 
 
 def test_fractal_divisibility_enforced():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^agent count 15 is not divisible by cell size 4$"):
         gen_fractal(15, 4)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^cell_size must be at least 3$"):
         gen_fractal(15, 2)
 
 
@@ -265,7 +265,7 @@ def test_full_diffusion_with_certain_transmission():
             topology=topology, horizon=15 * 15, transmit_probability=1.0, seed=0
         )
         trace = run_scenario(s)
-        assert trace.final == 1.0
+        assert trace.values[-1] == 1.0
 
 
 def test_isolation_never_decreases_diffusion():
@@ -276,16 +276,16 @@ def test_isolation_never_decreases_diffusion():
 
 
 def test_event_times_validated():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^isolation time 0 outside 1\.\.10$"):
         spec(horizon=10, isolation_events=((0, IsolationStrategy.RANDOM),))
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^isolation time 11 outside 1\.\.10$"):
         spec(horizon=10, isolation_events=((11, IsolationStrategy.RANDOM),))
 
 
 def test_probability_validated():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^transmit_probability must be in \(0, 1\]$"):
         spec(transmit_probability=0.0)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^transmit_probability must be in \(0, 1\]$"):
         spec(transmit_probability=1.5)
 
 
@@ -494,7 +494,7 @@ def test_mean_trace_is_non_decreasing():
 
 
 def test_replicates_validated():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^replicates must be at least 1$"):
         monte_carlo(spec(), 0)
 
 
@@ -520,10 +520,10 @@ def test_scenario_from_dict():
 
 
 def test_scenario_rejects_unknown_keys():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^unknown scenario keys: \['speed'\]$"):
         scenario_from_dict({"topology": "fractal", "speed": 9})
 
 
 def test_scenario_requires_topology():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InputError, match=r"^scenario must name a topology$"):
         scenario_from_dict({"horizon": 10})

@@ -11,7 +11,6 @@ from fso.fractal import (
     Member,
     OverlayStatus,
     TriggeringCondition,
-    UnknownCommunity,
     load_fixture,
 )
 from fso.inputs import InputError
@@ -64,7 +63,7 @@ def test_unoffered_role_escalates_to_depth():
 
 def test_unknown_origin_rejected():
     org, _ = two_leaf_org()
-    with pytest.raises(UnknownCommunity):
+    with pytest.raises(InputError, match=r"^unknown community 'nowhere'$"):
         org.resolve(condition("nowhere", ["Nurse"]))
 
 
@@ -130,7 +129,7 @@ def test_duplicate_member_ids_rejected():
     root = CommunityNode("root", [Member("m1")])
     root.add_child(CommunityNode("leaf", [Member("m1")]))
     with pytest.raises(ValueError):
-        FractalOrganization(root)
+        FractalOrganization(root, Taxonomy())
 
 
 def test_fixture_file_roundtrip():

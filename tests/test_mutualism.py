@@ -245,8 +245,8 @@ def _check_random_closure(rng, size, max_corrs):
     corrs = []
     for _ in range(rng.randint(0, max_corrs)):
         src, dst = rng.sample(ids, 2)
-        d_actions = sorted(by_id[src].actions)
-        r_actions = sorted(by_id[dst].actions)
+        d_actions = sorted(by_id[src].evaluations)
+        r_actions = sorted(by_id[dst].evaluations)
         k = rng.randint(0, min(len(d_actions), len(r_actions)))
         corrs.append(
             ActionCorrespondence(

@@ -1,4 +1,5 @@
-"""The package stays stdlib-only: every absolute import is the stdlib or fso."""
+"""Guards over the package source: it imports only the stdlib, parses as
+Python 3.10, and defines only names that the program or its benchmark reaches."""
 
 import ast
 import re
@@ -64,3 +65,58 @@ def test_regexes_need_no_python_3_11_syntax():
         # An escaped character or a character class holds no quantifier.
         bare = re.sub(r"\[[^\]]*\]", "", re.sub(r"\\.", "x", pattern))
         assert not [c for c in NEW_IN_311 if c in bare], f"{name}: {pattern!r}"
+
+
+# Names that neither src/fso nor perfbench/ reaches, each kept for a reason.
+UNREACHED_BY_DESIGN = {
+    "diffusion.IsolationStrategy.MAX_DEGREE": "an enum member, reached by value from scenarios",
+    "diffusion.Topology.HIERARCHY": "an enum member, reached by value from scenarios",
+    "diffusion.DiffusionTrace.isolations": "the isolation log, for ROADMAP item 5's diagnostics",
+    "mutualism.MutualisticWitness.forward_action": "the witness that library callers read",
+    "mutualism.MutualisticWitness.backward_action": "the witness that library callers read",
+    "descriptions.serialize_description": "library API documented in the README",
+    "fractal.FractalOrganization.dissolve": "library API documented in the README",
+    "mutualism.mutualistic_closure": "library API documented in the README",
+}
+
+
+def reached_names() -> tuple[set[str], set[str]]:
+    """Every name that src/fso and perfbench/ load or import, and every attribute
+    they touch or string they hold: how a module-level and a class-level name is reached."""
+    loaded, touched = set(), set()
+    for path in SOURCES + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                loaded.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                touched.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                touched.add(node.value)
+    return loaded, touched
+
+
+def definitions(body):
+    """(name, node) for each function, class and assigned name in a module or class body."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def test_every_defined_name_is_reached():
+    loaded, touched = reached_names()
+    unreached = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for name, node in definitions(tree.body):
+            if name not in loaded | touched:
+                unreached.add(f"{path.stem}.{name}")
+            for member, _ in definitions(node.body) if isinstance(node, ast.ClassDef) else ():
+                if not member.startswith("__") and member not in touched:
+                    unreached.add(f"{path.stem}.{name}.{member}")
+    assert unreached == set(UNREACHED_BY_DESIGN)
