@@ -12,20 +12,31 @@ the type it requests.  A new record reads the provide-buckets of the types
 that could serve its request and the request-buckets of the types its
 offer could serve, as the taxonomy gives them, and visits that union by
 ascending sequence number; ``match_pair`` alone decides each candidate.
+Each bucket keeps its entries sorted by start time, with the longest window
+among them.  An entry that overlaps the window [s, e] starts no later than
+e and no earlier than s minus that longest window, so one bisection bounds
+the scan to the entries that start in [s - longest, e], and of those only
+the ones that end at s or later are candidates.  A record never looks at an
+entry whose window it misses.  When the policy does not require overlap,
+the query window is the whole time line.
 
 A match is the pair of types each side enacts for the other, the paper's
 witness pair read as service types.  A match where both sides enact the
 same type is a group activity.  The community can promote such a match to
 a standing record of its own: the activity offers the shared type,
-requests a venue for it, accumulates later requesters as participants,
-and is bound by the first member that offers the venue type.  It matches
-like a member through that record, but it is not a member: nobody can
-publish as it.
+requests a venue for it, serves later requesters, and is bound by the
+first member that offers the venue type.  It matches like a member through
+that record, but it is not a member: nobody can publish as it.  Who joined
+an activity and who bound its venue is read from the event stream: in an
+event whose first member is the activity, a ``forward`` type means the
+second member joined it and a ``backward`` type means it bound the venue.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
+from datetime import datetime, timedelta
 from enum import Enum
 from itertools import count
 from pathlib import Path
@@ -36,6 +47,7 @@ from .taxonomy import Taxonomy, taxonomy_from_spec
 
 DEFAULT_RESIDUAL_REQUEST = "Location"
 ACTIVITY_PREFIX = "activity:"  # + shared type: the member id of a group activity
+_LAST = float("inf")  # after every sequence number
 
 
 class UnknownMember(LookupError):
@@ -78,18 +90,6 @@ class Match:
 
 
 NO_MATCH = Match(MatchType.NO_MATCH)
-
-
-@dataclass
-class GroupActivity:
-    """A promoted group match: who joined it and who bound its venue.
-
-    Its record is an outstanding entry owned by its key in
-    ``Community.activities``, matched like a member's.
-    """
-
-    participants: set[str]
-    location_provider: str | None = None
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,47 @@ class _Entry:
     description: ServiceDescription
 
 
+class _Bucket:
+    """The outstanding entries of one type, sorted by start time.
+
+    Each item is ``(start, seq, end, entry)``: the sequence number breaks
+    ties between equal starts and makes every item's prefix unique.
+    ``longest`` is the longest window (end - start) among the items; it
+    shrinks back when the entry that set it leaves.
+    """
+
+    __slots__ = ("items", "longest")
+
+    def __init__(self):
+        self.items: list[tuple[datetime, int, datetime, _Entry]] = []
+        self.longest = timedelta(0)
+
+    def add(self, entry: _Entry):
+        d = entry.description
+        insort(self.items, (d.start_time, entry.seq, d.end_time, entry))
+        self.longest = max(self.longest, d.end_time - d.start_time)
+
+    def remove(self, entry: _Entry):
+        d = entry.description
+        del self.items[bisect_left(self.items, (d.start_time, entry.seq))]
+        if d.end_time - d.start_time == self.longest:
+            self.longest = max((end - start for start, _, end, _ in self.items),
+                               default=timedelta(0))
+
+    def overlapping(self, start: datetime, end: datetime):
+        """The entries whose window meets the closed window [start, end]."""
+        items = self.items
+        try:
+            earliest = start - self.longest
+        except OverflowError:  # the longest window reaches back past datetime.min
+            earliest = datetime.min
+        lo = bisect_left(items, (earliest,))
+        if lo == len(items) or items[lo][0] > end:  # the common case: nothing starts in time
+            return ()
+        hi = bisect_right(items, (end, _LAST))
+        return [entry for _, _, stop, entry in items[lo:hi] if stop >= start]
+
+
 class Community:
     """Member registry plus the publish-subscribe matching state."""
 
@@ -171,10 +212,10 @@ class Community:
         self.taxonomy = taxonomy
         self.policy = policy
         self.members: dict[str, list[ServiceDescription]] = {}  # id -> its records
-        self.activities: dict[str, GroupActivity] = {}  # activity id -> activity
+        self.activities: set[str] = set()  # ids of the promoted group activities
         self._outstanding: dict[int, _Entry] = {}  # seq -> entry, in seq order
-        self._by_provide: dict[str, dict[int, _Entry]] = {}
-        self._by_request: dict[str, dict[int, _Entry]] = {}
+        self._by_provide: dict[str, _Bucket] = {}
+        self._by_request: dict[str, _Bucket] = {}
         self._seq = count()
 
     # --- registry ---
@@ -197,13 +238,16 @@ class Community:
 
     def _index(self, entry: _Entry):
         for buckets, key in self._buckets(entry.description):
-            buckets.setdefault(key, {})[entry.seq] = entry
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = _Bucket()
+            bucket.add(entry)
 
     def _unindex(self, entry: _Entry):
         for buckets, key in self._buckets(entry.description):
             bucket = buckets[key]
-            del bucket[entry.seq]
-            if not bucket:
+            bucket.remove(entry)
+            if not bucket.items:
                 del buckets[key]
 
     def _store(self, owner: str, description: ServiceDescription) -> _Entry:
@@ -217,21 +261,29 @@ class Community:
         self._unindex(entry)
 
     def _candidates(self, description: ServiceDescription) -> list[_Entry]:
-        """Outstanding entries whose types could match, oldest first.
+        """Outstanding entries whose types and window could match, oldest first.
 
         Provide-buckets of the types that could serve the request, and
-        request-buckets of the types the offer could serve: a superset of
-        the matches, left to ``match_pair`` to decide.
+        request-buckets of the types the offer could serve, each read only
+        where its windows meet the description's (everywhere when the
+        policy does not require overlap): a superset of the matches, left
+        to ``match_pair`` to decide.
         """
         tax, special = self.taxonomy, self.policy.allow_specialization
+        if self.policy.require_time_overlap:
+            start, end = description.start_time, description.end_time
+        else:
+            start, end = datetime.min, datetime.max
         found: dict[int, _Entry] = {}
         for buckets, key, near, far in (
             (self._by_provide, description.request, tax.subtypes_of, tax.ancestors),
             (self._by_request, description.provide, tax.ancestors, tax.subtypes_of),
         ):
             if key is not None:
-                for t in near(key) | far(key) if special else near(key):
-                    found.update(buckets.get(t, {}))
+                types = near(key) | far(key) if special else near(key)
+                for t in buckets.keys() & types:  # the types that have a bucket
+                    for entry in buckets[t].overlapping(start, end):
+                        found[entry.seq] = entry
         return [found[seq] for seq in sorted(found)]
 
     # --- publication ---
@@ -261,9 +313,8 @@ class Community:
             self._consume(entry)
             event = MatchEvent((candidate.owner, member_id), match)
             events.append(event)
-            activity = self.activities.get(candidate.owner)
-            if activity is not None:
-                self._attach(activity, candidate, member_id, match)
+            if candidate.owner in self.activities:
+                self._attach(candidate, match)
             else:
                 self._consume(candidate)
                 if match.kind is MatchType.GROUP:
@@ -271,18 +322,13 @@ class Community:
             break
         return events
 
-    def _attach(
-        self, activity: GroupActivity, activity_entry: _Entry, newcomer: str, match: Match
-    ):
-        """Apply a match between the activity's record and a record of ``newcomer``.
+    def _attach(self, activity_entry: _Entry, match: Match):
+        """Apply a match between the activity's record and a newcomer's.
 
         Joining and venue-binding leave the activity's own record
         outstanding, so one activity serves any number of later matches.
         """
-        if match.forward is not None:  # the activity serves the newcomer
-            activity.participants.add(newcomer)
         if match.backward is not None:  # the newcomer serves the venue request
-            activity.location_provider = newcomer
             # the venue request is now satisfied; keep offering the activity
             self._unindex(activity_entry)
             activity_entry.description = replace(activity_entry.description, request=None)
@@ -294,16 +340,14 @@ class Community:
         """Promote a GROUP match event into a standing group activity.
 
         One activity exists per shared type: a second group match on the
-        same type merges its members into the standing activity.  The
-        promoted record immediately matches the outstanding records its
-        types could match, oldest first, so earlier-published requesters
-        and venue offers attach to it.
+        same type promotes nothing.  The promoted record immediately
+        matches the outstanding records its types and window could match,
+        oldest first, so earlier-published requesters and venue offers
+        attach to it.
         """
         shared_type = event.match.forward
         member_id = ACTIVITY_PREFIX + shared_type
-        existing = self.activities.get(member_id)
-        if existing is not None:
-            existing.participants.update(event.members)
+        if member_id in self.activities:
             return []
         founders = [
             d
@@ -325,8 +369,7 @@ class Community:
             request=DEFAULT_RESIDUAL_REQUEST,
         )
         candidates = self._candidates(derived)  # before the venue request can drop
-        activity = GroupActivity(set(event.members))
-        self.activities[member_id] = activity
+        self.activities.add(member_id)
         activity_entry = self._store(member_id, derived)
         events: list[MatchEvent] = []
         for candidate in candidates:
@@ -338,7 +381,7 @@ class Community:
             if match.kind is not MatchType.NO_MATCH:
                 self._consume(candidate)
                 events.append(MatchEvent((member_id, candidate.owner), match))
-                self._attach(activity, activity_entry, candidate.owner, match)
+                self._attach(activity_entry, match)
         return events
 
     # --- views ---

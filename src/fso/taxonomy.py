@@ -23,7 +23,7 @@ class Taxonomy:
         self.subclass_edges: set[tuple[str, str]] = set()
         self._parents: dict[str, set[str]] = {}  # every registered type -> its parents
         self._ancestor_cache: dict[str, frozenset[str]] = {}
-        self._subtype_cache: dict[str, frozenset[str]] = {}
+        self._subtypes: dict[str, frozenset[str]] | None = None  # built on first query
         for child, parent in edges:
             self.add_subclass(child, parent)
 
@@ -39,7 +39,7 @@ class Taxonomy:
         self._parents.setdefault(parent, set())
         self.subclass_edges.add((child, parent))
         self._ancestor_cache.clear()
-        self._subtype_cache.clear()
+        self._subtypes = None
         return self
 
     def ancestors(self, name: str) -> frozenset[str]:
@@ -63,12 +63,22 @@ class Taxonomy:
         return a == b or b in self.ancestors(a)
 
     def subtypes_of(self, b: str) -> frozenset[str]:
-        """Every registered type subsumed by ``b``, plus ``b`` itself."""
-        cached = self._subtype_cache.get(b)
-        if cached is None:
-            cached = frozenset({a for a in self._parents if b in self.ancestors(a)} | {b})
-            self._subtype_cache[b] = cached
-        return cached
+        """Every registered type subsumed by ``b``, plus ``b`` itself.
+
+        The first query inverts ``ancestors`` over every registered type in
+        one pass, building the subtypes of all of them at once.
+        """
+        subtypes = self._subtypes
+        if subtypes is None:
+            inverse: dict[str, set[str]] = {}
+            for a in self._parents:
+                for t in self.ancestors(a):
+                    inverse.setdefault(t, set()).add(a)
+            subtypes = self._subtypes = {t: frozenset(s) for t, s in inverse.items()}
+        found = subtypes.get(b)
+        if found is None:  # an unregistered name
+            found = subtypes[b] = frozenset((b,))
+        return found
 
     def __repr__(self) -> str:
         return f"Taxonomy({len(self._parents)} types, {len(self.subclass_edges)} edges)"

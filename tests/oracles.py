@@ -25,7 +25,6 @@ from itertools import combinations, permutations
 
 from fso.community import (
     DEFAULT_RESIDUAL_REQUEST,
-    GroupActivity,
     MatchEvent,
     MatchPolicy,
     MatchType,
@@ -511,7 +510,7 @@ class ReferenceCommunity:
     """The community matcher as it was before its outstanding-record index.
 
     Every publication re-scans every record ever published, consumed or
-    not, and finds a member's group activity by a linear search.
+    not.
     """
 
     def __init__(
@@ -524,7 +523,7 @@ class ReferenceCommunity:
         self.policy = policy
         self.auto_promote_groups = auto_promote_groups
         self.members: dict[str, list[ServiceDescription]] = {}  # id -> its records
-        self.activities: dict[str, GroupActivity] = {}  # activity id -> activity
+        self.activities: set[str] = set()  # ids of the promoted group activities
         self._entries: list[_ReferenceEntry] = []
 
     # --- registry ---
@@ -533,14 +532,6 @@ class ReferenceCommunity:
         if member_id in self.members:
             raise ValueError(f"member {member_id!r} already registered")
         self.members[member_id] = []
-
-    def _activity_of(self, member_id: str) -> GroupActivity | None:
-        if not member_id.startswith("activity:"):
-            return None
-        for activity_id, activity in self.activities.items():
-            if activity_id == member_id:
-                return activity
-        return None
 
     # --- publication ---
 
@@ -560,9 +551,8 @@ class ReferenceCommunity:
         for candidate in self._entries:
             if candidate.consumed or candidate.owner == member_id:
                 continue
-            activity = self._activity_of(candidate.owner)
-            if activity is not None:
-                if self._match_activity(activity, candidate, entry, events):
+            if candidate.owner in self.activities:
+                if self._match_activity(candidate, entry, events):
                     break
                 continue
             match = match_pair(
@@ -582,7 +572,6 @@ class ReferenceCommunity:
 
     def _match_activity(
         self,
-        activity: GroupActivity,
         activity_entry: _ReferenceEntry,
         entry: _ReferenceEntry,
         events: list[MatchEvent],
@@ -597,10 +586,7 @@ class ReferenceCommunity:
         )
         if match.kind is MatchType.NO_MATCH:
             return False
-        if match.forward is not None:  # the activity serves the newcomer
-            activity.participants.add(entry.owner)
         if match.backward is not None:  # the newcomer serves the venue request
-            activity.location_provider = entry.owner
             # the venue request is now satisfied; keep offering the activity
             activity_entry.description = replace(activity_entry.description, request=None)
         entry.consumed = True
@@ -613,15 +599,12 @@ class ReferenceCommunity:
         """Promote a GROUP match event into a standing group activity.
 
         One activity exists per shared type: a second group match on the
-        same type merges its members into the standing activity.  The
-        promoted record immediately sweeps the outstanding descriptions,
+        same type promotes nothing.  The promoted record immediately sweeps the outstanding descriptions,
         so earlier-published requesters and venue offers attach to it.
         """
         shared_type = event.match.forward
         member_id = f"activity:{shared_type}"
-        existing = self.activities.get(member_id)
-        if existing is not None:
-            existing.participants.update(event.members)
+        if member_id in self.activities:
             return []
         founders = [
             d
@@ -642,24 +625,21 @@ class ReferenceCommunity:
             provide=shared_type,
             request=DEFAULT_RESIDUAL_REQUEST,
         )
-        activity = GroupActivity(participants=set(event.members))
-        self.activities[member_id] = activity
+        self.activities.add(member_id)
         activity_entry = _ReferenceEntry(member_id, derived)
-        events = self._sweep(activity, activity_entry)
+        events = self._sweep(activity_entry)
         self._entries.append(activity_entry)
         return events
 
-    def _sweep(
-        self, activity: GroupActivity, activity_entry: _ReferenceEntry
-    ) -> list[MatchEvent]:
+    def _sweep(self, activity_entry: _ReferenceEntry) -> list[MatchEvent]:
         """Attach all outstanding matching descriptions to a new activity."""
         events: list[MatchEvent] = []
         for candidate in self._entries:
             if candidate.consumed or candidate.owner == activity_entry.owner:
                 continue
-            if self._activity_of(candidate.owner) is not None:
+            if candidate.owner in self.activities:
                 continue
-            self._match_activity(activity, activity_entry, candidate, events)
+            self._match_activity(activity_entry, candidate, events)
         return events
 
     # --- views ---

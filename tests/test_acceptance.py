@@ -210,13 +210,22 @@ def test_criterion_6_matching():
         community = Community(tax)
         for member in ("m1", "m2", "m3", "m4"):
             community.register(member)
-        community.publish("m1", desc(provide="Walking", request="Walking"))
-        community.publish("m2", desc(provide="Walking", request="Walking"))
-        community.publish("m3", desc(request="Walking"))
-        community.publish("m4", desc(provide="Location"))
-        activity = community.activities["activity:Walking"]
-        assert activity.participants == {"m1", "m2", "m3"}
-        assert activity.location_provider == "m4"
+        events = [
+            event
+            for member, record in (
+                ("m1", desc(provide="Walking", request="Walking")),
+                ("m2", desc(provide="Walking", request="Walking")),
+                ("m3", desc(request="Walking")),
+                ("m4", desc(provide="Location")),
+            )
+            for event in community.publish(member, record)
+        ]
+        # the group match, then the activity serving m3 and m4 binding its venue
+        assert [(e.members, e.match.forward, e.match.backward) for e in events] == [
+            (("m1", "m2"), "Walking", "Walking"),
+            (("activity:Walking", "m3"), "Walking", None),
+            (("activity:Walking", "m4"), None, "Location"),
+        ]
 
 
 def test_criterion_7_fso_escalation():

@@ -150,3 +150,19 @@ def test_subtypes_of_agrees_with_is_subtype(tax_names):
     tax, names = tax_names
     for b in names:
         assert tax.subtypes_of(b) == {a for a in names if tax.is_subtype(a, b)} | {b}
+
+
+def test_subtypes_of_sees_an_edge_added_between_queries():
+    """Each new edge drops the subtype map, including the answers for names
+    that were unregistered when they were first asked for."""
+    rng = random.Random(16)
+    for _ in range(40):
+        names, edges = random_dag(rng, max_nodes=12)
+        tax = Taxonomy(edges)
+        names = names + ["Fresh"]  # in no edge until one is added below
+        for _ in range(6):
+            for b in names:
+                assert tax.subtypes_of(b) == {a for a in names if tax.is_subtype(a, b)}
+            child, parent = rng.sample(names, 2)
+            if not tax.is_subtype(parent, child):
+                tax.add_subclass(child, parent)
