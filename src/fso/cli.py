@@ -92,14 +92,15 @@ def _pending_summary(community: Community) -> list[dict]:
 
 
 def cmd_match(args) -> int:
-    if args.community and (args.descriptions or args.taxonomy or args.allow_specialization
-                           or args.no_time_overlap):
+    if args.community is not None and (args.descriptions or args.taxonomy is not None
+                                       or args.allow_specialization or args.no_time_overlap):
         raise InputError("--community is exclusive with description files, --taxonomy,"
                          " --allow-specialization and --no-time-overlap")
-    if args.community:
+    if args.community is not None:
         community, plan = load_community(args.community)
     else:
-        tax = taxonomy.load_taxonomy(args.taxonomy) if args.taxonomy else taxonomy.Taxonomy()
+        tax = (taxonomy.load_taxonomy(args.taxonomy) if args.taxonomy is not None
+               else taxonomy.Taxonomy())
         policy = MatchPolicy(allow_specialization=args.allow_specialization,
                              require_time_overlap=not args.no_time_overlap)
         community = Community(tax, policy)

@@ -6,26 +6,28 @@ the first hit consumes both records and emits an event.  Matching is
 taxonomy-aware: a provided type satisfies a requested type when it is a
 subtype of it, or, when the policy allows specialization, a supertype.
 
-Only outstanding records are kept, in publication order, each under a
-sequence number and indexed in two buckets: by the type it provides and by
-the type it requests.  A new record reads the provide-buckets of the types
-that could serve its request and the request-buckets of the types its
-offer could serve, as the taxonomy gives them, and visits that union by
-ascending sequence number; ``match_pair`` alone decides each candidate.
-Each bucket keeps its entries sorted by start time, with the longest window
-among them.  An entry that overlaps the window [s, e] starts no later than
-e and no earlier than s minus that longest window, so one bisection bounds
-the scan to the entries that start in [s - longest, e], and of those only
-the ones that end at s or later are candidates.  A record never looks at an
-entry whose window it misses.  When the policy does not require overlap,
-the query window is the whole time line.
+A record is stored only while it is outstanding, under a sequence number in
+publication order, in two buckets, the one store of what is pending: by the
+type it provides and by the type it requests.  A new record reads the
+provide-buckets of the types that could serve its request and the
+request-buckets of the types its offer could serve, as the taxonomy gives
+them, and visits that union by ascending sequence number; ``match_pair``
+alone decides each candidate.  Each bucket keeps its entries sorted by
+start time, with the longest window among them.  An entry that overlaps the
+window [s, e] starts no later than e and no earlier than s minus that
+longest window, so one bisection bounds the scan to the entries that start
+in [s - longest, e], and of those only the ones that end at s or later are
+candidates.  A record never looks at an entry whose window it misses.  When
+the policy does not require overlap, the query window is the whole time
+line.
 
 A match is the pair of types each side enacts for the other, the paper's
 witness pair read as service types.  A match where both sides enact the
 same type is a group activity.  The community can promote such a match to
 a standing record of its own: the activity offers the shared type,
 requests a venue for it, serves later requesters, and is bound by the
-first member that offers the venue type.  It matches like a member through
+first member that offers the venue type.  It sweeps the outstanding records
+first and is stored after that sweep.  It matches like a member through
 that record, but it is not a member: nobody can publish as it.  Who joined
 an activity and who bound its venue is read from the event stream: in an
 event whose first member is the activity, a ``forward`` type means the
@@ -213,7 +215,6 @@ class Community:
         self.policy = policy
         self.members: dict[str, list[ServiceDescription]] = {}  # id -> its records
         self.activities: set[str] = set()  # ids of the promoted group activities
-        self._outstanding: dict[int, _Entry] = {}  # seq -> entry, in seq order
         self._by_provide: dict[str, _Bucket] = {}
         self._by_request: dict[str, _Bucket] = {}
         self._seq = count()
@@ -250,15 +251,8 @@ class Community:
             if not bucket.items:
                 del buckets[key]
 
-    def _store(self, owner: str, description: ServiceDescription) -> _Entry:
-        entry = _Entry(next(self._seq), owner, description)
-        self._outstanding[entry.seq] = entry
-        self._index(entry)
-        return entry
-
-    def _consume(self, entry: _Entry):
-        del self._outstanding[entry.seq]
-        self._unindex(entry)
+    def _store(self, owner: str, description: ServiceDescription):
+        self._index(_Entry(next(self._seq), owner, description))
 
     def _candidates(self, description: ServiceDescription) -> list[_Entry]:
         """Outstanding entries whose types and window could match, oldest first.
@@ -288,51 +282,37 @@ class Community:
 
     # --- publication ---
 
-    def publish(
-        self, member_id: str, description: ServiceDescription
-    ) -> list[MatchEvent]:
-        """Store a description and match it against outstanding ones.
+    def publish(self, member_id: str, description: ServiceDescription) -> list[MatchEvent]:
+        """Match a description against the outstanding ones, oldest first.
 
-        Returns the emitted events: at most one direct match, plus any
-        follow-up events caused by group promotion.
+        The first match consumes both records; a description that matches
+        nothing is stored as outstanding.  Joining an activity or binding
+        its venue leaves the activity's record outstanding, so one activity
+        serves any number of later matches.  Returns the emitted events: at
+        most one direct match, plus any follow-up events of group promotion.
         """
         if member_id not in self.members:
             raise UnknownMember(member_id)
         self.members[member_id].append(description)
-        candidates = self._candidates(description)
-        entry = self._store(member_id, description)
-        events: list[MatchEvent] = []
-        for candidate in candidates:
+        for candidate in self._candidates(description):
             if candidate.owner == member_id:
                 continue
-            match = match_pair(
-                candidate.description, description, self.taxonomy, self.policy
-            )
+            match = match_pair(candidate.description, description, self.taxonomy, self.policy)
             if match.kind is MatchType.NO_MATCH:
                 continue
-            self._consume(entry)
             event = MatchEvent((candidate.owner, member_id), match)
-            events.append(event)
             if candidate.owner in self.activities:
-                self._attach(candidate, match)
-            else:
-                self._consume(candidate)
-                if match.kind is MatchType.GROUP:
-                    events.extend(self._promote(event))
-            break
-        return events
-
-    def _attach(self, activity_entry: _Entry, match: Match):
-        """Apply a match between the activity's record and a newcomer's.
-
-        Joining and venue-binding leave the activity's own record
-        outstanding, so one activity serves any number of later matches.
-        """
-        if match.backward is not None:  # the newcomer serves the venue request
-            # the venue request is now satisfied; keep offering the activity
-            self._unindex(activity_entry)
-            activity_entry.description = replace(activity_entry.description, request=None)
-            self._index(activity_entry)
+                if match.backward is not None:  # the newcomer binds the venue
+                    self._unindex(candidate)
+                    candidate.description = replace(candidate.description, request=None)
+                    self._index(candidate)
+                return [event]
+            self._unindex(candidate)
+            if match.kind is MatchType.GROUP:
+                return [event, *self._promote(event)]
+            return [event]
+        self._store(member_id, description)
+        return []
 
     # --- group promotion ---
 
@@ -340,10 +320,11 @@ class Community:
         """Promote a GROUP match event into a standing group activity.
 
         One activity exists per shared type: a second group match on the
-        same type promotes nothing.  The promoted record immediately
-        matches the outstanding records its types and window could match,
-        oldest first, so earlier-published requesters and venue offers
-        attach to it.
+        same type promotes nothing.  The promoted record first sweeps the
+        outstanding records its types and window could match, oldest
+        first, consuming each match, so earlier-published requesters join
+        it and the first venue offer binds it (dropping its venue request).
+        The activity is stored after the sweep.
         """
         shared_type = event.match.forward
         member_id = ACTIVITY_PREFIX + shared_type
@@ -357,7 +338,9 @@ class Community:
         ]
         start = max(d.start_time for d in founders)
         end = min(d.end_time for d in founders)
-        if start > end:  # disjoint founders (overlap not required): use the span
+        # Disjoint windows: overlap not required, or an older founder record
+        # was read along with the matched two.  Use the span.
+        if start > end:
             start = min(d.start_time for d in founders)
             end = max(d.end_time for d in founders)
         derived = ServiceDescription(
@@ -368,27 +351,29 @@ class Community:
             provide=shared_type,
             request=DEFAULT_RESIDUAL_REQUEST,
         )
-        candidates = self._candidates(derived)  # before the venue request can drop
-        self.activities.add(member_id)
-        activity_entry = self._store(member_id, derived)
         events: list[MatchEvent] = []
-        for candidate in candidates:
+        for candidate in self._candidates(derived):  # before the venue request can drop
             if candidate.owner in self.activities:
                 continue
-            match = match_pair(
-                activity_entry.description, candidate.description, self.taxonomy, self.policy
-            )
+            match = match_pair(derived, candidate.description, self.taxonomy, self.policy)
             if match.kind is not MatchType.NO_MATCH:
-                self._consume(candidate)
+                self._unindex(candidate)
                 events.append(MatchEvent((member_id, candidate.owner), match))
-                self._attach(activity_entry, match)
+                if match.backward is not None:  # the candidate binds the venue
+                    derived = replace(derived, request=None)
+        self.activities.add(member_id)
+        self._store(member_id, derived)
         return events
 
     # --- views ---
 
     def pending(self) -> list[tuple[str, ServiceDescription]]:
         """(member id, record) of each unconsumed record, in publication order."""
-        return [(e.owner, e.description) for e in self._outstanding.values()]
+        found = {entry.seq: entry
+                 for buckets in (self._by_provide, self._by_request)
+                 for bucket in buckets.values()
+                 for *_, entry in bucket.items}
+        return [(found[seq].owner, found[seq].description) for seq in sorted(found)]
 
 
 # --- loading -----------------------------------------------------------

@@ -89,6 +89,12 @@ def test_match_missing_file_is_input_error(tmp_path, capsys):
     assert_input_error(capsys, ["match", str(tmp_path / "absent.ttl")], "absent.ttl")
 
 
+@pytest.mark.parametrize("option", ["--community", "--taxonomy"])
+def test_match_empty_path_is_input_error(capsys, option):
+    # an empty path names no file; it is not the same as leaving the option out
+    assert_input_error(capsys, ["match", option, ""])
+
+
 WALKING_PLACE = ("[ a\n      <http://schema.org/Beach> ;\n"
                  "      <http://dbpedia.org/ontology/location> ;\n"
                  "      <http://dbpedia.org/resource/Borgerhout>\n    ]")
@@ -205,14 +211,17 @@ def test_match_community_and_descriptions_are_exclusive(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra",
-    [["--taxonomy", "absent.txt"], ["--allow-specialization"], ["--no-time-overlap"]],
-    ids=["taxonomy", "allow-specialization", "no-time-overlap"],
+    "community,extra",
+    [("absent.json", ["--taxonomy", "absent.txt"]),
+     ("absent.json", ["--allow-specialization"]),
+     ("absent.json", ["--no-time-overlap"]),
+     ("", ["absent.ttl"])],
+    ids=["taxonomy", "allow-specialization", "no-time-overlap", "empty-community-and-a-file"],
 )
-def test_match_community_and_policy_options_are_exclusive(tmp_path, capsys, extra):
+def test_match_community_and_policy_options_are_exclusive(tmp_path, capsys, community, extra):
     # rejected before any file is read: none of the named files exists
-    argv = ["match", "--community", str(tmp_path / "absent.json")]
-    argv += [str(tmp_path / arg) if arg.startswith("absent") else arg for arg in extra]
+    argv = ["match", "--community", community, *extra]
+    argv = [str(tmp_path / arg) if arg.startswith("absent") else arg for arg in argv]
     assert_input_error(capsys, argv, "exclusive")
 
 

@@ -358,7 +358,7 @@ def _random_publication(rng, people, types, shapes=SHAPES, horizon=40):
 
 
 def test_indexed_publish_agrees_with_reference_publisher():
-    """12,600 random publications: same events, pending list and activities.
+    """12,600 random publications: same events and pending list after each, same activities.
 
     Random DAG taxonomies plus types outside them, both policy flags,
     windows that are often disjoint, group promotion with later joiners
@@ -396,6 +396,7 @@ def test_indexed_publish_agrees_with_reference_publisher():
         for _ in range(600 if big else 120):
             owner, record = _random_publication(rng, people, types, shapes, 600 if big else 40)
             assert community.publish(owner, record) == reference.publish(owner, record)
+            assert community.pending() == reference.pending()
         assert community.pending() == reference.pending()
         assert community.activities == reference.activities
 
@@ -533,7 +534,8 @@ def test_index_agrees_with_reference_on_adversarial_windows():
     """Windows on an hourly grid, so that many only touch; zero-length
     windows; now and then a ten-year window that later gets consumed; both
     policy flags; promotion and venue binding by Location and its subtypes.
-    Every publication checks the candidate list against its definition."""
+    Every publication checks the candidate list against its definition and
+    the pending list against the reference."""
     rng = random.Random(1316)
     decade = timedelta(days=3650)
     for trial in range(40):
@@ -557,6 +559,7 @@ def test_index_agrees_with_reference_on_adversarial_windows():
             record = replace(record, start_time=start, end_time=start + length)
             assert_candidates_by_definition(community, record)
             assert community.publish(owner, record) == reference.publish(owner, record)
+            assert community.pending() == reference.pending()
         assert community.pending() == reference.pending()
         assert community.activities == reference.activities
 

@@ -82,7 +82,8 @@ UNREACHED_BY_DESIGN = {
 
 def reached_names() -> tuple[set[str], set[str]]:
     """Every name that src/fso and perfbench/ load or import, and every attribute
-    they touch or string they hold: how a module-level and a class-level name is reached."""
+    they read or string they hold: how a module-level and a class-level name is reached.
+    An attribute that is only assigned or deleted is not reached."""
     loaded, touched = set(), set()
     for path in SOURCES + sorted((ROOT / "perfbench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
@@ -90,7 +91,7 @@ def reached_names() -> tuple[set[str], set[str]]:
                 loaded.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 loaded.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 touched.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 touched.add(node.value)
