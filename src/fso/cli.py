@@ -9,8 +9,9 @@ Subcommands::
 
 Match and resolve reports are JSON (stdout or ``--out``); simulation
 traces are CSV.  Identical inputs, flags and seed produce byte-identical
-outputs.  Exit codes: 0 success, 2 bad input (``OSError`` or ``InputError``),
-1 internal error (a bug), reported with its traceback.
+outputs.  Each subcommand imports only the layers it runs.  Exit codes: 0
+success, 2 bad input (``OSError`` or ``InputError``), 1 internal error (a
+bug), reported with its traceback.
 """
 
 from __future__ import annotations
@@ -19,14 +20,16 @@ import argparse
 import json
 import sys
 import traceback
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import diffusion, fractal, taxonomy
-from .community import Community, MatchPolicy, load_community
-from .descriptions import load_descriptions
 from .inputs import InputError, reading
+
+if TYPE_CHECKING:  # each command imports the layers it runs, and only those
+    from .community import Community
+    from .fractal import Resolution
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -68,14 +71,75 @@ def _dump_json(value, write, newline: str = "\n") -> None:
         write(json.dumps(value))
 
 
-def _write_report(report: dict, out: str | None):
-    if out is None:
-        _dump_json(report, sys.stdout.write)
-        sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            _dump_json(report, fh.write)
-            fh.write("\n")
+def _layout(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Rendered items as ``json.dumps(indent=2)`` lays out a container at ``indent``."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _render_resolution(resolution: Resolution) -> str:
+    """One entry of the resolve report's ``results``, indented to its place.
+
+    A result has a fixed shape, written out here line by line with its keys
+    in sorted order; only a complete result has ``home_communities``.
+    """
+    encode = _encode_string
+    overlay = resolution.overlay
+    assignment = _layout([
+        "{\n"
+        f'          "member": {encode(member)},\n'
+        f'          "role": {encode(role)}\n'
+        "        }"
+        for role, member in (() if overlay is None else overlay.assignments)
+    ], " " * 6)
+    exceptions = _layout([
+        "{\n"
+        f'          "community": {encode(record.community_id)},\n'
+        f'          "missing_roles": {_layout([*map(encode, record.missing_roles)], " " * 10)}\n'
+        "        }"
+        for record in resolution.exceptions
+    ], " " * 6)
+    missing = _layout([*map(encode, resolution.missing_roles)], " " * 6)
+    homes = "" if overlay is None else '      "home_communities": ' + _layout([
+        f"{encode(member)}: {encode(home)}"
+        for member, home in sorted(overlay.home_communities.items())
+    ], " " * 6, "{}") + ",\n"
+    return ("{\n"
+            f'      "assignment": {assignment},\n'
+            f'      "condition": {encode(resolution.condition_id)},\n'
+            f'      "exceptions": {exceptions},\n'
+            f"{homes}"
+            f'      "missing_roles": {missing},\n'
+            f'      "status": "{"incomplete" if overlay is None else "complete"}"\n'
+            "    }")
+
+
+def _write_resolutions(resolutions: list[Resolution], write) -> None:
+    """Write the resolve report, one result at a time: the text of
+    ``json.dumps({"results": [...]}, indent=2, sort_keys=True)``."""
+    separator = '{\n  "results": [\n    '
+    for resolution in resolutions:
+        write(separator)
+        write(_render_resolution(resolution))
+        separator = ",\n    "
+    write("\n  ]\n}" if resolutions else '{\n  "results": []\n}')
+
+
+@contextmanager
+def _report(out: str | None):
+    """The ``write`` of stdout or of the file ``out``; the report's last newline follows."""
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8") as fh:
+        yield fh.write
+        fh.write("\n")
+
+
+def _check_out_file(out: str) -> None:
+    """Refuse an ``--out`` that cannot be written as a file, before any work is done."""
+    path = Path(out)
+    if not out or path.is_dir() or not path.parent.is_dir():
+        raise InputError("--out must name a file in an existing directory", out or repr(out))
 
 
 def _pending_summary(community: Community) -> list[dict]:
@@ -92,10 +156,16 @@ def _pending_summary(community: Community) -> list[dict]:
 
 
 def cmd_match(args) -> int:
+    from . import taxonomy
+    from .community import Community, MatchPolicy, load_community
+    from .descriptions import load_descriptions
+
     if args.community is not None and (args.descriptions or args.taxonomy is not None
                                        or args.allow_specialization or args.no_time_overlap):
         raise InputError("--community is exclusive with description files, --taxonomy,"
                          " --allow-specialization and --no-time-overlap")
+    if args.out is not None:
+        _check_out_file(args.out)
     if args.community is not None:
         community, plan = load_community(args.community)
     else:
@@ -130,26 +200,34 @@ def cmd_match(args) -> int:
         "events": [event.to_json_dict() for event in events],
         "pending": _pending_summary(community),
     }
-    _write_report(report, args.out)
+    with _report(args.out) as write:
+        _dump_json(report, write)
     return EXIT_OK
 
 
 def cmd_resolve(args) -> int:
+    from . import fractal
+
+    if args.out is not None:
+        _check_out_file(args.out)
     org, conditions = fractal.load_fixture(args.fixture)
     results = []
-    for i, cond in enumerate(conditions):
+    for i, cond in enumerate(conditions):  # all of them first: a bad one writes nothing
         try:
-            results.append(org.resolve(cond).to_json_dict())
+            results.append(org.resolve(cond))
         except InputError as exc:  # an unknown origin, a bad preassignment
             raise InputError(f"conditions[{i}]: {exc}", args.fixture) from None
-    _write_report({"results": results}, args.out)
+    with _report(args.out) as write:
+        _write_resolutions(results, write)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    scenario_paths = [Path(p) for p in args.scenario]
+    from . import diffusion
+
     # validate every file before running any, so a bad one writes nothing
-    specs = [diffusion.load_scenario(path) for path in scenario_paths]
+    specs = [diffusion.load_scenario(path) for path in args.scenario]
+    scenario_paths = [Path(p) for p in args.scenario]
     multiple = len(scenario_paths) > 1
     out = Path(args.out)
     claimed: dict[str, Path] = {}  # output file name -> the scenario that writes it
@@ -164,8 +242,8 @@ def cmd_simulate(args) -> int:
         if not existing.is_dir():
             raise InputError(f"--out must be a directory for several scenarios,"
                              f" and {existing} is not one", out)
-    elif out.is_dir() or not out.parent.is_dir():
-        raise InputError("--out must name a file in an existing directory", out)
+    else:
+        _check_out_file(args.out)
     if args.replicates < 1:  # checked before any output is made
         raise InputError("replicates must be at least 1")
     for scenario_path, spec in zip(scenario_paths, specs):

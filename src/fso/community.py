@@ -396,9 +396,9 @@ def load_community(path) -> tuple[Community, list[tuple[str, ServiceDescription]
     order, then file order, then record order.  Bad content raises
     InputError naming the file and the field or line.
     """
-    path = Path(path)
     with reading(path):
-        data = read_json(path)
+        data = read_json(path)  # before Path(): an empty name is not the directory "."
+        path = Path(path)
         if type(data) is not dict:
             raise InputError(f"document must be a JSON object, got {type(data).__name__}")
         taxonomy = taxonomy_from_spec(data, path.parent)

@@ -128,29 +128,6 @@ class Resolution:
     def complete(self) -> bool:
         return self.overlay is not None
 
-    def to_json_dict(self) -> dict:
-        data: dict = {
-            "condition": self.condition_id,
-            "status": "complete" if self.complete else "incomplete",
-            "missing_roles": list(self.missing_roles),
-            "exceptions": [
-                {
-                    "community": record.community_id,
-                    "missing_roles": list(record.missing_roles),
-                }
-                for record in self.exceptions
-            ],
-        }
-        if self.overlay is not None:
-            data["assignment"] = [
-                {"role": role, "member": member}
-                for role, member in self.overlay.assignments
-            ]
-            data["home_communities"] = dict(self.overlay.home_communities)
-        else:
-            data["assignment"] = []
-        return data
-
 
 class FractalOrganization:
     """A community tree plus the booking state of its members.
@@ -318,13 +295,12 @@ def load_fixture(path) -> tuple[FractalOrganization, list[TriggeringCondition]]:
 
     Bad content raises InputError naming the file and the field or line.
     """
-    path = Path(path)
     with reading(path):
-        data = read_json(path)
+        data = read_json(path)  # before Path(): an empty name is not the directory "."
         if type(data) is not dict:
             raise InputError(f"fixture must be a JSON object, got {type(data).__name__}")
         community = get_field(data, "community", dict)
-        taxonomy = taxonomy_from_spec(data, path.parent)
+        taxonomy = taxonomy_from_spec(data, Path(path).parent)
         org = FractalOrganization(_node_from_dict(community, "community"), taxonomy)
         conditions = []
         for n, cond_data in enumerate(get_field(data, "conditions", list, default=())):

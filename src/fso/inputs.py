@@ -37,9 +37,17 @@ def reading(path):
 
 
 def read_text(path) -> str:
-    if "\0" in str(path):  # open() would raise a bare ValueError
-        raise InputError("the file name holds a NUL character", repr(str(path)))
-    with open(path, encoding="utf-8") as fh:
+    """The text of the file ``path``: a ``str`` as the user gave it, or a ``Path``."""
+    name = str(path)
+    if "\0" in name:  # open() would raise a bare ValueError
+        raise InputError("the file name holds a NUL character", repr(name))
+    if not name:  # Path("") would read as ".", the working directory
+        raise InputError("the file name is empty", repr(name))
+    try:
+        fh = open(path, encoding="utf-8")
+    except IsADirectoryError:
+        raise InputError("is a directory, not a file", path) from None
+    with fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

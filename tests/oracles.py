@@ -11,7 +11,8 @@ three-pass aggregation) as the reference for differential tests, and the
 community section keeps the publisher as it was before its index (a full
 re-scan of every record ever published) for the same purpose, and the
 fractal section keeps the resolver as it was before its tree index (a sort
-and a subtree walk at every escalation level), and the description section
+and a subtree walk at every escalation level) and a resolve result as the
+JSON value the report was once dumped from, and the description section
 keeps the Turtle parser as it was before tuple tokens.
 """
 
@@ -678,6 +679,32 @@ def has_cut_vertex(n: int, edges) -> bool:
 
 
 # --- fractal role resolution (reference resolver) ---------------------------
+
+
+def resolution_json(resolution: Resolution) -> dict:
+    """One result of the resolve report as a JSON value, the way it was built
+    before the command line rendered each result straight to text."""
+    data: dict = {
+        "condition": resolution.condition_id,
+        "status": "complete" if resolution.complete else "incomplete",
+        "missing_roles": list(resolution.missing_roles),
+        "exceptions": [
+            {
+                "community": record.community_id,
+                "missing_roles": list(record.missing_roles),
+            }
+            for record in resolution.exceptions
+        ],
+    }
+    if resolution.overlay is not None:
+        data["assignment"] = [
+            {"role": role, "member": member}
+            for role, member in resolution.overlay.assignments
+        ]
+        data["home_communities"] = dict(resolution.overlay.home_communities)
+    else:
+        data["assignment"] = []
+    return data
 
 
 def node_depth(node: CommunityNode) -> int:

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import random
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -9,8 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from fso.cli import _dump_json, main
+from fso.cli import _dump_json, _write_resolutions, main
 from fso.diffusion import load_scenario, run_scenario
+from fso.fractal import ExceptionRecord, Resolution, SocialOverlayNetwork, load_fixture
+from oracles import resolution_json
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,7 +97,25 @@ def test_match_missing_file_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("option", ["--community", "--taxonomy"])
 def test_match_empty_path_is_input_error(capsys, option):
     # an empty path names no file; it is not the same as leaving the option out
-    assert_input_error(capsys, ["match", option, ""])
+    assert_input_error(capsys, ["match", option, ""], "error: '': the file name is empty")
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--fixture", ""],
+    ["simulate", "--scenario", "", "--out", "{}/x.csv"],
+    ["resolve", "--fixture", "{}"],
+    ["match", "--community", "{}"],
+    ["match", "--taxonomy", "{}"],
+    ["match", "{}"],
+    ["simulate", "--scenario", "{}", "--out", "{}/x.csv"],
+], ids=["fixture-empty", "scenario-empty", "fixture-directory", "community-directory",
+        "taxonomy-directory", "description-directory", "scenario-directory"])
+def test_empty_or_directory_input_path_names_the_value(tmp_path, capsys, argv):
+    # not the OS error: "." for an empty name, or "[Errno 21] Is a directory"
+    argv = [arg.format(tmp_path) for arg in argv]
+    expected = "'': the file name is empty" if "" in argv else f"{tmp_path}: is a directory"
+    assert_input_error(capsys, argv, expected)
+    assert not (tmp_path / "x.csv").exists()
 
 
 WALKING_PLACE = ("[ a\n      <http://schema.org/Beach> ;\n"
@@ -346,6 +369,21 @@ def test_match_malformed_community_names_file_and_field(
     assert_input_error(capsys, ["match", "--community", community], *fragments)
 
 
+@pytest.mark.parametrize("command", ["match", "resolve"])
+@pytest.mark.parametrize("out", ["", "missing/report.json"], ids=["directory", "missing-parent"])
+def test_unusable_out_fails_before_any_input_is_read(tmp_path, capsys, monkeypatch,
+                                                     command, out):
+    def refuse(path):
+        raise AssertionError("the input was read before --out was checked")
+
+    monkeypatch.setattr("fso.community.load_community", refuse)
+    monkeypatch.setattr("fso.fractal.load_fixture", refuse)
+    source = ("--community" if command == "match" else "--fixture", str(tmp_path / "in.json"))
+    argv = [command, *source, "--out", str(tmp_path / out)]
+    assert_input_error(capsys, argv, f"{tmp_path / out}: --out must name a file")
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 # --- resolve ------------------------------------------------------------------
 
 
@@ -373,6 +411,96 @@ def test_resolve_unresolvable_fixture_still_exits_zero(capsys):
 def test_resolve_missing_fixture_is_input_error(tmp_path, capsys):
     assert_input_error(capsys, ["resolve", "--fixture", str(tmp_path / "absent.json")],
                        "absent.json")
+
+
+def resolve_report(path) -> str:
+    """The resolve report of a fixture, built from the library's results with
+    ``json.dumps``: the text the command must write, byte for byte."""
+    org, conditions = load_fixture(path)
+    results = [resolution_json(org.resolve(cond)) for cond in conditions]
+    return json.dumps({"results": results}, indent=2, sort_keys=True) + "\n"
+
+
+def assert_resolve_report(tmp_path, capsys, fixture: dict) -> str:
+    """Both of the command's outputs equal the oracle report; returns it."""
+    path = write(tmp_path / "fixture.json", json.dumps(fixture))
+    expected = resolve_report(path)
+    assert main(["resolve", "--fixture", path]) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "report.json"
+    assert main(["resolve", "--fixture", path, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+    return expected
+
+
+CLINIC = {"id": "city", "members": [{"id": "m0", "offers": ["Driver"]}],
+          "children": [{"id": "ward", "members": [{"id": "n1", "offers": ["Nurse"]},
+                                                  {"id": "n2", "offers": ["Nurse"]}]}]}
+
+
+@pytest.mark.parametrize("conditions,shape", [
+    ([{"id": "quiet", "origin": "ward", "roles": []}],  # complete, with nothing to show
+     '"assignment": [],\n      "condition": "quiet",\n      "exceptions": [],\n'
+     '      "home_communities": {},\n'),
+    ([], '{\n  "results": []\n}\n'),
+    ([{"id": "far", "origin": "ward", "roles": ["Nurse", "Driver", "Surgeon"]}],
+     '"missing_roles": [\n            "Driver",\n            "Surgeon"\n'),
+    ([{"id": "named", "origin": "ward", "roles": ["Nurse", "Nurse"],
+       "state": {"Nurse": "n2"}}],
+     '"member": "n2",\n          "role": "Nurse"\n        },\n'
+     '        {\n          "member": "n1"'),
+], ids=["zero-roles", "no-conditions", "incomplete-with-trail", "preassigned"])
+def test_resolve_report_edge_shapes_are_byte_exact(tmp_path, capsys, conditions, shape):
+    report = assert_resolve_report(tmp_path, capsys, {"community": CLINIC,
+                                                      "conditions": conditions})
+    assert shape in report
+
+
+def test_resolve_bad_later_condition_writes_nothing(tmp_path, capsys):
+    fixture = {"community": CLINIC,
+               "conditions": [{"id": "ok", "origin": "ward", "roles": ["Nurse"]},
+                              {"id": "lost", "origin": "nowhere", "roles": ["Nurse"]}]}
+    path = write(tmp_path / "fixture.json", json.dumps(fixture))
+    out = tmp_path / "report.json"
+    assert_input_error(capsys, ["resolve", "--fixture", path, "--out", str(out)],
+                       "conditions[1]", "'nowhere'")
+    assert not out.exists()
+
+
+def generated_fixture(rng: random.Random, conditions: int) -> dict:
+    """A depth-3, fan-out-5 tree of about 950 members and ``conditions``
+    conditions of one to three roles, drawn mostly from the rarely offered
+    types: those run out, so results come complete and incomplete, most of
+    them after escalating."""
+    types = ["Nurse", "Driver", "Cook", "Doctor", "Surgeon", "Pilot"]
+    weights = [8, 6, 4, 2, 1, 0.5]
+    nodes = []
+
+    def build(level):
+        node_id = f"c{len(nodes)}"
+        nodes.append(node_id)
+        members = [{"id": f"{node_id}.m{i}",
+                    "offers": rng.choices(types, weights, k=rng.randint(1, 2))}
+                   for i in range(rng.randint(0, 12))]
+        children = [build(level + 1) for _ in range(5 if level < 3 else 0)]
+        return {"id": node_id, "members": members, "children": children}
+
+    community = build(0)
+    conds = [{"id": f"t{n}", "origin": rng.choice(nodes),
+              "roles": rng.choices(types, weights[::-1], k=rng.randint(1, 3))}
+             for n in range(conditions)]
+    return {"taxonomy_edges": [["Surgeon", "Doctor"]], "community": community,
+            "conditions": conds}
+
+
+def test_resolve_report_matches_the_oracle_at_benchmark_scale(tmp_path, capsys):
+    fixture = generated_fixture(random.Random(18), conditions=2500)
+    report = assert_resolve_report(tmp_path, capsys, fixture)
+    results = json.loads(report)["results"]
+    statuses = [r["status"] for r in results]
+    assert len(results) == 2500
+    assert 200 < statuses.count("incomplete") < 2300
+    assert sum(len(r["exceptions"]) for r in results) > 2500
 
 
 def condition(**fields):
@@ -658,3 +786,62 @@ def test_report_writer_matches_indented_sorted_json_dumps(value):
     chunks = []
     _dump_json(value, chunks.append)
     assert "".join(chunks) == json.dumps(value, indent=2, sort_keys=True)
+
+
+_IDS = st.lists(_TEXT, min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def resolutions(draw):
+    """A resolve result with ids from the escape alphabet: complete with an
+    overlay (possibly of no roles) or incomplete, with any exception trail."""
+    trail = tuple(ExceptionRecord(draw(_TEXT), tuple(draw(st.lists(_TEXT, max_size=3))))
+                  for _ in range(draw(st.integers(0, 3))))
+    if draw(st.booleans()):
+        members = draw(st.lists(_TEXT, max_size=4, unique=True))
+        roles = draw(st.lists(_TEXT, min_size=len(members), max_size=len(members)))
+        homes = {member: draw(_TEXT) for member in members}
+        overlay = SocialOverlayNetwork(draw(_TEXT), tuple(zip(roles, members)), homes)
+        return Resolution(overlay.condition_id, overlay, (), trail)
+    return Resolution(draw(_TEXT), None, tuple(draw(_IDS)), trail)
+
+
+@given(st.lists(resolutions(), max_size=4))
+def test_resolve_report_writer_matches_indented_sorted_json_dumps(results):
+    chunks = []
+    _write_resolutions(results, chunks.append)
+    report = {"results": [resolution_json(resolution) for resolution in results]}
+    assert "".join(chunks) == json.dumps(report, indent=2, sort_keys=True)
+
+
+# --- what each command imports ----------------------------------------------
+
+LAYERS = {"community", "descriptions", "diffusion", "fractal", "mutualism"}
+
+
+def layers_loaded(code: str) -> set[str]:
+    """The fso layers in ``sys.modules`` after running ``code`` in a fresh interpreter."""
+    script = f"{code}\nimport sys\nprint(*sys.modules)"
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    return {layer for layer in LAYERS if f"fso.{layer}" in done.stdout.split()}
+
+
+def test_importing_the_command_line_loads_no_layer():
+    assert layers_loaded("import fso.cli") == set()
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["simulate", "--scenario", "{}/scenario.json", "--out", "{}/x.csv"], {"diffusion"}),
+    (["resolve", "--fixture", str(DATA / "sibling_fixture.json")], {"fractal"}),
+    (["match", "--taxonomy", str(DATA / "fitness_taxonomy.txt"),
+      str(DATA / "walking_service.ttl")], {"community", "descriptions"}),
+], ids=["simulate", "resolve", "match"])
+def test_each_command_loads_only_its_layers(tmp_path, argv, loaded):
+    scenario_file(tmp_path)
+    argv = [arg.format(tmp_path) for arg in argv]
+    code = ("import contextlib, io\nfrom fso.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0")
+    assert layers_loaded(code) == loaded
