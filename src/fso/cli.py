@@ -238,6 +238,8 @@ def cmd_simulate(args) -> int:
             claimed[name] = path
     # an unusable output location fails now, not after the Monte Carlo runs
     if multiple:  # a missing directory is created, so its nearest existing ancestor decides
+        if not args.out:  # Path("") is the working directory, which no one named
+            raise InputError("--out must name a directory for several scenarios", repr(args.out))
         existing = next(p for p in (out, *out.parents) if p.exists())
         if not existing.is_dir():
             raise InputError(f"--out must be a directory for several scenarios,"

@@ -415,6 +415,9 @@ def load_community(path) -> tuple[Community, list[tuple[str, ServiceDescription]
                 community.register(member_id)
             except InputError as exc:
                 raise InputError(f"members[{i}].id: {exc}") from None
-            for name in get_field(member, "descriptions", list, "members", i, (), str):
+            names = get_field(member, "descriptions", list, "members", i, (), str)
+            for j, name in enumerate(names):
+                if not name:  # path.parent / "" is a directory
+                    raise InputError(f"members[{i}].descriptions[{j}]: the file name is empty")
                 plan.extend((member_id, d) for d in load_descriptions(path.parent / name))
     return community, plan

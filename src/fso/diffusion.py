@@ -23,16 +23,18 @@ u.  The unit drawn is the k-th lowest set bit of ``knows[sender] &
 ~knows[receiver]`` with ``k = randrange(popcount)``: the k-th unit of the
 sorted set difference, so the order above fixes every unit drawn.  ``step``
 draws ``k`` with the stdlib's own ``randrange`` loop written inline
-(``getrandbits(popcount.bit_length())`` until below ``popcount``), which
-consumes the same words.
+(``getrandbits(popcount.bit_length())`` until below ``popcount``, even for a
+popcount of 1), which consumes the same words.  Draws read the pre-step
+masks; drawn units are OR-ed into a copy, which becomes the next state.
 
 A network is settled once every live edge joins two agents that know the
 same units: no transmission can fire, so knowledge stops changing, and
 isolation only removes edges, so it stays settled.  Its rounds would draw
 one ``random()`` per direction, two 32-bit Mersenne Twister words each, and
-use none; ``step`` takes those words with one ``getrandbits(128 * live
-edges)`` call instead, which leaves the generator in the same state for the
-isolation draws that follow and for anything else sharing it.
+use none.  ``run_scenario`` jumps from there to the next isolation step, or
+past the horizon: it repeats the measure and takes the skipped rounds' words
+with ``getrandbits`` (2**20 words a call, so memory does not grow with the
+horizon), leaving the generator where those rounds would.
 """
 
 from __future__ import annotations
@@ -143,40 +145,42 @@ def diffusion_measure(net: MetaNetwork) -> float:
     return net.known / len(net.knows) ** 2
 
 
-def kth_set_bit(mask: int, k: int) -> int:
-    """The k-th lowest set bit of ``mask`` (k from 0), as a one-bit mask."""
-    for _ in range(k):
-        mask &= mask - 1
-    return mask & -mask
-
-
 def step(net: MetaNetwork, rng: random.Random, p: float) -> MetaNetwork:
     """One synchronous exchange round; mutates and returns the network."""
     live = net.live_edges()
-    if net.settled:  # nothing can transmit: take the round's 2 x 64 bits per edge
-        rng.getrandbits(128 * len(live))
-        return net
     knows = net.knows
+    after = knows[:]  # every draw reads the pre-step state, every unit lands here
     draw, bits = rng.random, rng.getrandbits
-    gained: dict[int, int] = {}  # receiver -> units drawn for it this round
     for u, v in live:  # direction u -> v first, then v -> u
         if draw() < p and (new := knows[u] & ~knows[v]):
             n = new.bit_count()
             k = n.bit_length()
             while (r := bits(k)) >= n:  # r = randrange(n)
                 pass
-            gained[v] = gained.get(v, 0) | kth_set_bit(new, r)
+            if r == n - 1:  # the highest unit: no need to drop the rest
+                after[v] |= 1 << (new.bit_length() - 1)
+            else:
+                while r:  # drop the r lowest units
+                    new &= new - 1
+                    r -= 1
+                after[v] |= new & -new
         if draw() < p and (new := knows[v] & ~knows[u]):
             n = new.bit_count()
             k = n.bit_length()
             while (r := bits(k)) >= n:
                 pass
-            gained[u] = gained.get(u, 0) | kth_set_bit(new, r)
-    if not gained:
+            if r == n - 1:
+                after[u] |= 1 << (new.bit_length() - 1)
+            else:
+                while r:
+                    new &= new - 1
+                    r -= 1
+                after[u] |= new & -new
+    if after == knows:
         net.settled = all(knows[u] == knows[v] for u, v in live)
-    for receiver, units in gained.items():
-        net.known += units.bit_count()  # each drawn unit was new to the receiver
-        knows[receiver] |= units
+    else:
+        net.knows = after
+        net.known = sum(map(int.bit_count, after))
     return net
 
 
@@ -260,13 +264,24 @@ def run_scenario(spec: ScenarioSpec) -> DiffusionTrace:
     rng = random.Random(spec.seed)
     values = [diffusion_measure(net)]
     isolations: list[tuple[int, int]] = []
-    for t in range(1, spec.horizon + 1):
+    t = 1
+    while t <= spec.horizon:
         for time, strategy in spec.isolation_events:
             if time == t:
                 net, agent = isolate(net, strategy, rng)
                 isolations.append((t, agent))
-        step(net, rng, spec.transmit_probability)
-        values.append(diffusion_measure(net))
+        if net.settled:  # nothing changes until the next isolation: jump there
+            to = min((time for time, _ in spec.isolation_events if time > t),
+                     default=spec.horizon + 1)
+            words = 4 * len(net.live_edges()) * (to - t)  # 2 random() per direction
+            for done in range(0, words, 1 << 20):  # at most 4 MB at a time
+                rng.getrandbits(32 * min(words - done, 1 << 20))
+            values += [values[-1]] * (to - t)
+            t = to
+        else:
+            step(net, rng, spec.transmit_probability)
+            values.append(diffusion_measure(net))
+            t += 1
     return DiffusionTrace(tuple(values), tuple(isolations))
 
 

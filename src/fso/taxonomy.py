@@ -115,6 +115,8 @@ def load_taxonomy(path) -> Taxonomy:
 def taxonomy_from_spec(data: dict, base: Path) -> Taxonomy:
     """A document's optional ``taxonomy`` file (under ``base``) plus its ``taxonomy_edges``."""
     name = get_field(data, "taxonomy", str, default=None)
+    if name == "":  # base / "" is base itself, a directory
+        raise InputError("taxonomy: the file name is empty")
     tax = Taxonomy() if name is None else load_taxonomy(base / name)
     for i, edge in enumerate(get_field(data, "taxonomy_edges", list, default=())):
         if type(edge) is not list or len(edge) != 2 or {type(t) for t in edge} != {str}:

@@ -7,7 +7,8 @@ into action systems straight from the taxonomy, knowledge diffusion via a
 literal replay of the documented RNG discipline.  The diffusion section
 also keeps the simulator as it was before its data layout was trimmed
 (full meta-network, per-step edge sort, per-candidate degree scan,
-three-pass aggregation) as the reference for differential tests, and the
+three-pass aggregation, the k-th-set-bit unit selection ``step`` now
+writes inline) as the reference for differential tests, and the
 community section keeps the publisher as it was before its index (a full
 re-scan of every record ever published) for the same purpose, and the
 fractal section keeps the resolver as it was before its tree index (a sort
@@ -861,6 +862,14 @@ def reference_measure(net: ReferenceMetaNetwork) -> float:
     """Fraction of (agent, unit) pairs where the agent knows the unit."""
     total = sum(len(units) for units in net.knows.values())
     return total / (len(net.agents) * len(net.knowledge))
+
+
+def kth_set_bit(mask: int, k: int) -> int:
+    """The k-th lowest set bit of ``mask`` (k from 0), as a one-bit mask: the
+    unit selection ``step`` writes inline."""
+    for _ in range(k):
+        mask &= mask - 1
+    return mask & -mask
 
 
 def reference_step(

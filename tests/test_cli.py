@@ -352,12 +352,16 @@ def test_match_community_policy_flag_must_be_boolean(tmp_path, capsys):
         ({"taxonomy": "types\u0000.txt"}, {}, ("types\\x00.txt", "NUL")),
         ({"members": [{"id": "a"}, {"id": "activity:Walking"}]}, {},
          ("community.json", "members[1].id", "'activity:Walking'", "reserved")),
+        ({"taxonomy": ""}, {}, ("community.json: taxonomy: the file name is empty",)),
+        ({"members": [{"id": "a", "descriptions": ["a.ttl", ""]}]}, {"a.ttl": WALKING},
+         ("community.json: members[0].descriptions[1]: the file name is empty",)),
     ],
     ids=["top-level-array", "member-without-id", "members-not-a-list",
          "taxonomy-file-cycle", "taxonomy-file-syntax", "malformed-json", "bad-turtle",
          "unknown-policy-flag", "one-element-edge", "inline-edge-cycle", "duplicate-member",
          "description-path-not-a-string", "integer-too-long", "deep-nesting",
-         "nul-in-file-name", "reserved-activity-id"],
+         "nul-in-file-name", "reserved-activity-id", "empty-taxonomy-name",
+         "empty-description-name"],
 )
 def test_match_malformed_community_names_file_and_field(
     tmp_path, capsys, document, files, fragments
@@ -543,13 +547,16 @@ CITY = {"id": "city", "members": [{"id": "m", "offers": ["Cooking"]}]}
          ("conditions[0].state['Doctor']",)),
         ({"community": CITY, "conditions": [condition(state={"Nurse": 5})]},
          ("conditions[0].state['Nurse']",)),
+        ({"taxonomy": "", "community": {"id": "x"}},
+         ("bad.json: taxonomy: the file name is empty",)),
     ],
     ids=["top-level-array", "community-without-id", "member-without-id",
          "state-not-an-object", "unknown-origin", "offers-not-a-list",
          "members-not-a-list", "roles-not-a-list", "edges-not-a-list",
          "id-not-a-string", "preassigned-not-in-tree", "preassigned-lacks-role",
          "preassigned-already-booked", "duplicate-community-id",
-         "member-in-two-communities", "state-key-not-a-role", "state-member-not-a-string"],
+         "member-in-two-communities", "state-key-not-a-role", "state-member-not-a-string",
+         "empty-taxonomy-name"],
 )
 def test_resolve_malformed_fixture_names_file_and_field(tmp_path, capsys, fixture, fragments):
     path = write(tmp_path / "bad.json", json.dumps(fixture))
@@ -737,6 +744,15 @@ def test_simulate_unusable_out_fails_before_any_run(tmp_path, capsys, monkeypatc
     assert (tmp_path / "taken.csv").read_text() == "keep\n"
     made = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
     assert made == {"taken.csv", "folder", "a.json"} | ({"b.json"} if several else set())
+
+
+def test_simulate_several_scenarios_refuse_an_empty_out(tmp_path, capsys, monkeypatch):
+    # Path("") is the working directory: the CSVs would land there unasked
+    monkeypatch.chdir(tmp_path)
+    scenarios = [scenario_file(tmp_path, name=name) for name in ("a.json", "b.json")]
+    assert_input_error(capsys, ["simulate", "--scenario", *scenarios, "--out", ""],
+                       "error: '': --out must name a directory for several scenarios")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json"]
 
 
 def test_repeated_invocations_are_byte_identical(tmp_path):

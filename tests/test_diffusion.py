@@ -2,11 +2,14 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fso import diffusion
 from fso.diffusion import (
     DEFAULT_HORIZON,
     IsolationStrategy,
@@ -17,7 +20,6 @@ from fso.diffusion import (
     gen_fractal,
     gen_hierarchy,
     isolate,
-    kth_set_bit,
     monte_carlo,
     run_scenario,
     scenario_from_dict,
@@ -25,10 +27,12 @@ from fso.diffusion import (
 )
 from fso.inputs import InputError
 
+import oracles
 from oracles import (
     ReferenceMetaNetwork,
     connected_after_removal,
     has_cut_vertex,
+    kth_set_bit,
     reference_aggregate,
     reference_isolate,
     reference_measure,
@@ -389,9 +393,10 @@ def test_run_scenario_matches_reference_after_settling():
 
 def test_settled_rounds_leave_the_rng_where_the_reference_does():
     rng = random.Random(60)
-    fast_forwarded = random_after_settling = settled_runs = 0
+    settled_rounds = random_after_settling = settled_runs = 0
     for _ in range(40):
         s = late_isolation_spec(rng)
+        assert run_scenario(s) == reference_run_scenario(s), s  # jumps the settled stretches
         edges = s.build_edges()
         net = MetaNetwork.initial(edges, s.agents)
         ref = ReferenceMetaNetwork.initial(edges, s.agents)
@@ -403,13 +408,126 @@ def test_settled_rounds_leave_the_rng_where_the_reference_does():
                     assert isolate(net, strategy, ours)[1] == reference_isolate(ref, strategy, theirs)[1]
             if net.settled:  # settled only where no live edge can transmit
                 assert all(net.knows[u] == net.knows[v] for u, v in net.live_edges()), s
-                fast_forwarded += 1
+                settled_rounds += 1
             step(net, ours, s.transmit_probability)
             reference_step(ref, theirs, s.transmit_probability)
             assert ours.getstate() == theirs.getstate(), (s, t)
             assert known_sets(net) == ref.knows
         settled_runs += net.settled
-    assert fast_forwarded and random_after_settling and settled_runs
+    assert settled_rounds and random_after_settling and settled_runs
+
+
+def with_final_rng(run, module, s):
+    """``run(s)`` and the state its generator ends in; ``module`` makes the generator."""
+    made = []
+
+    class Kept(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    real = module.random
+    module.random = SimpleNamespace(Random=Kept)
+    try:
+        trace = run(s)
+    finally:
+        module.random = real
+    (kept,) = made
+    return trace, kept.getstate()
+
+
+def settling_spec(rng):
+    """A small scenario that settles early, with isolations of both kinds
+    late in it, often two at one step; horizons 0, 1 and 2 included."""
+    topology = rng.choice(list(Topology))
+    agents = 3 * rng.randint(1, 5) if topology is Topology.FRACTAL else rng.randint(1, 15)
+    horizon = rng.choice([0, 1, 2, 150, 400])
+    events = []
+    if horizon:
+        shared = rng.randint(horizon // 2 + 1, horizon)
+        for _ in range(rng.randint(0, min(agents, 4))):
+            time = shared if rng.random() < 0.4 else rng.randint(horizon // 2 + 1, horizon)
+            events.append((time, rng.choice(list(IsolationStrategy))))
+    return ScenarioSpec(topology, horizon=horizon,
+                        transmit_probability=rng.choice([0.5, 1.0]),
+                        isolation_events=tuple(events), seed=rng.randrange(2**32),
+                        agents=agents)
+
+
+def test_jumps_over_settled_stretches_match_reference(monkeypatch):
+    calls = Counter()
+
+    def counted_step(net, rng, p):
+        calls["step"] += 1
+        return step(net, rng, p)
+
+    def watched_isolate(net, strategy, rng):
+        calls[strategy, net.settled] += 1
+        return isolate(net, strategy, rng)
+
+    monkeypatch.setattr(diffusion, "step", counted_step)
+    monkeypatch.setattr(diffusion, "isolate", watched_isolate)
+    rng = random.Random(404)
+    horizons = Counter()
+    for _ in range(150):
+        s = settling_spec(rng)
+        horizons[s.horizon] += s.horizon
+        ours = with_final_rng(run_scenario, diffusion, s)
+        assert ours == with_final_rng(reference_run_scenario, oracles, s), s
+    assert calls["step"] < sum(horizons.values()) // 10  # most steps were jumped over
+    assert calls[IsolationStrategy.RANDOM, True] and calls[IsolationStrategy.MAX_DEGREE, True]
+    assert horizons.keys() == {0, 1, 2, 150, 400}
+
+
+def test_jump_longer_than_one_draw_matches_reference():
+    # 100 words per step over ~12,000 settled steps: the words come in two pieces
+    s = spec(horizon=12_000, transmit_probability=1.0, seed=1,
+             isolation_events=((11_999, IsolationStrategy.RANDOM),))
+    ours = with_final_rng(run_scenario, diffusion, s)
+    assert ours == with_final_rng(reference_run_scenario, oracles, s)
+
+
+def test_long_settled_stretch_takes_its_words_in_bounded_memory():
+    s = spec(horizon=200_000, transmit_probability=1.0)  # 80 MB of words if drawn at once
+    tracemalloc.start()
+    try:
+        trace = run_scenario(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.values[-1] == 1.0
+    assert peak < 16 * 2**20  # the trace itself holds 3.2 MB
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("topology", list(Topology))
+def test_run_scenario_matches_reference_at_600_agents(topology, p):
+    R, M = IsolationStrategy.RANDOM, IsolationStrategy.MAX_DEGREE
+    s = spec(topology=topology, agents=600, horizon=40, transmit_probability=p, seed=3,
+             isolation_events=((5, R), (12, M), (12, R), (30, M), (40, R)))
+    assert with_final_rng(run_scenario, diffusion, s) == with_final_rng(
+        reference_run_scenario, oracles, s)
+
+
+def test_single_unit_draws_leave_the_rng_where_the_reference_does():
+    """Differences of one unit still draw ``getrandbits(1)`` until 0, as ``randrange(1)``."""
+    rng = random.Random(1)
+    single = 0
+    for _ in range(60):
+        agents = rng.randint(2, 4)
+        edges = gen_hierarchy(agents, rng.randint(2, 3))
+        net = MetaNetwork.initial(edges, agents)
+        ref = ReferenceMetaNetwork.initial(edges, agents)
+        seed = rng.randrange(2**32)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        p = rng.choice([0.05, 0.5, 1.0])
+        while not net.settled:
+            single += sum((net.knows[u] ^ net.knows[v]).bit_count() == 1 for u, v in edges)
+            step(net, ours, p)
+            reference_step(ref, theirs, p)
+            assert ours.getstate() == theirs.getstate()
+            assert known_sets(net) == ref.knows
+    assert single
 
 
 def test_inline_unit_draw_is_randrange():
