@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 from .inputs import InputError, reading
 
 if TYPE_CHECKING:  # each command imports the layers it runs, and only those
-    from .community import Community
     from .fractal import Resolution
 
 EXIT_OK = 0
@@ -40,43 +39,30 @@ _INPUT_ERRORS = (OSError, InputError)
 _encode_string = json.encoder.encode_basestring_ascii  # C, when the _json extension is built
 
 
-def _dump_json(value, write, newline: str = "\n") -> None:
-    """Write the text of ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
-
-    Dict keys must be strings.  The stdlib encodes with its pure-Python
-    encoder whenever ``indent`` is set; this walk does the layout, hands
-    every string to the C escaper and never holds the whole text.
-    """
-    if isinstance(value, str):
-        write(_encode_string(value))
-    elif isinstance(value, dict) and value:
-        inner = newline + "  "
-        separator, comma = "{" + inner, "," + inner
-        for key in sorted(value):
-            write(separator)
-            write(_encode_string(key))
-            write(": ")
-            _dump_json(value[key], write, inner)
-            separator = comma
-        write(newline + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        inner = newline + "  "
-        separator, comma = "[" + inner, "," + inner
-        for item in value:
-            write(separator)
-            _dump_json(item, write, inner)
-            separator = comma
-        write(newline + "]")
-    else:  # a number, a boolean, None or an empty container
-        write(json.dumps(value))
-
-
 def _layout(items: list[str], indent: str, brackets: str = "[]") -> str:
     """Rendered items as ``json.dumps(indent=2)`` lays out a container at ``indent``."""
     if not items:
         return brackets
     inner = "\n" + indent + "  "
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _render(value, indent: str) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` placed at ``indent``.
+
+    Dict keys must be strings.  The stdlib encodes with its pure-Python
+    encoder whenever ``indent`` is set; here ``_layout`` lays out the
+    containers and every string goes to the C escaper.
+    """
+    if isinstance(value, str):
+        return _encode_string(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        return _layout([f"{_encode_string(key)}: {_render(value[key], inner)}"
+                        for key in sorted(value)], indent, "{}")
+    if isinstance(value, (list, tuple)):
+        return _layout([_render(item, inner) for item in value], indent)
+    return json.dumps(value)  # a number, a boolean or None
 
 
 def _render_resolution(resolution: Resolution) -> str:
@@ -116,15 +102,20 @@ def _render_resolution(resolution: Resolution) -> str:
             "    }")
 
 
-def _write_resolutions(resolutions: list[Resolution], write) -> None:
-    """Write the resolve report, one result at a time: the text of
-    ``json.dumps({"results": [...]}, indent=2, sort_keys=True)``."""
-    separator = '{\n  "results": [\n    '
-    for resolution in resolutions:
-        write(separator)
-        write(_render_resolution(resolution))
-        separator = ",\n    "
-    write("\n  ]\n}" if resolutions else '{\n  "results": []\n}')
+def _write_report(write, sections: dict) -> None:
+    """Write ``{key: [entry, ...], ...}`` as ``json.dumps(indent=2, sort_keys=True)``
+    would, one entry at a time; each entry comes rendered at a list item's indent."""
+    opening = "{"
+    for key in sorted(sections):
+        write(f"{opening}\n  {_encode_string(key)}: [")
+        separator = "\n    "
+        for entry in sections[key]:
+            write(separator)
+            write(entry)
+            separator = ",\n    "
+        write("]" if separator == "\n    " else "\n  ]")
+        opening = ","
+    write("{}" if opening == "{" else "\n}")
 
 
 @contextmanager
@@ -140,19 +131,6 @@ def _check_out_file(out: str) -> None:
     path = Path(out)
     if not out or path.is_dir() or not path.parent.is_dir():
         raise InputError("--out must name a file in an existing directory", out or repr(out))
-
-
-def _pending_summary(community: Community) -> list[dict]:
-    return [
-        {
-            "member": owner,
-            "provide": d.provide,
-            "request": d.request,
-            "start_time": d.start_time.isoformat(),
-            "end_time": d.end_time.isoformat(),
-        }
-        for owner, d in community.pending()
-    ]
 
 
 def cmd_match(args) -> int:
@@ -196,12 +174,14 @@ def cmd_match(args) -> int:
     events = []
     for member_id, record in plan:
         events.extend(community.publish(member_id, record))
-    report = {
-        "events": [event.to_json_dict() for event in events],
-        "pending": _pending_summary(community),
-    }
+    pending = ({"member": owner, "provide": d.provide, "request": d.request,
+                "start_time": d.start_time.isoformat(), "end_time": d.end_time.isoformat()}
+               for owner, d in community.pending())
     with _report(args.out) as write:
-        _dump_json(report, write)
+        _write_report(write, {
+            "events": (_render(event.to_json_dict(), "    ") for event in events),
+            "pending": (_render(entry, "    ") for entry in pending),
+        })
     return EXIT_OK
 
 
@@ -218,7 +198,7 @@ def cmd_resolve(args) -> int:
         except InputError as exc:  # an unknown origin, a bad preassignment
             raise InputError(f"conditions[{i}]: {exc}", args.fixture) from None
     with _report(args.out) as write:
-        _write_resolutions(results, write)
+        _write_report(write, {"results": map(_render_resolution, results)})
     return EXIT_OK
 
 
@@ -230,12 +210,6 @@ def cmd_simulate(args) -> int:
     scenario_paths = [Path(p) for p in args.scenario]
     multiple = len(scenario_paths) > 1
     out = Path(args.out)
-    claimed: dict[str, Path] = {}  # output file name -> the scenario that writes it
-    for path in scenario_paths if multiple else ():
-        for name in [f"{path.stem}.csv"] + [f"{path.stem}.replicates.csv"] * args.dump_replicates:
-            if name in claimed:
-                raise InputError(f"{claimed[name]} and {path} would both write {out / name}")
-            claimed[name] = path
     # an unusable output location fails now, not after the Monte Carlo runs
     if multiple:  # a missing directory is created, so its nearest existing ancestor decides
         if not args.out:  # Path("") is the working directory, which no one named
@@ -246,15 +220,23 @@ def cmd_simulate(args) -> int:
                              f" and {existing} is not one", out)
     else:
         _check_out_file(args.out)
+    targets = [out / f"{path.stem}.csv" if multiple else out for path in scenario_paths]
+    dumps = [target.with_name(target.stem + ".replicates.csv") for target in targets]
+    writers: dict[Path, Path] = {}  # each output file -> the scenario that writes it
+    for path, target, dump_path in zip(scenario_paths, targets, dumps):
+        for file in (target, dump_path) if args.dump_replicates else (target,):
+            if file in writers:
+                raise InputError(f"{writers[file]} and {path} would both write {file}")
+            if file.is_dir():
+                raise InputError("the output file is an existing directory", file)
+            writers[file] = path
     if args.replicates < 1:  # checked before any output is made
         raise InputError("replicates must be at least 1")
-    for scenario_path, spec in zip(scenario_paths, specs):
+    for scenario_path, spec, target, dump_path in zip(scenario_paths, specs, targets, dumps):
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
         if multiple:
             out.mkdir(parents=True, exist_ok=True)
-        target = out / f"{scenario_path.stem}.csv" if multiple else out
-        dump_path = target.with_name(target.stem + ".replicates.csv")
         # each replicate's rows are written as it finishes; no trace is kept
         with (diffusion.write_replicates_csv(dump_path) if args.dump_replicates
               else nullcontext()) as dump:

@@ -69,6 +69,9 @@ class MatchPolicy:
 
     allow_specialization lets a provider of a supertype satisfy a request
     for one of its subtypes (a Fitness offer serving a Walking request).
+    require_time_overlap matches two records only when their closed
+    ``[start_time, end_time]`` windows intersect (a shared end is enough);
+    off, the windows are not compared.
     """
 
     allow_specialization: bool = False

@@ -345,7 +345,10 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
             raise InputError(
                 f"isolation_events[{i}] must be [integer step, strategy], got {event!r}"
             )
-        events.append((event[0], IsolationStrategy.parse(event[1])))
+        try:
+            events.append((event[0], IsolationStrategy.parse(event[1])))
+        except InputError as exc:
+            raise InputError(f"isolation_events[{i}]: {exc}") from None
     kwargs = {key: data[key] for key in data.keys() - {"topology", "isolation_events"}}
     spec = ScenarioSpec(Topology.parse(data["topology"]), isolation_events=tuple(events),
                         **kwargs)

@@ -7,12 +7,14 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fso.cli import _dump_json, _write_resolutions, main
+from fso.cli import _render, _render_resolution, _write_report, main
+from fso.community import load_community
 from fso.diffusion import load_scenario, run_scenario
 from fso.fractal import ExceptionRecord, Resolution, SocialOverlayNetwork, load_fixture
 from oracles import resolution_json
@@ -507,6 +509,56 @@ def test_resolve_report_matches_the_oracle_at_benchmark_scale(tmp_path, capsys):
     assert sum(len(r["exceptions"]) for r in results) > 2500
 
 
+def generated_community(folder: Path, rng: random.Random, members: int, records: int) -> str:
+    """A community document of ``members`` members with non-ASCII ids, each
+    publishing ``records`` records over one week: offers, requests,
+    exchanges, group offers and venues of a 15-type tree taxonomy, so every
+    event kind occurs and many records stay pending.  Returns its path."""
+    types = [f"T{i}" for i in range(15)]
+    write(folder / "types.txt",
+          "".join(f"T{i} subClassOf T{(i - 1) // 2}\n" for i in range(1, 15)))
+    stamp = '"{:%Y-%m-%dT%H:%M:%S}"^^xsd:dateTime'.format
+    document = {"taxonomy": "types.txt", "policy": {"allow_specialization": True}, "members": []}
+    for m in range(members):
+        chunks = [PREFIX, "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"]
+        for _ in range(records):
+            a, b = rng.choice(types), rng.choice(types)
+            provide, request = rng.choice([(a, None), (None, a), (a, b), (a, a),
+                                           ("Location", None)])
+            start = datetime(2013, 5, 1) + timedelta(minutes=rng.randrange(7 * 24 * 60))
+            end = start + timedelta(minutes=rng.randrange(60, 8 * 60))
+            chunks.append(f"[ service:creationTime {stamp(start - timedelta(hours=1))} ;\n"
+                          f"  service:endTime {stamp(end)} ;\n"
+                          f"  service:hasCreator <http://example.org/user/{m}#this> ;\n"
+                          + (f"  service:provide service:{provide} ;\n" if provide else "")
+                          + (f"  service:request service:{request} ;\n" if request else "")
+                          + f"  service:startTime {stamp(start)}\n] .\n")
+        write(folder / f"m{m}.ttl", "".join(chunks))
+        member_id = ["résident-{}", "成员{}", "m{}\u2028😀"][m % 3].format(m)
+        document["members"].append({"id": member_id, "descriptions": [f"m{m}.ttl"]})
+    return write(folder / "community.json", json.dumps(document))
+
+
+def test_match_report_matches_the_oracle_at_benchmark_scale(tmp_path, capsys):
+    community_path = generated_community(tmp_path, random.Random(20), members=60, records=20)
+    community, plan = load_community(community_path)
+    events = [event for member_id, record in plan
+              for event in community.publish(member_id, record)]
+    pending = [{"member": owner, "provide": d.provide, "request": d.request,
+                "start_time": d.start_time.isoformat(), "end_time": d.end_time.isoformat()}
+               for owner, d in community.pending()]
+    expected = json.dumps({"events": [event.to_json_dict() for event in events],
+                           "pending": pending}, indent=2, sort_keys=True) + "\n"
+    assert len(plan) == 1200
+    assert {event.kind.value for event in events} == {"service", "group", "mutualistic"}
+    assert len(pending) > 100 and "\\u6210" in expected
+    assert main(["match", "--community", community_path]) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "report.json"
+    assert main(["match", "--community", community_path, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+
+
 def condition(**fields):
     return {"id": "c", "origin": "city", "roles": ["Nurse"], **fields}
 
@@ -678,12 +730,15 @@ def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
         ({"topology": "ring"}, "unknown topology 'ring'"),
         ({"topology": "fractal", "isolation_events": [[1, "sideways"]]},
          "unknown isolation strategy 'sideways'"),
+        ({"topology": "fractal", "isolation_events": [[1, "random"], [2, "sideways"]]},
+         "isolation_events[1]: unknown isolation strategy 'sideways'"),
         ({"seed": 0}, "scenario must name a topology"),
     ],
     ids=["more-isolations-than-agents", "top-level-array", "fractional-horizon",
          "fractional-isolation-time", "one-element-event", "string-probability",
          "fractal-shape", "negative-agents", "unknown-key", "negative-horizon",
-         "unknown-topology", "unknown-isolation-strategy", "no-topology"],
+         "unknown-topology", "unknown-isolation-strategy", "second-isolation-strategy-unknown",
+         "no-topology"],
 )
 def test_simulate_malformed_scenario_names_the_field(tmp_path, capsys, scenario, message):
     path = write(tmp_path / "bad.json", json.dumps(scenario))
@@ -729,7 +784,7 @@ def test_simulate_scenarios_writing_one_output_are_rejected(tmp_path, capsys, na
 ], ids=["several-into-a-file", "several-under-a-file", "missing-directory", "a-directory"])
 def test_simulate_unusable_out_fails_before_any_run(tmp_path, capsys, monkeypatch,
                                                     out, several, fragment):
-    def refuse(spec, replicates):
+    def refuse(spec, replicates, on_replicate=None):
         raise AssertionError("monte_carlo ran before the output location was checked")
 
     monkeypatch.setattr("fso.diffusion.monte_carlo", refuse)
@@ -744,6 +799,28 @@ def test_simulate_unusable_out_fails_before_any_run(tmp_path, capsys, monkeypatc
     assert (tmp_path / "taken.csv").read_text() == "keep\n"
     made = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
     assert made == {"taken.csv", "folder", "a.json"} | ({"b.json"} if several else set())
+
+
+@pytest.mark.parametrize("names,out,extra", [
+    (["a.json", "b.json"], "out/b.csv", []),
+    (["a.json", "b.json"], "out/a.replicates.csv", ["--dump-replicates"]),
+    (["a.json"], "x.replicates.csv", ["--dump-replicates"]),
+], ids=["several-one-csv", "several-one-dump", "one-dump"])
+def test_simulate_output_file_that_is_a_directory_fails_before_any_run(
+        tmp_path, capsys, monkeypatch, names, out, extra):
+    def refuse(spec, replicates, on_replicate=None):
+        raise AssertionError("monte_carlo ran before every output file was checked")
+
+    monkeypatch.setattr("fso.diffusion.monte_carlo", refuse)
+    (tmp_path / out).mkdir(parents=True)
+    scenarios = [scenario_file(tmp_path, name=name) for name in names]
+    target = tmp_path / ("out" if len(names) > 1 else "x.csv")
+    argv = ["simulate", "--scenario", *scenarios, "--replicates", "50", "--out", str(target),
+            *extra]
+    assert_input_error(capsys, argv, f"error: {tmp_path / out}: the output file is an"
+                                     " existing directory")
+    made = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+    assert made == {*names, out} | ({"out"} if len(names) > 1 else set())
 
 
 def test_simulate_several_scenarios_refuse_an_empty_out(tmp_path, capsys, monkeypatch):
@@ -799,9 +876,15 @@ _JSON_VALUES = st.recursive(
 
 @given(_JSON_VALUES)
 def test_report_writer_matches_indented_sorted_json_dumps(value):
+    assert _render(value, "") == json.dumps(value, indent=2, sort_keys=True)
+
+
+@given(st.dictionaries(_TEXT, st.lists(_JSON_VALUES, max_size=3), max_size=3))
+def test_report_sections_match_indented_sorted_json_dumps(sections):
     chunks = []
-    _dump_json(value, chunks.append)
-    assert "".join(chunks) == json.dumps(value, indent=2, sort_keys=True)
+    _write_report(chunks.append, {key: (_render(entry, "    ") for entry in entries)
+                                  for key, entries in sections.items()})
+    assert "".join(chunks) == json.dumps(sections, indent=2, sort_keys=True)
 
 
 _IDS = st.lists(_TEXT, min_size=1, max_size=4, unique=True)
@@ -825,7 +908,7 @@ def resolutions(draw):
 @given(st.lists(resolutions(), max_size=4))
 def test_resolve_report_writer_matches_indented_sorted_json_dumps(results):
     chunks = []
-    _write_resolutions(results, chunks.append)
+    _write_report(chunks.append, {"results": map(_render_resolution, results)})
     report = {"results": [resolution_json(resolution) for resolution in results]}
     assert "".join(chunks) == json.dumps(report, indent=2, sort_keys=True)
 

@@ -121,3 +121,47 @@ def test_every_defined_name_is_reached():
                 if not member.startswith("__") and member not in touched:
                     unreached.add(f"{path.stem}.{name}.{member}")
     assert unreached == set(UNREACHED_BY_DESIGN)
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def own_nodes(scope):
+    """The nodes of a module or function, not those inside the functions it defines."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, FUNCTIONS):
+            yield from own_nodes(child)
+
+
+def bound(node) -> set[str]:
+    """The names one node binds: by import, assignment or as a parameter."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return {node.id}
+    return {node.arg} if isinstance(node, ast.arg) else set()
+
+
+def reads(scope, name: str) -> bool:
+    """Whether ``scope``, or a function in it that does not bind ``name`` itself, loads it."""
+    return any(
+        isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+        or isinstance(node, FUNCTIONS) and reads(node, name)
+        and not any(name in bound(inner) for inner in own_nodes(node))
+        for node in own_nodes(scope))
+
+
+def test_every_imported_name_is_read():
+    """An import that its module never reads is dead code, and in the command
+    module it may load a layer that the running command does not use."""
+    unread = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, FUNCTIONS))]:
+            for node in own_nodes(scope):
+                if (isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"):
+                    unread += [f"{path.name}: {name}" for name in sorted(bound(node))
+                               if not reads(scope, name)]
+    assert unread == []
