@@ -232,6 +232,8 @@ def cmd_simulate(args) -> int:
             writers[file] = path
     if args.replicates < 1:  # checked before any output is made
         raise InputError("replicates must be at least 1")
+    if args.seed is not None and args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     for scenario_path, spec, target, dump_path in zip(scenario_paths, specs, targets, dumps):
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)

@@ -14,9 +14,10 @@ vertex) and a ring of clique cells joined by doubled bridges (biconnected,
 so no single isolation disconnects the remaining agents).
 
 Runs are fully deterministic for a given spec: the RNG stream is consumed
-in a documented order (isolation draws first at their step, then edge
-draws in canonical order, direction low-to-high then high-to-low; a unit
-draw happens only when a transmission fires and candidates exist).
+in a documented order.  Isolation draws come first at their step, then the
+draws of each link in ``MetaNetwork.live_links()`` order (edges in canonical
+order, each low-to-high then high-to-low); a unit draw happens only when a
+transmission fires and candidates exist.
 
 Each agent's knowledge is an integer bitmask, bit u set when it knows unit
 u.  The unit drawn is the k-th lowest set bit of ``knows[sender] &
@@ -30,7 +31,7 @@ masks; drawn units are OR-ed into a copy, which becomes the next state.
 A network is settled once every live edge joins two agents that know the
 same units: no transmission can fire, so knowledge stops changing, and
 isolation only removes edges, so it stays settled.  Its rounds would draw
-one ``random()`` per direction, two 32-bit Mersenne Twister words each, and
+one ``random()`` per link, two 32-bit Mersenne Twister words each, and
 use none.  ``run_scenario`` jumps from there to the next isolation step, or
 past the horizon: it repeats the measure and takes the skipped rounds' words
 with ``getrandbits`` (2**20 words a call, so memory does not grow with the
@@ -132,11 +133,13 @@ class MetaNetwork:
         """Fresh state: agent i knows exactly unit i."""
         return cls(tuple(sorted(edges)), [1 << i for i in range(n)], n)
 
-    def live_edges(self) -> list[tuple[int, int]]:
-        """Edges with no isolated end, rebuilt only when isolation grows."""
+    def live_links(self) -> list[tuple[int, int]]:
+        """Both directions of each edge with no isolated end, in edge order and
+        low to high first: the draw order.  Rebuilt only when isolation grows."""
         cut = self.isolated
         if self._live[0] != len(cut):
-            self._live = (len(cut), [edge for edge in self.edges if cut.isdisjoint(edge)])
+            self._live = (len(cut), [link for edge in self.edges if cut.isdisjoint(edge)
+                                     for link in (edge, edge[::-1])])
         return self._live[1]
 
 
@@ -147,37 +150,25 @@ def diffusion_measure(net: MetaNetwork) -> float:
 
 def step(net: MetaNetwork, rng: random.Random, p: float) -> MetaNetwork:
     """One synchronous exchange round; mutates and returns the network."""
-    live = net.live_edges()
+    links = net.live_links()
     knows = net.knows
     after = knows[:]  # every draw reads the pre-step state, every unit lands here
     draw, bits = rng.random, rng.getrandbits
-    for u, v in live:  # direction u -> v first, then v -> u
-        if draw() < p and (new := knows[u] & ~knows[v]):
+    for sender, receiver in links:
+        if draw() < p and (new := knows[sender] & ~knows[receiver]):
             n = new.bit_count()
             k = n.bit_length()
             while (r := bits(k)) >= n:  # r = randrange(n)
                 pass
             if r == n - 1:  # the highest unit: no need to drop the rest
-                after[v] |= 1 << (new.bit_length() - 1)
+                after[receiver] |= 1 << (new.bit_length() - 1)
             else:
                 while r:  # drop the r lowest units
                     new &= new - 1
                     r -= 1
-                after[v] |= new & -new
-        if draw() < p and (new := knows[v] & ~knows[u]):
-            n = new.bit_count()
-            k = n.bit_length()
-            while (r := bits(k)) >= n:
-                pass
-            if r == n - 1:
-                after[u] |= 1 << (new.bit_length() - 1)
-            else:
-                while r:
-                    new &= new - 1
-                    r -= 1
-                after[u] |= new & -new
+                after[receiver] |= new & -new
     if after == knows:
-        net.settled = all(knows[u] == knows[v] for u, v in live)
+        net.settled = all(knows[u] == knows[v] for u, v in links)
     else:
         net.knows = after
         net.known = sum(map(int.bit_count, after))
@@ -196,7 +187,7 @@ def isolate(
     if strategy is IsolationStrategy.RANDOM:
         agent = candidates[rng.randrange(len(candidates))]
     else:
-        degree = Counter(end for edge in net.live_edges() for end in edge)
+        degree = Counter(u for u, _ in net.live_links())
         agent = min(candidates, key=lambda a: (-degree[a], a))
     net.isolated.add(agent)
     return net, agent
@@ -206,6 +197,7 @@ def isolate(
 
 DEFAULT_TRANSMIT_PROBABILITY = 0.5
 DEFAULT_HORIZON = 150
+MAX_HORIZON = 1_000_000  # a trace holds horizon + 1 values per replicate
 
 
 @dataclass(frozen=True)
@@ -233,6 +225,10 @@ class ScenarioSpec:
             raise InputError("transmit_probability must be in (0, 1]")
         if self.horizon < 0:
             raise InputError("horizon must be non-negative")
+        if self.horizon > MAX_HORIZON:
+            raise InputError(f"horizon must be at most {MAX_HORIZON}, got {self.horizon}")
+        if self.seed < 0:  # random.Random(-s) is random.Random(s): replicates would repeat
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.agents < 1:
             raise InputError(f"agents must be at least 1, got {self.agents}")
         for time, _ in self.isolation_events:
@@ -273,7 +269,7 @@ def run_scenario(spec: ScenarioSpec) -> DiffusionTrace:
         if net.settled:  # nothing changes until the next isolation: jump there
             to = min((time for time, _ in spec.isolation_events if time > t),
                      default=spec.horizon + 1)
-            words = 4 * len(net.live_edges()) * (to - t)  # 2 random() per direction
+            words = 2 * len(net.live_links()) * (to - t)  # 2 per random()
             for done in range(0, words, 1 << 20):  # at most 4 MB at a time
                 rng.getrandbits(32 * min(words - done, 1 << 20))
             values += [values[-1]] * (to - t)

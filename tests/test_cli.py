@@ -704,6 +704,16 @@ def test_simulate_seed_flag_overrides_spec(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_simulate_negative_seed_flag_fails_before_any_output(tmp_path, capsys):
+    # random.Random(-1) is random.Random(1): its replicates would repeat seed 1's
+    scenario = scenario_file(tmp_path)
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--scenario", scenario, "--seed", "-1", "--replicates", "3",
+            "--out", str(out), "--dump-replicates"]
+    assert_input_error(capsys, argv, "--seed must be non-negative, got -1")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
 def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
     bad = scenario_file(tmp_path, transmit_probability=0.0)
     argv = ["simulate", "--scenario", bad, "--out", str(tmp_path / "x.csv")]
@@ -727,6 +737,9 @@ def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
         ({"topology": "hierarchy", "agents": -3}, "agents must be at least 1"),
         ({"topology": "fractal", "speed": 9}, "unknown scenario keys: ['speed']"),
         ({"topology": "fractal", "horizon": -1}, "horizon must be non-negative"),
+        ({"topology": "hierarchy", "agents": 1, "horizon": 10**20},
+         "horizon must be at most 1000000"),
+        ({"topology": "fractal", "seed": -3}, "seed must be non-negative"),
         ({"topology": "ring"}, "unknown topology 'ring'"),
         ({"topology": "fractal", "isolation_events": [[1, "sideways"]]},
          "unknown isolation strategy 'sideways'"),
@@ -736,7 +749,8 @@ def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
     ],
     ids=["more-isolations-than-agents", "top-level-array", "fractional-horizon",
          "fractional-isolation-time", "one-element-event", "string-probability",
-         "fractal-shape", "negative-agents", "unknown-key", "negative-horizon",
+         "fractal-shape", "negative-agents", "unknown-key", "negative-horizon", "huge-horizon",
+         "negative-seed",
          "unknown-topology", "unknown-isolation-strategy", "second-isolation-strategy-unknown",
          "no-topology"],
 )

@@ -362,6 +362,9 @@ def test_lockstep_with_reference_until_no_agents_left():
         for _ in range(agents):
             strategy = rng.choice(list(IsolationStrategy))
             assert isolate(net, strategy, ours)[1] == reference_isolate(ref, strategy, theirs)[1]
+            # the draw order: each live edge low to high, then high to low
+            assert net.live_links() == [link for u, v in ref.live_edges()
+                                        for link in ((u, v), (v, u))]
             step(net, ours, p)
             reference_step(ref, theirs, p)
             assert diffusion_measure(net) == reference_measure(ref)
@@ -407,7 +410,7 @@ def test_settled_rounds_leave_the_rng_where_the_reference_does():
                     random_after_settling += net.settled and strategy is IsolationStrategy.RANDOM
                     assert isolate(net, strategy, ours)[1] == reference_isolate(ref, strategy, theirs)[1]
             if net.settled:  # settled only where no live edge can transmit
-                assert all(net.knows[u] == net.knows[v] for u, v in net.live_edges()), s
+                assert all(net.knows[u] == net.knows[v] for u, v in net.live_links()), s
                 settled_rounds += 1
             step(net, ours, s.transmit_probability)
             reference_step(ref, theirs, s.transmit_probability)
