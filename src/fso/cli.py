@@ -242,14 +242,10 @@ def cmd_simulate(args) -> int:
         # each replicate's rows are written as it finishes; no trace is kept
         with (diffusion.write_replicates_csv(dump_path) if args.dump_replicates
               else nullcontext()) as dump:
-            def on_replicate(r, trace):
-                if args.replicates == 1:
-                    diffusion.write_trace_csv(trace, target)
-                if dump is not None:
-                    dump(r, trace)
-
-            result = diffusion.monte_carlo(spec, args.replicates, on_replicate)
-        if args.replicates > 1:
+            result = diffusion.monte_carlo(spec, args.replicates, dump)
+        if args.replicates == 1:  # the mean of one run is that run: x / 1 == x
+            diffusion.write_trace_csv(result.mean, target)
+        else:
             diffusion.write_aggregate_csv(result, target)
         print(
             f"{scenario_path.stem} ({spec.topology.value}):"

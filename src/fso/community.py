@@ -11,15 +11,15 @@ publication order, in two buckets, the one store of what is pending: by the
 type it provides and by the type it requests.  A new record reads the
 provide-buckets of the types that could serve its request and the
 request-buckets of the types its offer could serve, as the taxonomy gives
-them, and visits that union by ascending sequence number; ``match_pair``
-alone decides each candidate.  Each bucket keeps its entries sorted by
-start time, with the longest window among them.  An entry that overlaps the
-window [s, e] starts no later than e and no earlier than s minus that
-longest window, so one bisection bounds the scan to the entries that start
-in [s - longest, e], and of those only the ones that end at s or later are
-candidates.  A record never looks at an entry whose window it misses.  When
-the policy does not require overlap, the query window is the whole time
-line.
+them, and visits that union by ascending sequence number: the index alone
+decides the candidates, and ``match_pair`` names each one's match.  Each
+bucket keeps its entries sorted by start time, with the longest window
+among them.  An entry that overlaps the window [s, e] starts no later than
+e and no earlier than s minus that longest window, so one bisection bounds
+the scan to the entries that start in [s - longest, e], and of those only
+the ones that end at s or later are candidates.  A record never looks at an
+entry whose window it misses.  When the policy does not require overlap,
+the query window is the whole time line.
 
 A match is the pair of types each side enacts for the other, the paper's
 witness pair read as service types.  A match where both sides enact the
@@ -44,7 +44,7 @@ from itertools import count
 from pathlib import Path
 
 from .descriptions import ServiceDescription, load_descriptions
-from .inputs import InputError, get_field, read_json, reading
+from .inputs import InputError, check_keys, get_field, read_json, reading
 from .taxonomy import Taxonomy, taxonomy_from_spec
 
 DEFAULT_RESIDUAL_REQUEST = "Location"
@@ -301,8 +301,6 @@ class Community:
             if candidate.owner == member_id:
                 continue
             match = match_pair(candidate.description, description, self.taxonomy, self.policy)
-            if match.kind is MatchType.NO_MATCH:
-                continue
             event = MatchEvent((candidate.owner, member_id), match)
             if candidate.owner in self.activities:
                 if match.backward is not None:  # the newcomer binds the venue
@@ -382,6 +380,11 @@ class Community:
 # --- loading -----------------------------------------------------------
 
 
+_DOCUMENT_KEYS = frozenset({"taxonomy", "taxonomy_edges", "policy", "members"})
+_POLICY_KEYS = frozenset({"allow_specialization", "require_time_overlap"})
+_MEMBER_KEYS = frozenset({"id", "descriptions"})
+
+
 def load_community(path) -> tuple[Community, list[tuple[str, ServiceDescription]]]:
     """Build a community from a JSON document.
 
@@ -404,15 +407,16 @@ def load_community(path) -> tuple[Community, list[tuple[str, ServiceDescription]
         path = Path(path)
         if type(data) is not dict:
             raise InputError(f"document must be a JSON object, got {type(data).__name__}")
+        check_keys(data, _DOCUMENT_KEYS, "document", top=True)
         taxonomy = taxonomy_from_spec(data, path.parent)
         flags = get_field(data, "policy", dict, default={})
+        check_keys(flags, _POLICY_KEYS, "policy")
         for flag in flags:
-            if flag not in ("allow_specialization", "require_time_overlap"):
-                raise InputError(f"policy: unknown flag {flag!r}")
             get_field(flags, flag, bool, "policy")
         community = Community(taxonomy, MatchPolicy(**flags))
         plan: list[tuple[str, ServiceDescription]] = []
         for i, member in enumerate(get_field(data, "members", list, default=())):
+            check_keys(member, _MEMBER_KEYS, "members", i)
             member_id = get_field(member, "id", str, "members", i)
             try:
                 community.register(member_id)

@@ -47,33 +47,26 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
-from .inputs import InputError, get_field, read_json, reading
+from .inputs import InputError, check_keys, get_field, read_json, reading
 
 
 class IsolationStrategy(Enum):
     RANDOM = "random"
     MAX_DEGREE = "max_degree"
 
-    @classmethod
-    def parse(cls, name: str) -> "IsolationStrategy":
-        key = str(name).strip().lower().replace("-", "").replace("_", "")
-        for strategy in cls:
-            if strategy.value.replace("_", "") == key:
-                return strategy
-        raise InputError(f"unknown isolation strategy {name!r}")
-
 
 class Topology(Enum):
     FRACTAL = "fractal"
     HIERARCHY = "hierarchy"
 
-    @classmethod
-    def parse(cls, name: str) -> "Topology":
-        key = str(name).strip().lower()
-        for topology in cls:
-            if topology.value == key:
-                return topology
-        raise InputError(f"unknown topology {name!r}")
+
+def parse_name(kind: type[Enum], name, what: str):
+    """The member of ``kind`` named ``name``, ignoring case, ``-`` and ``_``."""
+    key = str(name).strip().lower().replace("-", "").replace("_", "")
+    for member in kind:
+        if member.value.replace("_", "") == key:
+            return member
+    raise InputError(f"unknown {what} {name!r}")
 
 
 # --- topologies ---------------------------------------------------------
@@ -119,11 +112,10 @@ def gen_fractal(n: int, cell_size: int = 3) -> frozenset[tuple[int, int]]:
 
 @dataclass
 class MetaNetwork:
-    """Agents 0..n-1: sorted edges, knowledge bitmasks and their total, who is cut off."""
+    """Agents 0..n-1: sorted edges, knowledge bitmasks, who is cut off."""
 
     edges: tuple[tuple[int, int], ...]
     knows: list[int]
-    known: int
     isolated: set[int] = field(default_factory=set)
     _live: tuple = field(default=(-1, ()), repr=False, compare=False)
     settled: bool = field(default=False, repr=False, compare=False)
@@ -131,7 +123,7 @@ class MetaNetwork:
     @classmethod
     def initial(cls, edges: frozenset[tuple[int, int]], n: int) -> "MetaNetwork":
         """Fresh state: agent i knows exactly unit i."""
-        return cls(tuple(sorted(edges)), [1 << i for i in range(n)], n)
+        return cls(tuple(sorted(edges)), [1 << i for i in range(n)])
 
     def live_links(self) -> list[tuple[int, int]]:
         """Both directions of each edge with no isolated end, in edge order and
@@ -145,7 +137,7 @@ class MetaNetwork:
 
 def diffusion_measure(net: MetaNetwork) -> float:
     """Fraction of (agent, unit) pairs where the agent knows the unit."""
-    return net.known / len(net.knows) ** 2
+    return sum(map(int.bit_count, net.knows)) / len(net.knows) ** 2
 
 
 def step(net: MetaNetwork, rng: random.Random, p: float) -> MetaNetwork:
@@ -169,9 +161,7 @@ def step(net: MetaNetwork, rng: random.Random, p: float) -> MetaNetwork:
                 after[receiver] |= new & -new
     if after == knows:
         net.settled = all(knows[u] == knows[v] for u, v in links)
-    else:
-        net.knows = after
-        net.known = sum(map(int.bit_count, after))
+    net.knows = after
     return net
 
 
@@ -198,6 +188,8 @@ def isolate(
 DEFAULT_TRANSMIT_PROBABILITY = 0.5
 DEFAULT_HORIZON = 150
 MAX_HORIZON = 1_000_000  # a trace holds horizon + 1 values per replicate
+MAX_AGENTS = 10_000  # the knowledge masks take agents**2 bits
+MAX_EDGES = 100_000  # a fractal cell is a clique: edges grow as cell_size**2
 
 
 @dataclass(frozen=True)
@@ -231,6 +223,15 @@ class ScenarioSpec:
             raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.agents < 1:
             raise InputError(f"agents must be at least 1, got {self.agents}")
+        if self.agents > MAX_AGENTS:
+            raise InputError(f"agents must be at most {MAX_AGENTS}, got {self.agents}")
+        # counted before any edge is built; a hierarchy's agents - 1 edges fit anyway
+        if self.topology is Topology.FRACTAL and self.cell_size >= 3:
+            cells, size = self.agents // self.cell_size, self.cell_size
+            edges = cells * size * (size - 1) // 2 + (2 * cells if cells > 1 else 0)
+            if edges > MAX_EDGES:
+                raise InputError(f"cell_size {size} with {self.agents} agents makes"
+                                 f" {edges} edges, more than {MAX_EDGES}")
         for time, _ in self.isolation_events:
             if not 1 <= time <= self.horizon:
                 raise InputError(f"isolation time {time} outside 1..{self.horizon}")
@@ -324,15 +325,13 @@ def monte_carlo(spec: ScenarioSpec, replicates: int,
 
 # --- spec and trace I/O --------------------------------------------------
 
-_SCENARIO_KEYS = {f.name for f in fields(ScenarioSpec)}
+_SCENARIO_KEYS = frozenset(f.name for f in fields(ScenarioSpec))
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
     if not isinstance(data, dict):
         raise InputError(f"scenario must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - _SCENARIO_KEYS
-    if unknown:
-        raise InputError(f"unknown scenario keys: {sorted(unknown)}")
+    check_keys(data, _SCENARIO_KEYS, "scenario", top=True)
     if "topology" not in data:
         raise InputError("scenario must name a topology")
     events = []
@@ -342,12 +341,13 @@ def scenario_from_dict(data: dict) -> ScenarioSpec:
                 f"isolation_events[{i}] must be [integer step, strategy], got {event!r}"
             )
         try:
-            events.append((event[0], IsolationStrategy.parse(event[1])))
+            events.append((event[0], parse_name(IsolationStrategy, event[1],
+                                                "isolation strategy")))
         except InputError as exc:
             raise InputError(f"isolation_events[{i}]: {exc}") from None
     kwargs = {key: data[key] for key in data.keys() - {"topology", "isolation_events"}}
-    spec = ScenarioSpec(Topology.parse(data["topology"]), isolation_events=tuple(events),
-                        **kwargs)
+    spec = ScenarioSpec(parse_name(Topology, data["topology"], "topology"),
+                        isolation_events=tuple(events), **kwargs)
     spec.build_edges()  # the topology generators own the shape rules
     return spec
 
@@ -358,28 +358,28 @@ def load_scenario(path) -> ScenarioSpec:
         return scenario_from_dict(read_json(path))
 
 
-def write_trace_csv(trace: DiffusionTrace, path):
+@contextmanager
+def _csv(path, *header):
+    """Open the CSV file ``path``, write its ``header`` row and yield ``writerows``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "diffusion"])
-        for t, value in enumerate(trace.values):
-            writer.writerow([t, value])
+        writer.writerow(header)
+        yield writer.writerows
+
+
+def write_trace_csv(values, path):
+    with _csv(path, "step", "diffusion") as writerows:
+        writerows(enumerate(values))
 
 
 def write_aggregate_csv(result: MonteCarloResult, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mean", "min", "max"])
-        for t in range(len(result.mean)):
-            writer.writerow([t, result.mean[t], result.min[t], result.max[t]])
+    with _csv(path, "step", "mean", "min", "max") as writerows:
+        writerows(zip(range(len(result.mean)), result.mean, result.min, result.max))
 
 
 @contextmanager
 def write_replicates_csv(path):
     """Open a ``replicate,step,diffusion`` CSV and yield ``add(r, trace)``,
     which writes one replicate's rows: an ``on_replicate`` for ``monte_carlo``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "step", "diffusion"])
-        yield lambda r, trace: writer.writerows(
-            [r, t, value] for t, value in enumerate(trace.values))
+    with _csv(path, "replicate", "step", "diffusion") as writerows:
+        yield lambda r, trace: writerows((r, t, value) for t, value in enumerate(trace.values))

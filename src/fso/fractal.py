@@ -21,9 +21,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
-from .inputs import InputError, get_field, read_json, reading
+from .inputs import InputError, check_keys, get_field, read_json, reading
 from .taxonomy import Taxonomy, taxonomy_from_spec
 
 
@@ -266,13 +267,26 @@ class FractalOrganization:
 # --- loading -----------------------------------------------------------
 
 
+_FIXTURE_KEYS = frozenset({"taxonomy", "taxonomy_edges", "community", "conditions"})
+_NODE_KEYS = frozenset({"id", "members", "children"})
+_MEMBER_KEYS = frozenset({"id", "offers"})
+_CONDITION_KEYS = frozenset({"id", "origin", "roles", "state"})
+
+
 def _node_from_dict(data, where: str) -> CommunityNode:
+    check_keys(data, _NODE_KEYS, where)
     members_at = f"{where}.members"
+    listed = get_field(data, "members", list, where, default=())
     members = [
         Member(get_field(m, "id", str, members_at, i),
                get_field(m, "offers", list, members_at, i, (), str))
-        for i, m in enumerate(get_field(data, "members", list, where, default=()))
+        for i, m in enumerate(listed)
     ]
+    # get_field has made each member an object; one pass over all their keys
+    # costs less than a check_keys call for each of thousands of members
+    if not _MEMBER_KEYS.issuperset(chain.from_iterable(listed)):
+        for i, m in enumerate(listed):
+            check_keys(m, _MEMBER_KEYS, members_at, i)
     node = CommunityNode(get_field(data, "id", str, where), members)
     for i, child_data in enumerate(get_field(data, "children", list, where, default=())):
         node.add_child(_node_from_dict(child_data, f"{where}.children[{i}]"))
@@ -299,11 +313,13 @@ def load_fixture(path) -> tuple[FractalOrganization, list[TriggeringCondition]]:
         data = read_json(path)  # before Path(): an empty name is not the directory "."
         if type(data) is not dict:
             raise InputError(f"fixture must be a JSON object, got {type(data).__name__}")
+        check_keys(data, _FIXTURE_KEYS, "fixture", top=True)
         community = get_field(data, "community", dict)
         taxonomy = taxonomy_from_spec(data, Path(path).parent)
         org = FractalOrganization(_node_from_dict(community, "community"), taxonomy)
         conditions = []
         for n, cond_data in enumerate(get_field(data, "conditions", list, default=())):
+            check_keys(cond_data, _CONDITION_KEYS, "conditions", n)
             roles = tuple(get_field(cond_data, "roles", list, "conditions", n, items=str))
             state: dict[int, str] = {}  # a role is preassigned to its first slot
             preassigned = get_field(cond_data, "state", dict, "conditions", n, {})

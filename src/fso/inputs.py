@@ -89,3 +89,19 @@ def get_field(data, key: str, kind: type, where: str = "", index: int | None = N
         bad = next(i for i, item in enumerate(value) if type(item) is not items)
         path, kind, value = f"{path}[{bad}]", items, value[bad]
     raise InputError(f"{path} must be {_KINDS[kind]}, got {type(value).__name__}")
+
+
+def check_keys(data, allowed: frozenset[str], where: str, index: int | None = None,
+               top: bool = False) -> None:
+    """Refuse the keys of the JSON object ``data`` that ``allowed`` lacks.
+
+    ``data`` sits at ``where`` (``where[index]`` for a list item), or with
+    ``top`` it is the top level of a ``where`` document.  Anything but an
+    object passes, for ``get_field`` to refuse.
+    """
+    if type(data) is dict and not allowed.issuperset(data):
+        unknown = sorted(data.keys() - allowed)
+        if top:
+            raise InputError(f"unknown {where} keys: {unknown}")
+        where = where if index is None else f"{where}[{index}]"
+        raise InputError(f"{where}: unknown keys {unknown}")

@@ -357,13 +357,17 @@ def test_match_community_policy_flag_must_be_boolean(tmp_path, capsys):
         ({"taxonomy": ""}, {}, ("community.json: taxonomy: the file name is empty",)),
         ({"members": [{"id": "a", "descriptions": ["a.ttl", ""]}]}, {"a.ttl": WALKING},
          ("community.json: members[0].descriptions[1]: the file name is empty",)),
+        ({"members": [{"id": "a", "description": ["a.ttl"]}]}, {"a.ttl": WALKING},
+         ("community.json: members[0]: unknown keys ['description']",)),
+        ({"membres": [{"id": "a", "descriptions": ["a.ttl"]}]}, {"a.ttl": WALKING},
+         ("community.json: unknown document keys: ['membres']",)),
     ],
     ids=["top-level-array", "member-without-id", "members-not-a-list",
          "taxonomy-file-cycle", "taxonomy-file-syntax", "malformed-json", "bad-turtle",
          "unknown-policy-flag", "one-element-edge", "inline-edge-cycle", "duplicate-member",
          "description-path-not-a-string", "integer-too-long", "deep-nesting",
          "nul-in-file-name", "reserved-activity-id", "empty-taxonomy-name",
-         "empty-description-name"],
+         "empty-description-name", "unknown-member-key", "unknown-top-level-key"],
 )
 def test_match_malformed_community_names_file_and_field(
     tmp_path, capsys, document, files, fragments
@@ -601,6 +605,15 @@ CITY = {"id": "city", "members": [{"id": "m", "offers": ["Cooking"]}]}
          ("conditions[0].state['Nurse']",)),
         ({"taxonomy": "", "community": {"id": "x"}},
          ("bad.json: taxonomy: the file name is empty",)),
+        ({"community": {"id": "city", "members": [{"id": "m", "offer": ["Nurse"]}]},
+          "conditions": [condition()]},
+         ("bad.json: community.members[0]: unknown keys ['offer']",)),
+        ({"community": CITY, "condition": [condition()]},
+         ("bad.json: unknown fixture keys: ['condition']",)),
+        ({"community": {**CITY, "child": [{"id": "a"}]}},
+         ("bad.json: community: unknown keys ['child']",)),
+        ({"community": CITY, "conditions": [condition(role=["Cooking"])]},
+         ("bad.json: conditions[0]: unknown keys ['role']",)),
     ],
     ids=["top-level-array", "community-without-id", "member-without-id",
          "state-not-an-object", "unknown-origin", "offers-not-a-list",
@@ -608,7 +621,8 @@ CITY = {"id": "city", "members": [{"id": "m", "offers": ["Cooking"]}]}
          "id-not-a-string", "preassigned-not-in-tree", "preassigned-lacks-role",
          "preassigned-already-booked", "duplicate-community-id",
          "member-in-two-communities", "state-key-not-a-role", "state-member-not-a-string",
-         "empty-taxonomy-name"],
+         "empty-taxonomy-name", "unknown-member-key", "unknown-top-level-key",
+         "unknown-community-key", "unknown-condition-key"],
 )
 def test_resolve_malformed_fixture_names_file_and_field(tmp_path, capsys, fixture, fragments):
     path = write(tmp_path / "bad.json", json.dumps(fixture))
@@ -746,13 +760,17 @@ def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
         ({"topology": "fractal", "isolation_events": [[1, "random"], [2, "sideways"]]},
          "isolation_events[1]: unknown isolation strategy 'sideways'"),
         ({"seed": 0}, "scenario must name a topology"),
+        ({"topology": "hierarchy", "agents": 10001, "horizon": 0},
+         "agents must be at most 10000, got 10001"),
+        ({"topology": "fractal", "agents": 800, "cell_size": 400, "horizon": 0},
+         "cell_size 400 with 800 agents makes 159604 edges, more than 100000"),
     ],
     ids=["more-isolations-than-agents", "top-level-array", "fractional-horizon",
          "fractional-isolation-time", "one-element-event", "string-probability",
          "fractal-shape", "negative-agents", "unknown-key", "negative-horizon", "huge-horizon",
          "negative-seed",
          "unknown-topology", "unknown-isolation-strategy", "second-isolation-strategy-unknown",
-         "no-topology"],
+         "no-topology", "too-many-agents", "too-many-edges"],
 )
 def test_simulate_malformed_scenario_names_the_field(tmp_path, capsys, scenario, message):
     path = write(tmp_path / "bad.json", json.dumps(scenario))

@@ -318,6 +318,11 @@ _EDGE_BODIES = [
     "[ service:hasServiceLocation [ a <x> ; <p> ; <q> ; <p> <r> ] ] .",
     "[ service:hasServiceLocation [ a <x> ; <p> <q> ; a ] ] .",
     "[ service:hasServiceLocation [ a <x> ; <p> <q> ; <p> \"r\" ] ] .",
+    "[ service:hasServiceLocation [ a \"lit\" ] ] .",
+    "[ service:hasServiceLocation [ \"lit\" ] ] .",
+    "[ service:hasServiceLocation [ a a ] ] .",
+    "[ service:hasServiceLocation [ a <x> ; a <p> <q> ] ] .",
+    "[ service:hasServiceLocation [ a <x> ; <p> \"lit\" ] ] .",
     "[ service:hasCreator [ a <x> ] ] .",
     "[ service:hasCreator \"x\" ] .",
     "[ \"x\" service:provide ] .",

@@ -640,6 +640,16 @@ def test_scenario_from_dict():
     assert s.horizon == 100 and s.seed == 3
 
 
+def test_scenario_names_fold_case_dashes_and_underscores():
+    s = scenario_from_dict({"topology": " Hier-Archy ",
+                            "isolation_events": [[1, "Max-Degree"], [2, "MAXDEGREE"],
+                                                 [3, "ran_dom"]]})
+    assert s.topology is Topology.HIERARCHY
+    assert [strategy for _, strategy in s.isolation_events] == [
+        IsolationStrategy.MAX_DEGREE, IsolationStrategy.MAX_DEGREE, IsolationStrategy.RANDOM]
+    assert scenario_from_dict({"topology": "FRACTAL"}).topology is Topology.FRACTAL
+
+
 def test_scenario_rejects_unknown_keys():
     with pytest.raises(InputError, match=r"^unknown scenario keys: \['speed'\]$"):
         scenario_from_dict({"topology": "fractal", "speed": 9})
