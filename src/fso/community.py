@@ -37,6 +37,7 @@ second member joined it and a ``backward`` type means it bound the venue.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
@@ -44,7 +45,7 @@ from itertools import count
 from pathlib import Path
 
 from .descriptions import ServiceDescription, load_descriptions
-from .inputs import InputError, check_keys, get_field, read_json, reading
+from .inputs import InputError, check_document, check_keys, get_field, read_json, reading
 from .taxonomy import Taxonomy, taxonomy_from_spec
 
 DEFAULT_RESIDUAL_REQUEST = "Location"
@@ -85,16 +86,24 @@ class Match:
     ``forward`` is the type the first description enacts for the second
     and ``backward`` the type the second enacts for the first, each None
     where that side serves nothing: the ``mutualism.MutualisticWitness``
-    of the two records.  One side set is a SERVICE match, two different
-    types MUTUALISTIC, the same type twice GROUP.
+    of the two records.  The pair decides ``kind``: no side set is
+    NO_MATCH, one SERVICE, two different types MUTUALISTIC, the same type
+    twice GROUP.
     """
 
-    kind: MatchType
     forward: str | None = None
     backward: str | None = None
 
+    @property
+    def kind(self) -> MatchType:
+        if self.forward is None:
+            return MatchType.NO_MATCH if self.backward is None else MatchType.SERVICE
+        if self.backward is None:
+            return MatchType.SERVICE
+        return MatchType.GROUP if self.forward == self.backward else MatchType.MUTUALISTIC
 
-NO_MATCH = Match(MatchType.NO_MATCH)
+
+NO_MATCH = Match()
 
 
 @dataclass(frozen=True)
@@ -113,15 +122,15 @@ class MatchEvent:
         return self.match.kind
 
     def to_json_dict(self) -> dict:
-        forward, backward = self.match.forward, self.match.backward
-        data: dict = {"kind": self.kind.value, "members": list(self.members)}
-        if self.kind is MatchType.SERVICE:
+        forward, backward, kind = self.match.forward, self.match.backward, self.kind
+        data: dict = {"kind": kind.value, "members": list(self.members)}
+        if kind is MatchType.SERVICE:
             provider, requester = self.members if forward is not None else self.members[::-1]
             data.update(provider=provider, requester=requester,
                         matched_type=forward if forward is not None else backward)
-        elif self.kind is MatchType.GROUP:
+        elif kind is MatchType.GROUP:
             data["matched_type"] = forward
-        elif self.kind is MatchType.MUTUALISTIC:
+        elif kind is MatchType.MUTUALISTIC:
             data.update(x_type=forward, y_type=backward)
         return data
 
@@ -154,12 +163,7 @@ def match_pair(
     backward = None  # d2 provides for d1
     if d2.provide is not None and d1.request is not None:
         backward = _satisfies(d2.provide, d1.request, tax, pol)
-    if forward is None and backward is None:
-        return NO_MATCH
-    if forward is None or backward is None:
-        return Match(MatchType.SERVICE, forward, backward)
-    kind = MatchType.GROUP if forward == backward else MatchType.MUTUALISTIC
-    return Match(kind, forward, backward)
+    return Match(forward, backward)
 
 
 @dataclass
@@ -218,8 +222,8 @@ class Community:
         self.policy = policy
         self.members: dict[str, list[ServiceDescription]] = {}  # id -> its records
         self.activities: set[str] = set()  # ids of the promoted group activities
-        self._by_provide: dict[str, _Bucket] = {}
-        self._by_request: dict[str, _Bucket] = {}
+        self._by_provide: defaultdict[str, _Bucket] = defaultdict(_Bucket)
+        self._by_request: defaultdict[str, _Bucket] = defaultdict(_Bucket)
         self._seq = count()
 
     # --- registry ---
@@ -242,10 +246,7 @@ class Community:
 
     def _index(self, entry: _Entry):
         for buckets, key in self._buckets(entry.description):
-            bucket = buckets.get(key)
-            if bucket is None:
-                bucket = buckets[key] = _Bucket()
-            bucket.add(entry)
+            buckets[key].add(entry)
 
     def _unindex(self, entry: _Entry):
         for buckets, key in self._buckets(entry.description):
@@ -258,13 +259,14 @@ class Community:
         self._index(_Entry(next(self._seq), owner, description))
 
     def _candidates(self, description: ServiceDescription) -> list[_Entry]:
-        """Outstanding entries whose types and window could match, oldest first.
+        """Outstanding entries that match the description, oldest first.
 
         Provide-buckets of the types that could serve the request, and
         request-buckets of the types the offer could serve, each read only
         where its windows meet the description's (everywhere when the
-        policy does not require overlap): a superset of the matches, left
-        to ``match_pair`` to decide.
+        policy does not require overlap).  These are the types ``_satisfies``
+        accepts and the windows ``overlaps`` accepts, so every entry returned
+        matches: ``match_pair`` only names the match.
         """
         tax, special = self.taxonomy, self.policy.allow_specialization
         if self.policy.require_time_overlap:
@@ -357,6 +359,8 @@ class Community:
             if candidate.owner in self.activities:
                 continue
             match = match_pair(derived, candidate.description, self.taxonomy, self.policy)
+            # the candidates were read with the venue request: once a venue
+            # binds, it is dropped, and a later venue offer no longer matches
             if match.kind is not MatchType.NO_MATCH:
                 self._unindex(candidate)
                 events.append(MatchEvent((member_id, candidate.owner), match))
@@ -405,9 +409,7 @@ def load_community(path) -> tuple[Community, list[tuple[str, ServiceDescription]
     with reading(path):
         data = read_json(path)  # before Path(): an empty name is not the directory "."
         path = Path(path)
-        if type(data) is not dict:
-            raise InputError(f"document must be a JSON object, got {type(data).__name__}")
-        check_keys(data, _DOCUMENT_KEYS, "document", top=True)
+        check_document(data, "document", _DOCUMENT_KEYS)
         taxonomy = taxonomy_from_spec(data, path.parent)
         flags = get_field(data, "policy", dict, default={})
         check_keys(flags, _POLICY_KEYS, "policy")

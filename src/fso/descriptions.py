@@ -215,8 +215,9 @@ class _Parser:
                 statements[-1].append(i)
             elif token == ";":
                 statements.append([])
-            elif token == "]":
-                self.blocks[opened] = [s for s in statements if s]
+            elif token == "]":  # a dangling 'a' before a full pair is dropped
+                self.blocks[opened] = [s[1:] if len(s) == 3 and tokens[s[0]] == "a" else s
+                                       for s in statements if s]
                 if not open_blocks:
                     return i + 1
                 statements, opened = open_blocks.pop()
@@ -293,8 +294,6 @@ class _Parser:
         IRIs together state the place."""
         tokens, place_class, located_in, bare = self.tokens, None, None, []
         for statement in self.blocks[i]:
-            if len(statement) == 3 and tokens[statement[0]] == "a":
-                statement = statement[1:]  # a dangling 'a' before a full pair
             first = statement[0]
             if tokens[first] == "[":
                 raise self._error("nested block inside a location block", first)
@@ -321,8 +320,6 @@ class _Parser:
     def _build_record(self, i: int) -> ServiceDescription:
         tokens, names, preds, fields = self.tokens, self.names, self.preds, {}
         for statement in self.blocks[i]:
-            if len(statement) == 3 and tokens[statement[0]] == "a":
-                statement = statement[1:]  # a dangling 'a' before a full pair
             first = tokens[statement[0]]
             if first == "[":
                 raise self._error("a block cannot start a statement", statement[0])

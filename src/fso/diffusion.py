@@ -47,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
-from .inputs import InputError, check_keys, get_field, read_json, reading
+from .inputs import InputError, check_document, get_field, read_json, reading
 
 
 class IsolationStrategy(Enum):
@@ -72,7 +72,7 @@ def parse_name(kind: type[Enum], name, what: str):
 # --- topologies ---------------------------------------------------------
 
 
-def gen_hierarchy(n: int, branching: int = 2) -> frozenset[tuple[int, int]]:
+def gen_hierarchy(n: int, branching: int) -> frozenset[tuple[int, int]]:
     """Balanced rooted tree over agents 0..n-1 in level order."""
     if n < 1:
         raise InputError("need at least one agent")
@@ -81,7 +81,7 @@ def gen_hierarchy(n: int, branching: int = 2) -> frozenset[tuple[int, int]]:
     return frozenset((((i - 1) // branching), i) for i in range(1, n))
 
 
-def gen_fractal(n: int, cell_size: int = 3) -> frozenset[tuple[int, int]]:
+def gen_fractal(n: int, cell_size: int) -> frozenset[tuple[int, int]]:
     """Ring of clique cells with two vertex-disjoint bridges per adjacency.
 
     The doubled bridges make the graph biconnected: removing any single
@@ -329,9 +329,7 @@ _SCENARIO_KEYS = frozenset(f.name for f in fields(ScenarioSpec))
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:
-    if not isinstance(data, dict):
-        raise InputError(f"scenario must be a JSON object, got {type(data).__name__}")
-    check_keys(data, _SCENARIO_KEYS, "scenario", top=True)
+    check_document(data, "scenario", _SCENARIO_KEYS)
     if "topology" not in data:
         raise InputError("scenario must name a topology")
     events = []

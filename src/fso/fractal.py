@@ -24,7 +24,7 @@ from enum import Enum
 from itertools import chain
 from pathlib import Path
 
-from .inputs import InputError, check_keys, get_field, read_json, reading
+from .inputs import InputError, check_document, check_keys, get_field, read_json, reading
 from .taxonomy import Taxonomy, taxonomy_from_spec
 
 
@@ -311,9 +311,7 @@ def load_fixture(path) -> tuple[FractalOrganization, list[TriggeringCondition]]:
     """
     with reading(path):
         data = read_json(path)  # before Path(): an empty name is not the directory "."
-        if type(data) is not dict:
-            raise InputError(f"fixture must be a JSON object, got {type(data).__name__}")
-        check_keys(data, _FIXTURE_KEYS, "fixture", top=True)
+        check_document(data, "fixture", _FIXTURE_KEYS)
         community = get_field(data, "community", dict)
         taxonomy = taxonomy_from_spec(data, Path(path).parent)
         org = FractalOrganization(_node_from_dict(community, "community"), taxonomy)

@@ -91,17 +91,20 @@ def get_field(data, key: str, kind: type, where: str = "", index: int | None = N
     raise InputError(f"{path} must be {_KINDS[kind]}, got {type(value).__name__}")
 
 
-def check_keys(data, allowed: frozenset[str], where: str, index: int | None = None,
-               top: bool = False) -> None:
+def check_document(data, kind: str, keys: frozenset[str]) -> None:
+    """Refuse a ``kind`` document that is not a JSON object or has keys outside ``keys``."""
+    if type(data) is not dict:
+        raise InputError(f"{kind} must be {_KINDS[dict]}, got {type(data).__name__}")
+    if not keys.issuperset(data):
+        raise InputError(f"unknown {kind} keys: {sorted(data.keys() - keys)}")
+
+
+def check_keys(data, allowed: frozenset[str], where: str, index: int | None = None) -> None:
     """Refuse the keys of the JSON object ``data`` that ``allowed`` lacks.
 
-    ``data`` sits at ``where`` (``where[index]`` for a list item), or with
-    ``top`` it is the top level of a ``where`` document.  Anything but an
-    object passes, for ``get_field`` to refuse.
+    ``data`` sits at ``where`` (``where[index]`` for a list item).  Anything
+    but an object passes, for ``get_field`` to refuse.
     """
     if type(data) is dict and not allowed.issuperset(data):
-        unknown = sorted(data.keys() - allowed)
-        if top:
-            raise InputError(f"unknown {where} keys: {unknown}")
         where = where if index is None else f"{where}[{index}]"
-        raise InputError(f"{where}: unknown keys {unknown}")
+        raise InputError(f"{where}: unknown keys {sorted(data.keys() - allowed)}")

@@ -6,7 +6,9 @@ from itertools import permutations
 import pytest
 
 from fso.community import (
+    NO_MATCH,
     Community,
+    Match,
     MatchPolicy,
     MatchType,
     UnknownMember,
@@ -64,6 +66,19 @@ def venue_of(events, activity_id):
 
 
 # --- match_pair ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("pair, kind", [
+    ((), MatchType.NO_MATCH),
+    (("A",), MatchType.SERVICE),
+    ((None, "A"), MatchType.SERVICE),
+    (("A", "B"), MatchType.MUTUALISTIC),
+    (("A", "A"), MatchType.GROUP),
+])
+def test_a_match_kind_is_read_from_its_pair(pair, kind):
+    match = Match(*pair)
+    assert match.kind is kind
+    assert (match == NO_MATCH) == (kind is MatchType.NO_MATCH)
 
 
 def test_walking_offer_satisfies_fitness_request(fitness_tax):

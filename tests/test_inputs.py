@@ -63,7 +63,7 @@ def json_paths(value, path=()):
 
 
 def mutate(doc, path, op, replacement):
-    """Drop, wrap in an array or replace the value at ``path``."""
+    """Drop, wrap in an array, duplicate (a list item) or replace the value at ``path``."""
     if not path:
         return [doc] if op == "wrap" else replacement
     doc = copy.deepcopy(doc)
@@ -75,6 +75,8 @@ def mutate(doc, path, op, replacement):
         del parent[key]
     elif op == "wrap":
         parent[key] = [parent[key]]
+    elif op == "duplicate":
+        parent.insert(key, parent[key])
     else:
         parent[key] = replacement
     return doc
@@ -110,6 +112,77 @@ def test_mutated_inputs_exit_0_or_2_with_one_line(case):
         assert code in (0, 2) and "Traceback" not in message, message
         assert message.count("\n") == (code == 2), message
         assert code == 0 or work in message, message  # the line names the file
+
+
+# One valid document of each kind, with the files it names, and the command
+# that reads it; ``{}`` in argv is the work directory, ``{out}`` the output.
+DOCUMENTS = [
+    ({"topology": "fractal", "agents": 9, "horizon": 20, "transmit_probability": 0.5,
+      "isolation_events": [[5, "max_degree"], [12, "random"]], "seed": 0,
+      "cell_size": 3, "branching": 2},
+     (), ["simulate", "--scenario", "{}/doc.json", "--replicates", "2", "--out", "{out}"]),
+    (json.loads((DATA / "sibling_fixture.json").read_text()),
+     (), ["resolve", "--fixture", "{}/doc.json", "--out", "{out}"]),
+    ({"taxonomy": "fitness_taxonomy.txt",
+      "policy": {"allow_specialization": True, "require_time_overlap": True},
+      "members": [{"id": "alice", "descriptions": ["walking_service.ttl"]},
+                  {"id": "bob", "descriptions": ["walking_service.ttl"]}]},
+     ("fitness_taxonomy.txt", "walking_service.ttl"),
+     ["match", "--community", "{}/doc.json", "--out", "{out}"]),
+]
+# small, or past the bounds that refuse them, so no accepted document runs long
+VALUES = [None, True, -1, 0, 2, 0.5, float("nan"), float("inf"), 2**70, "", "x", [], {}]
+
+
+@st.composite
+def restructured_documents(draw):
+    """A valid document with one key or list item deleted or duplicated, or one value replaced."""
+    doc, names, argv = draw(st.sampled_from(DOCUMENTS))
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    ops = ["replace"]
+    if path:
+        ops.append("drop")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if type(parent) is list:
+            ops.append("duplicate")
+    op = draw(st.sampled_from(ops))
+    return mutate(doc, path, op, draw(st.sampled_from(VALUES))), names, argv
+
+
+def named_files(value):
+    """Every string in the JSON value ``value``: the names of the files it may read."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (dict, list)):
+        for child in value.values() if isinstance(value, dict) else value:
+            yield from named_files(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(restructured_documents())
+def test_restructured_documents_exit_0_or_2_and_name_the_file_at_fault(case):
+    doc, names, argv = case
+    with tempfile.TemporaryDirectory() as work:
+        Path(work, "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+        for name in names:
+            Path(work, name).write_text((DATA / name).read_text(), encoding="utf-8")
+        outputs = []
+        for out in ("out1", "out2"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([arg.format(work, out=Path(work, out)) for arg in argv])
+            message = err.getvalue()
+            assert code in (0, 2), message
+            if code == 2:
+                assert message.count("\n") == 1 and message.startswith("error: "), message
+                at_fault = [Path(work, "doc.json")]
+                at_fault += [Path(work, name) for name in named_files(doc) if name]
+                assert any(str(path) in message for path in at_fault), message
+                return
+            outputs.append(Path(work, out).read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_get_field_names_the_path_of_a_list_item():
