@@ -208,23 +208,23 @@ def cmd_simulate(args) -> int:
     # validate every file before running any, so a bad one writes nothing
     specs = [diffusion.load_scenario(path) for path in args.scenario]
     scenario_paths = [Path(p) for p in args.scenario]
-    multiple = len(scenario_paths) > 1
     out = Path(args.out)
     # an unusable output location fails now, not after the Monte Carlo runs
-    if multiple:  # a missing directory is created, so its nearest existing ancestor decides
+    if len(scenario_paths) > 1:  # a missing --out is made: its nearest existing ancestor decides
         if not args.out:  # Path("") is the working directory, which no one named
             raise InputError("--out must name a directory for several scenarios", repr(args.out))
         existing = next(p for p in (out, *out.parents) if p.exists())
         if not existing.is_dir():
             raise InputError(f"--out must be a directory for several scenarios,"
                              f" and {existing} is not one", out)
+        targets = [out / f"{path.stem}.csv" for path in scenario_paths]
     else:
         _check_out_file(args.out)
-    targets = [out / f"{path.stem}.csv" if multiple else out for path in scenario_paths]
-    dumps = [target.with_name(target.stem + ".replicates.csv") for target in targets]
+        targets = [out]
+    dumps = [t.with_suffix(".replicates.csv") if args.dump_replicates else None for t in targets]
     writers: dict[Path, Path] = {}  # each output file -> the scenario that writes it
     for path, target, dump_path in zip(scenario_paths, targets, dumps):
-        for file in (target, dump_path) if args.dump_replicates else (target,):
+        for file in filter(None, (target, dump_path)):
             if file in writers:
                 raise InputError(f"{writers[file]} and {path} would both write {file}")
             if file.is_dir():
@@ -234,14 +234,13 @@ def cmd_simulate(args) -> int:
         raise InputError("replicates must be at least 1")
     if args.seed is not None and args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
+    targets[0].parent.mkdir(parents=True, exist_ok=True)  # a missing --out of several scenarios
     for scenario_path, spec, target, dump_path in zip(scenario_paths, specs, targets, dumps):
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
-        if multiple:
-            out.mkdir(parents=True, exist_ok=True)
         # each replicate's rows are written as it finishes; no trace is kept
-        with (diffusion.write_replicates_csv(dump_path) if args.dump_replicates
-              else nullcontext()) as dump:
+        with (nullcontext() if dump_path is None
+              else diffusion.write_replicates_csv(dump_path)) as dump:
             result = diffusion.monte_carlo(spec, args.replicates, dump)
         if args.replicates == 1:  # the mean of one run is that run: x / 1 == x
             diffusion.write_trace_csv(result.mean, target)

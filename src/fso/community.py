@@ -130,7 +130,7 @@ class MatchEvent:
                         matched_type=forward if forward is not None else backward)
         elif kind is MatchType.GROUP:
             data["matched_type"] = forward
-        elif kind is MatchType.MUTUALISTIC:
+        else:  # MUTUALISTIC: an emitted event is never NO_MATCH
             data.update(x_type=forward, y_type=backward)
         return data
 

@@ -380,32 +380,20 @@ def serialize_description(d: ServiceDescription) -> str:
     indentation, one predicate-object pair per line.  Field-equal records
     serialize to byte-identical text.
     """
-    lines = [
-        f"@prefix service: <{SERVICE_NS}> .",
-        f"@prefix xsd: <{XSD_NS}> .",
-        "",
-        "[",
-    ]
-    pairs: list[tuple[str, str]] = [
-        ("creationTime", f'"{d.creation_time.isoformat()}"^^xsd:dateTime'),
-        ("endTime", f'"{d.end_time.isoformat()}"^^xsd:dateTime'),
-        ("hasCreator", f"<{d.creator}>"),
-    ]
+    location = ""
     if d.location is not None:
-        block = ["service:hasServiceLocation [", f"    a <{d.location.place_class}>"]
-        if d.location.located_in is not None:
-            block[-1] += " ;"
-            block.append(f"    <{LOCATED_IN_IRI}> <{d.location.located_in}>")
-        block.append("  ]")
-        pairs.append(("hasServiceLocation", "\n".join(block)))
-    if d.provide is not None:
-        pairs.append(("provide", _render_type(d.provide)))
-    if d.request is not None:
-        pairs.append(("request", _render_type(d.request)))
-    pairs.append(("startTime", f'"{d.start_time.isoformat()}"^^xsd:dateTime'))
-    pairs.sort(key=lambda pair: pair[0])
-    rendered = [f"  {obj}" if pred == "hasServiceLocation" else f"  service:{pred} {obj}"
-                for pred, obj in pairs]
-    lines.append(" ;\n".join(rendered))
-    lines.append("] .")
-    return "\n".join(lines) + "\n"
+        place, within = d.location.place_class, d.location.located_in
+        within = "" if within is None else f" ;\n    <{LOCATED_IN_IRI}> <{within}>"
+        location = f"  service:hasServiceLocation [\n    a <{place}>{within}\n  ] ;\n"
+    provide = "" if d.provide is None else f"  service:provide {_render_type(d.provide)} ;\n"
+    request = "" if d.request is None else f"  service:request {_render_type(d.request)} ;\n"
+    return (f"@prefix service: <{SERVICE_NS}> .\n"
+            f"@prefix xsd: <{XSD_NS}> .\n"
+            "\n"
+            "[\n"
+            f'  service:creationTime "{d.creation_time.isoformat()}"^^xsd:dateTime ;\n'
+            f'  service:endTime "{d.end_time.isoformat()}"^^xsd:dateTime ;\n'
+            f"  service:hasCreator <{d.creator}> ;\n"
+            f"{location}{provide}{request}"
+            f'  service:startTime "{d.start_time.isoformat()}"^^xsd:dateTime\n'
+            "] .\n")

@@ -159,7 +159,6 @@ class FractalOrganization:
         self._preorder: list[Member] = []
         self._spans: dict[str, tuple[int, int, int]] = {}  # id -> start, own end, subtree end
         self._postings_key: tuple | None = None  # (taxonomy, edge count) the postings reflect
-        self._postings_by_type: dict[str, list[int]] = {}
         self._index(root)
 
     def _index(self, node: CommunityNode) -> None:

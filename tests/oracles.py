@@ -48,9 +48,11 @@ from fso.diffusion import (
     ScenarioSpec,
 )
 from fso.fractal import (
+    AlreadyDissolved,
     CommunityNode,
     ExceptionRecord,
-    FractalOrganization,
+    Member,
+    OverlayStatus,
     Resolution,
     SocialOverlayNetwork,
     TriggeringCondition,
@@ -716,18 +718,25 @@ def node_depth(node: CommunityNode) -> int:
     return levels
 
 
-class ReferenceFractalOrganization(FractalOrganization):
+class ReferenceFractalOrganization:
     """Role resolution as it was before the tree was indexed once.
 
-    Every escalation level re-sorts each community's members and walks the
-    skipped-over subtrees again, every open slot tests each member of the
-    scope with ``Member.provides`` (where the resolver now reads per-type
-    posting lists), and the home community of each assigned member is
-    collected on the way.  ``exclusive_booking`` was a knob no
-    caller ever turned off.
+    It reads only the public tree (``CommunityNode.walk`` and
+    ``Member.provides``) and keeps its own lookups and bookings, so it
+    shares no code with ``FractalOrganization``.  Every escalation level
+    re-sorts each community's members and walks the skipped-over subtrees
+    again, every open slot tests each member of the scope with
+    ``Member.provides`` (where the resolver reads per-type posting lists),
+    and the home community of each assigned member is collected on the way.
     """
 
-    exclusive_booking = True
+    def __init__(self, root: CommunityNode, taxonomy: Taxonomy):
+        self.root = root
+        self.taxonomy = taxonomy
+        self.booked: dict[str, str] = {}  # member id -> condition id
+        self._nodes = {node.id: node for node in root.walk()}
+        self._members = {member.id: (member, node.id)  # member id -> member, home
+                         for node in root.walk() for member in node.members}
 
     def _scope(
         self, node: CommunityNode, came_from: CommunityNode | None
@@ -752,7 +761,9 @@ class ReferenceFractalOrganization(FractalOrganization):
 
     def resolve(self, cond: TriggeringCondition) -> Resolution:
         """Staff a condition, escalating as far as the root if needed."""
-        origin = self.node(cond.origin)
+        if cond.origin not in self._nodes:
+            raise InputError(f"unknown community {cond.origin!r}")
+        origin = self._nodes[cond.origin]
         assignment: dict[int, str] = {}
         homes: dict[str, str] = {}
         for slot, member_id in sorted(cond.state.items()):
@@ -771,7 +782,7 @@ class ReferenceFractalOrganization(FractalOrganization):
                         continue
                     if member.id in assignment.values():
                         continue
-                    if self.exclusive_booking and member.id in self.booked:
+                    if member.id in self.booked:
                         continue
                     assignment[slot] = member.id
                     homes[member.id] = community_id
@@ -799,18 +810,30 @@ class ReferenceFractalOrganization(FractalOrganization):
             came_from = node
             node = node.parent
 
+    def dissolve(self, overlay: SocialOverlayNetwork) -> SocialOverlayNetwork:
+        """Release the members the overlay still holds and mark it dissolved."""
+        if overlay.status is OverlayStatus.DISSOLVED:
+            raise AlreadyDissolved(overlay.condition_id)
+        overlay.status = OverlayStatus.DISSOLVED
+        self.booked = {
+            member_id: condition_id
+            for member_id, condition_id in self.booked.items()
+            if condition_id != overlay.condition_id or member_id not in overlay.member_ids
+        }
+        return overlay
+
     def _preassign(self, member_id: str, role_type: str, assignment: dict[int, str]) -> str:
         """Check one preassigned member; returns its home community id."""
-        member = self._members.get(member_id)
-        if member is None:
+        if member_id not in self._members:
             raise InputError(f"preassigned member {member_id!r} is not in the tree")
+        member, home = self._members[member_id]
         if not member.provides(role_type, self.taxonomy):
             raise InputError(f"preassigned member {member_id!r} does not provide {role_type!r}")
         if member_id in assignment.values():
             raise InputError(f"member {member_id!r} preassigned to two roles")
-        if self.exclusive_booking and member_id in self.booked:
+        if member_id in self.booked:
             raise InputError(f"preassigned member {member_id!r} is already booked")
-        return self._homes[member_id]
+        return home
 
 
 # --- knowledge diffusion (reference simulator) ----------------------------

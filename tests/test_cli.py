@@ -153,10 +153,15 @@ TWICE_PLACED = "duplicate located-in place in location block"
                   "<http://p>", TWICE_PLACED),
         relocated("[ a <http://x/Park> ; <http://p> ; <http://q1> ; <http://p> <http://q2> ]",
                   "<http://p> <http://q2>", TWICE_PLACED),
+        ("member.ttl", '@prefix "x"^^xsd: <http://e/> .\n',
+         ("member.ttl: offset 8: expected a prefix name ending in ':'",)),
+        ("member.ttl", WALKING.replace("<http://www.pats.ua.ac.be/aal/user/15441#this>", "a"),
+         (f"member.ttl: offset {WALKING.index('service:hasCreator')}: creator must be an IRI",)),
     ],
     ids=["block-as-type", "not-utf8", "reserved-activity-stem", "deep-nesting",
          "place-class-twice", "place-pair-twice", "place-pair-then-bare",
-         "place-bare-then-pair", "place-bare-pair-then-pair"],
+         "place-bare-then-pair", "place-bare-pair-then-pair", "literal-as-prefix-name",
+         "a-as-creator"],
 )
 def test_match_bad_description_file_names_it(tmp_path, capsys, name, content, fragments):
     member = tmp_path / name
@@ -361,13 +366,18 @@ def test_match_community_policy_flag_must_be_boolean(tmp_path, capsys):
          ("community.json: members[0]: unknown keys ['description']",)),
         ({"membres": [{"id": "a", "descriptions": ["a.ttl"]}]}, {"a.ttl": WALKING},
          ("community.json: unknown document keys: ['membres']",)),
+        ({"taxonomy_edges": ["ab"]}, {},
+         ("community.json: taxonomy_edges[0] must be a [child, parent] pair of strings",)),
+        ({"taxonomy_edges": [{"A": 1, "B": 2}]}, {},
+         ("community.json: taxonomy_edges[0] must be a [child, parent] pair of strings",)),
     ],
     ids=["top-level-array", "member-without-id", "members-not-a-list",
          "taxonomy-file-cycle", "taxonomy-file-syntax", "malformed-json", "bad-turtle",
          "unknown-policy-flag", "one-element-edge", "inline-edge-cycle", "duplicate-member",
          "description-path-not-a-string", "integer-too-long", "deep-nesting",
          "nul-in-file-name", "reserved-activity-id", "empty-taxonomy-name",
-         "empty-description-name", "unknown-member-key", "unknown-top-level-key"],
+         "empty-description-name", "unknown-member-key", "unknown-top-level-key",
+         "string-as-edge", "object-as-edge"],
 )
 def test_match_malformed_community_names_file_and_field(
     tmp_path, capsys, document, files, fragments
@@ -614,6 +624,7 @@ CITY = {"id": "city", "members": [{"id": "m", "offers": ["Cooking"]}]}
          ("bad.json: community: unknown keys ['child']",)),
         ({"community": CITY, "conditions": [condition(role=["Cooking"])]},
          ("bad.json: conditions[0]: unknown keys ['role']",)),
+        ({"conditions": []}, ("bad.json: missing field community\n",)),
     ],
     ids=["top-level-array", "community-without-id", "member-without-id",
          "state-not-an-object", "unknown-origin", "offers-not-a-list",
@@ -622,7 +633,7 @@ CITY = {"id": "city", "members": [{"id": "m", "offers": ["Cooking"]}]}
          "preassigned-already-booked", "duplicate-community-id",
          "member-in-two-communities", "state-key-not-a-role", "state-member-not-a-string",
          "empty-taxonomy-name", "unknown-member-key", "unknown-top-level-key",
-         "unknown-community-key", "unknown-condition-key"],
+         "unknown-community-key", "unknown-condition-key", "no-community"],
 )
 def test_resolve_malformed_fixture_names_file_and_field(tmp_path, capsys, fixture, fragments):
     path = write(tmp_path / "bad.json", json.dumps(fixture))
@@ -710,12 +721,24 @@ def test_simulate_multiple_scenarios_into_directory(tmp_path, capsys):
 
 
 def test_simulate_seed_flag_overrides_spec(tmp_path):
-    scenario = scenario_file(tmp_path, seed=1)
-    out_a = tmp_path / "a.csv"
-    out_b = tmp_path / "b.csv"
-    main(["simulate", "--scenario", scenario, "--out", str(out_a), "--seed", "1"])
-    main(["simulate", "--scenario", scenario, "--out", str(out_b)])
-    assert out_a.read_bytes() == out_b.read_bytes()
+    one = scenario_file(tmp_path, name="one.json", seed=1)
+    two = scenario_file(tmp_path, name="two.json", seed=2)
+
+    def run(scenario, out, *extra) -> bytes:
+        assert main(["simulate", "--scenario", scenario, "--replicates", "3",
+                     "--out", str(tmp_path / out), *extra]) == 0
+        return (tmp_path / out).read_bytes()
+
+    assert run(one, "overridden.csv", "--seed", "2") == run(two, "two.csv") != run(one, "one.csv")
+    # no dump was asked for, so none is written
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "one.csv", "one.json", "overridden.csv", "two.csv", "two.json"]
+
+
+def test_simulate_hierarchy_is_not_held_to_the_fractal_edge_bound(tmp_path):
+    # one 600-agent fractal cell would make 179,700 edges; a hierarchy ignores cell_size
+    scenario = scenario_file(tmp_path, topology="hierarchy", agents=600, cell_size=600, horizon=0)
+    assert main(["simulate", "--scenario", scenario, "--out", str(tmp_path / "x.csv")]) == 0
 
 
 def test_simulate_negative_seed_flag_fails_before_any_output(tmp_path, capsys):
@@ -764,13 +787,17 @@ def test_simulate_invalid_spec_is_input_error(tmp_path, capsys):
          "agents must be at most 10000, got 10001"),
         ({"topology": "fractal", "agents": 800, "cell_size": 400, "horizon": 0},
          "cell_size 400 with 800 agents makes 159604 edges, more than 100000"),
+        ({"topology": "fractal", "transmit_probability": True},
+         "transmit_probability must be a number, got True"),
+        ({"topology": "fractal", "agents": True}, "agents must be an integer, got True"),
     ],
     ids=["more-isolations-than-agents", "top-level-array", "fractional-horizon",
          "fractional-isolation-time", "one-element-event", "string-probability",
          "fractal-shape", "negative-agents", "unknown-key", "negative-horizon", "huge-horizon",
          "negative-seed",
          "unknown-topology", "unknown-isolation-strategy", "second-isolation-strategy-unknown",
-         "no-topology", "too-many-agents", "too-many-edges"],
+         "no-topology", "too-many-agents", "too-many-edges", "boolean-probability",
+         "boolean-agents"],
 )
 def test_simulate_malformed_scenario_names_the_field(tmp_path, capsys, scenario, message):
     path = write(tmp_path / "bad.json", json.dumps(scenario))

@@ -89,6 +89,11 @@ def test_timezone_aware_timestamps_rejected():
         make_description(start_time=datetime(2013, 5, 12, 17, tzinfo=timezone.utc))
 
 
+def test_timestamps_must_be_datetimes():
+    with pytest.raises(ValidationError, match=r"^start_time must be a datetime$"):
+        make_description(start_time="2013-05-12T17:00:00")
+
+
 def test_empty_place_class_rejected():
     with pytest.raises(ValidationError):
         LocationSpec(place_class="")
@@ -150,6 +155,31 @@ def test_roundtrip_of_verbatim_sample():
     assert again == first
 
 
+def test_canonical_text_of_a_full_record():
+    """Line by line: a round trip cannot see the order of the lines."""
+    d = make_description(
+        location=LocationSpec("http://schema.org/Beach", "http://dbpedia.org/resource/Borgerhout"),
+        request="http://example.org/types/Fitness",
+    )
+    assert serialize_description(d) == (
+        "@prefix service: <http://www.pats.ua.ac.be/AALService#> .\n"
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+        "\n"
+        "[\n"
+        '  service:creationTime "2013-05-12T13:00:00"^^xsd:dateTime ;\n'
+        '  service:endTime "2013-05-12T21:00:00"^^xsd:dateTime ;\n'
+        "  service:hasCreator <http://example.org/user/1#this> ;\n"
+        "  service:hasServiceLocation [\n"
+        "    a <http://schema.org/Beach> ;\n"
+        "    <http://dbpedia.org/ontology/location> <http://dbpedia.org/resource/Borgerhout>\n"
+        "  ] ;\n"
+        "  service:provide service:Walking ;\n"
+        "  service:request <http://example.org/types/Fitness> ;\n"
+        '  service:startTime "2013-05-12T17:00:00"^^xsd:dateTime\n'
+        "] .\n"
+    )
+
+
 def test_serialization_is_deterministic():
     a = make_description()
     b = make_description()
@@ -167,6 +197,8 @@ def test_full_iri_service_type_normalizes_to_local_name():
         '] .\n'
     )
     assert parse_descriptions(text)[0].provide == "Walking"
+    bare = text.replace("AALService#Walking>", "AALService#>")  # no local name to keep
+    assert parse_descriptions(bare)[0].provide == SERVICE_NS
 
 
 def test_roundtrip_on_generated_records():

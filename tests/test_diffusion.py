@@ -105,6 +105,8 @@ def test_fractal_divisibility_enforced():
         gen_fractal(15, 4)
     with pytest.raises(InputError, match=r"^cell_size must be at least 3$"):
         gen_fractal(15, 2)
+    with pytest.raises(InputError, match=r"^agent count 0 is not divisible by cell size 3$"):
+        gen_fractal(0, 3)
 
 
 # --- stepping -------------------------------------------------------------

@@ -125,6 +125,18 @@ def test_preassigned_state_is_kept():
     assert result.exceptions == ()
 
 
+def test_a_community_has_one_parent():
+    child = CommunityNode("district")
+    CommunityNode("city").add_child(child)
+    with pytest.raises(ValueError, match=r"^community 'district' already has a parent$"):
+        CommunityNode("town").add_child(child)
+
+
+def test_preassigned_slot_must_name_a_role():
+    with pytest.raises(ValueError, match=r"^preassigned slot 3 is out of range$"):
+        TriggeringCondition("c", "city", ("Nurse", "Transport", "Cooking"), {3: "m"})
+
+
 def test_duplicate_member_ids_rejected():
     root = CommunityNode("root", [Member("m1")])
     root.add_child(CommunityNode("leaf", [Member("m1")]))

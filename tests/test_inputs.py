@@ -185,6 +185,103 @@ def test_restructured_documents_exit_0_or_2_and_name_the_file_at_fault(case):
         assert outputs[0] == outputs[1]
 
 
+# The two text inputs of ``fso match``, each mutated as bytes, and the command.
+TEXTS = {"types.txt": (DATA / "fitness_taxonomy.txt").read_bytes(),
+         "walking.ttl": (DATA / "walking_service.ttl").read_bytes()}
+TEXT_ARGV = ["match", "--taxonomy", "{}/types.txt", "--allow-specialization",
+             "{}/walking.ttl", "{}/member.ttl"]
+
+
+@st.composite
+def mutated_texts(draw):
+    """One file truncated, given bytes, cut by a span, or with a line repeated or swapped."""
+    name = draw(st.sampled_from(sorted(TEXTS)))
+    data = TEXTS[name]
+    i, j = sorted(draw(st.integers(0, len(data))) for _ in range(2))
+    lines = data.splitlines(keepends=True)
+    k, m = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+    op = draw(st.sampled_from(["truncate", "insert", "delete", "repeat", "swap"]))
+    if op == "truncate":
+        data = data[:i]
+    elif op == "insert":  # any byte: NUL, controls and non-UTF-8 included
+        data = data[:i] + draw(st.binary(min_size=1, max_size=3)) + data[i:]
+    elif op == "delete":
+        data = data[:i] + data[j:]
+    elif op == "repeat":
+        data = b"".join(lines[:k + 1] + lines[k:])
+    else:
+        lines[k], lines[m] = lines[m], lines[k]
+        data = b"".join(lines)
+    return name, data
+
+
+def run_cli(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_texts())
+def test_mutated_text_files_exit_0_or_2_and_name_the_file(case):
+    name, data = case
+    with tempfile.TemporaryDirectory() as work:
+        for file, content in {**TEXTS, "member.ttl": TEXTS["walking.ttl"], name: data}.items():
+            Path(work, file).write_bytes(content)
+        outputs = []
+        for out in ("out1.json", "out2.json"):
+            code, message = run_cli([*(arg.format(work) for arg in TEXT_ARGV),
+                                     "--out", str(Path(work, out))])
+            assert code in (0, 2), message
+            if code == 2:
+                assert message.count("\n") == 1 and message.startswith("error: "), message
+                assert str(Path(work, name)) in message, message
+                return
+            outputs.append(Path(work, out).read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+# Each command with valid inputs; ``{in}`` marks the paths a mutation may replace.
+PATH_COMMANDS = [
+    ["match", "--taxonomy", "{in}types.txt", "{in}walking.ttl", "--out", "{in}out.json"],
+    ["match", "--community", "{in}community.json", "--out", "{in}out.json"],
+    ["resolve", "--fixture", "{in}fixture.json", "--out", "{in}out.json"],
+    ["simulate", "--scenario", "{in}scenario.json", "--out", "{in}out.csv"],
+]
+PATH_FILES = {
+    **TEXTS,
+    "community.json": json.dumps({"taxonomy": "types.txt", "members": [
+        {"id": "a", "descriptions": ["walking.ttl"]}]}).encode(),
+    "fixture.json": (DATA / "sibling_fixture.json").read_bytes(),
+    "scenario.json": json.dumps(DOCUMENTS[0][0]).encode(),
+}
+# what replaces a path: missing, missing with its directory, empty, a directory,
+# and a path under a file
+PATH_MUTATIONS = ["{}/absent", "{}/absent/file", "", "{}/folder", "{}/types.txt/file"]
+
+
+def test_mutated_paths_exit_0_or_2_and_name_the_path():
+    """Every input path and every ``--out`` of every command, replaced by each mutation."""
+    cases = 0
+    for template in PATH_COMMANDS:
+        for at in (i for i, arg in enumerate(template) if arg.startswith("{in}")):
+            for mutation in PATH_MUTATIONS:
+                with tempfile.TemporaryDirectory() as work:
+                    for name, data in PATH_FILES.items():
+                        Path(work, name).write_bytes(data)
+                    Path(work, "folder").mkdir()
+                    argv = [arg.replace("{in}", f"{work}/") for arg in template]
+                    argv[at] = path = mutation.format(work)
+                    code, message = run_cli(argv)
+                    assert code in (0, 2), (argv, message)
+                    if code == 2:
+                        assert message.count("\n") == 1 and message.startswith("error: "), message
+                        assert (path or "''") in message, (argv, message)
+                    cases += 1
+    assert cases == 9 * len(PATH_MUTATIONS)
+
+
 def test_get_field_names_the_path_of_a_list_item():
     members = [{"id": "a"}, {"id": 5}]
     assert get_field(members[0], "id", str, "members", 0) == "a"
