@@ -34,14 +34,23 @@ class AlreadyDissolved(Exception):
 
 @dataclass(frozen=True)
 class Member:
-    """A concrete member of one community, with the types it can provide."""
+    """A concrete member of one community, with the types it can provide.
 
+    A frozenset passed as ``offers`` is kept as it is, not copied, so members
+    that ``load_fixture`` reads from one document with equal offers share one
+    set.
+    """
+
+    __slots__ = ("id", "offers")
     id: str
-    offers: frozenset[str] = frozenset()
+    offers: frozenset[str]
 
     def __init__(self, id: str, offers=()):
         object.__setattr__(self, "id", id)
         object.__setattr__(self, "offers", frozenset(offers))
+
+    def __reduce__(self):  # copy and pickle rebuild a frozen slotted member through __init__
+        return Member, (self.id, self.offers)
 
     def provides(self, role_type: str, tax: Taxonomy) -> bool:
         return not self.offers.isdisjoint(tax.subtypes_of(role_type))
@@ -143,10 +152,11 @@ class FractalOrganization:
     preorder positions of the members that provide it.  A member offering
     ``o`` is listed once under every type in ``taxonomy.ancestors(o)``,
     which is exactly ``Member.provides``: ``o`` is in ``subtypes_of(T)``
-    iff ``T`` is in ``ancestors(o)``, unregistered types included.  A slot's
-    search bisects to the start of each scope slice and walks forward in
-    preorder, so it meets the same candidates in the same order as a
-    member-by-member scan.
+    iff ``T`` is in ``ancestors(o)``, unregistered types included.  Each
+    distinct offer set's closure is derived once per build and serves every
+    member that offers that set.  A slot's search bisects to the start of
+    each scope slice and walks forward in preorder, so it meets the same
+    candidates in the same order as a member-by-member scan.
     """
 
     def __init__(self, root: CommunityNode, taxonomy: Taxonomy):
@@ -236,8 +246,12 @@ class FractalOrganization:
         key = (self.taxonomy, len(self.taxonomy.subclass_edges))
         if self._postings_key != key:
             self._postings_key, self._postings_by_type = key, {}
+            closures: dict[frozenset[str], set[str]] = {}  # offer set -> types it provides
             for pos, member in enumerate(self._preorder):
-                for role_type in set().union(*map(self.taxonomy.ancestors, member.offers)):
+                if member.offers not in closures:
+                    closures[member.offers] = set().union(*map(self.taxonomy.ancestors,
+                                                               member.offers))
+                for role_type in closures[member.offers]:
                     self._postings_by_type.setdefault(role_type, []).append(pos)
         return self._postings_by_type
 
@@ -272,15 +286,18 @@ _MEMBER_KEYS = frozenset({"id", "offers"})
 _CONDITION_KEYS = frozenset({"id", "origin", "roles", "state"})
 
 
-def _node_from_dict(data, where: str) -> CommunityNode:
+def _node_from_dict(data, where: str, offer_sets: dict) -> CommunityNode:
+    """One community and its subtree.  ``offer_sets`` maps each offer set read
+    so far from the document to its first frozenset, which every later member
+    with equal offers shares."""
     check_keys(data, _NODE_KEYS, where)
     members_at = f"{where}.members"
     listed = get_field(data, "members", list, where, default=())
-    members = [
-        Member(get_field(m, "id", str, members_at, i),
-               get_field(m, "offers", list, members_at, i, (), str))
-        for i, m in enumerate(listed)
-    ]
+    members = []
+    for i, m in enumerate(listed):
+        member_id = get_field(m, "id", str, members_at, i)
+        offers = frozenset(get_field(m, "offers", list, members_at, i, (), str))
+        members.append(Member(member_id, offer_sets.setdefault(offers, offers)))
     # get_field has made each member an object; one pass over all their keys
     # costs less than a check_keys call for each of thousands of members
     if not _MEMBER_KEYS.issuperset(chain.from_iterable(listed)):
@@ -288,7 +305,7 @@ def _node_from_dict(data, where: str) -> CommunityNode:
             check_keys(m, _MEMBER_KEYS, members_at, i)
     node = CommunityNode(get_field(data, "id", str, where), members)
     for i, child_data in enumerate(get_field(data, "children", list, where, default=())):
-        node.add_child(_node_from_dict(child_data, f"{where}.children[{i}]"))
+        node.add_child(_node_from_dict(child_data, f"{where}.children[{i}]", offer_sets))
     return node
 
 
@@ -306,14 +323,16 @@ def load_fixture(path) -> tuple[FractalOrganization, list[TriggeringCondition]]:
                          "roles": ["Nurse", "Transport"],
                          "state": {"Nurse": "clinic"}}]}  # optional preassignment
 
-    Bad content raises InputError naming the file and the field or line.
+    Members with equal offers share one frozenset, so a document with many
+    members but few distinct offer sets holds each set once.  Bad content
+    raises InputError naming the file and the field or line.
     """
     with reading(path):
         data = read_json(path)  # before Path(): an empty name is not the directory "."
         check_document(data, "fixture", _FIXTURE_KEYS)
         community = get_field(data, "community", dict)
         taxonomy = taxonomy_from_spec(data, Path(path).parent)
-        org = FractalOrganization(_node_from_dict(community, "community"), taxonomy)
+        org = FractalOrganization(_node_from_dict(community, "community", {}), taxonomy)
         conditions = []
         for n, cond_data in enumerate(get_field(data, "conditions", list, default=())):
             check_keys(cond_data, _CONDITION_KEYS, "conditions", n)

@@ -12,9 +12,11 @@ writes inline) as the reference for differential tests, and the
 community section keeps the publisher as it was before its index (a full
 re-scan of every record ever published) for the same purpose, and the
 fractal section keeps the resolver as it was before its tree index (a sort
-and a subtree walk at every escalation level) and a resolve result as the
-JSON value the report was once dumped from, and the description section
-keeps the Turtle parser as it was before tuple tokens.
+and a subtree walk at every escalation level), the posting lists as they
+were built before equal offer sets shared one closure (one closure per
+member) and a resolve result as the JSON value the report was once dumped
+from, and the description section keeps the Turtle parser as it was before
+tuple tokens.
 """
 
 from __future__ import annotations
@@ -716,6 +718,16 @@ def node_depth(node: CommunityNode) -> int:
     while node.parent is not None:
         levels, node = levels + 1, node.parent
     return levels
+
+
+def member_by_member_postings(preorder: list[Member], taxonomy: Taxonomy) -> dict[str, list[int]]:
+    """Per type, the ascending positions in ``preorder`` of the members that
+    provide it, each member's closure derived on its own."""
+    postings: dict[str, list[int]] = {}
+    for pos, member in enumerate(preorder):
+        for role_type in set().union(*map(taxonomy.ancestors, member.offers)):
+            postings.setdefault(role_type, []).append(pos)
+    return postings
 
 
 class ReferenceFractalOrganization:

@@ -1,8 +1,14 @@
+import copy
 import itertools
+import json
+import pickle
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from fso.fractal import (
     AlreadyDissolved,
@@ -15,7 +21,13 @@ from fso.fractal import (
 )
 from fso.inputs import InputError
 from fso.taxonomy import Taxonomy
-from oracles import ReferenceFractalOrganization, node_depth, random_dag, resolution_json
+from oracles import (
+    ReferenceFractalOrganization,
+    member_by_member_postings,
+    node_depth,
+    random_dag,
+    resolution_json,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -123,6 +135,12 @@ def test_preassigned_state_is_kept():
         ("Transport", "flat-3"),
     )
     assert result.exceptions == ()
+
+
+def test_member_copies_and_pickles():
+    member = Member("clinic", ["Nurse", "Doctor"])
+    for twin in (copy.copy(member), copy.deepcopy(member), pickle.loads(pickle.dumps(member))):
+        assert twin == member and twin.offers == frozenset({"Nurse", "Doctor"})
 
 
 def test_a_community_has_one_parent():
@@ -463,3 +481,165 @@ def test_resolve_agrees_with_reference_resolver_on_a_large_tree():
                     overlays.append((mine.overlay, theirs.overlay))
         assert list(org.booked.items()) == list(reference.booked.items())
     assert to_root > 100 and rejected > 30
+
+
+# --- many members, few distinct offer sets ---------------------------------
+
+
+def write_many_members_fixture(path, rng):
+    """A fixture shaped like the resolve workload, smaller: 259 communities
+    (depth 3, fan-out 6) of 12 members, each offering 1 or 2 of 30 leaf types
+    in no fixed order, and 800 three-role conditions that ask for leaves and
+    their 6 categories."""
+    categories = [f"Kind{c}" for c in range(6)]
+    leaves = [f"{category}v{i}" for category in categories for i in range(5)]
+    counter = itertools.count()
+    node_ids = []
+
+    def build(level):
+        node_id = f"c{next(counter)}"
+        node_ids.append(node_id)
+        return {
+            "id": node_id,
+            "members": [{"id": f"{node_id}-m{j:02d}",
+                         "offers": rng.sample(leaves, rng.choice((1, 1, 2)))}
+                        for j in range(12)],
+            "children": [build(level + 1) for _ in range(6 if level < 3 else 0)],
+        }
+
+    community = build(0)
+    document = {
+        "taxonomy_edges": [[leaf, leaf.split("v")[0]] for leaf in leaves],
+        "community": community,
+        "conditions": [
+            {"id": f"t{k}", "origin": rng.choice(node_ids),
+             "roles": [rng.choice(leaves) if rng.random() < 0.6 else rng.choice(categories)
+                       for _ in range(3)]}
+            for k in range(800)
+        ],
+    }
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def many_members_fixture(tmp_path_factory):
+    return write_many_members_fixture(
+        tmp_path_factory.mktemp("many-members") / "organization.json", random.Random(2027))
+
+
+def test_equal_offer_sets_are_one_object_and_resolve_as_the_reference_does(
+        many_members_fixture):
+    org, conditions = load_fixture(many_members_fixture)
+    shared = {}
+    for member in org._preorder:
+        assert shared.setdefault(member.offers, member.offers) is member.offers
+    assert len(org._preorder) == 3108 and len(shared) <= 30 + 435
+
+    reference = ReferenceFractalOrganization(org.root, org.taxonomy)
+    half = len(conditions) // 2
+    escalated = 0
+    for n, cond in enumerate(conditions):
+        if n == half:  # the next resolve rebuilds the postings
+            org.taxonomy.add_subclass("Kind0", "Kind1")
+        if n in (0, half):
+            postings = org._postings()
+            assert postings == member_by_member_postings(org._preorder, org.taxonomy)
+        mine = org.resolve(cond)
+        assert resolution_json(mine) == resolution_json(reference.resolve(cond))
+        escalated += bool(mine.exceptions)
+    assert org._postings() is postings
+    assert org.booked == reference.booked
+    assert escalated > half and 0.7 < len(org.booked) / len(org._preorder) < 0.85
+
+
+def test_many_members_load_in_bounded_memory(many_members_fixture):
+    """3,108 members with at most 465 distinct offer sets: each set is held once."""
+    tracemalloc.start()
+    try:
+        org, _ = load_fixture(many_members_fixture)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(org._preorder) == 3108
+    # shared sets peak at 2.5 MiB (Python 3.11) and 2.9 MiB (3.10); a frozenset
+    # per member peaked at 3.2 MiB (3.11)
+    assert peak < 3 * 2**20
+
+
+# --- a stateful differential machine ----------------------------------------
+
+MACHINE_TYPES = ["T0", "T1", "T2", "T3", "T4", "T5"]
+MACHINE_OFFERS = MACHINE_TYPES + ["Outside"]  # never in the taxonomy
+# an edge points from the later type to the earlier, so no edge closes a cycle
+MACHINE_EDGES = st.lists(st.sampled_from(MACHINE_TYPES), min_size=2, max_size=2,
+                         unique=True).map(lambda pair: tuple(sorted(pair, reverse=True)))
+
+
+class ResolverMachine(RuleBasedStateMachine):
+    """``FractalOrganization`` and ``ReferenceFractalOrganization`` over one
+    tree and one taxonomy, driven by the same resolves, dissolves and
+    taxonomy edges added between resolves.  Members share a few offer sets,
+    as members loaded from one document do.  Every resolve gives both the
+    same result or the same InputError, and leaves the postings equal to a
+    member-by-member build; after every step the bookings agree."""
+
+    @initialize(data=st.data())
+    def build(self, data):
+        offer_sets = data.draw(st.lists(
+            st.frozensets(st.sampled_from(MACHINE_OFFERS), max_size=2), min_size=1, max_size=4))
+        nodes = [CommunityNode("c0")]
+        for i in range(1, data.draw(st.integers(1, 7))):
+            nodes.append(nodes[data.draw(st.integers(0, i - 1))].add_child(CommunityNode(f"c{i}")))
+        ids = data.draw(st.permutations(range(data.draw(st.integers(1, 16)))))
+        for k in ids:  # ids that do not sort in the order they were added
+            home = nodes[data.draw(st.integers(0, len(nodes) - 1))]
+            home.members.append(Member(f"m{k:02d}", data.draw(st.sampled_from(offer_sets))))
+        taxonomy = Taxonomy(data.draw(st.lists(MACHINE_EDGES, max_size=4)))
+        self.org = FractalOrganization(nodes[0], taxonomy)
+        self.reference = ReferenceFractalOrganization(nodes[0], taxonomy)
+        self.node_ids = [node.id for node in nodes] + ["nowhere"]
+        self.member_ids = [f"m{k:02d}" for k in ids] + ["ghost"]
+        self.overlays = []
+        self.serial = itertools.count()
+
+    @rule(data=st.data())
+    def resolve(self, data):
+        roles = tuple(data.draw(st.lists(st.sampled_from(MACHINE_OFFERS), min_size=1, max_size=3)))
+        state = data.draw(st.one_of(st.just({}), st.dictionaries(
+            st.integers(0, len(roles) - 1), st.sampled_from(self.member_ids), min_size=1)))
+        cond = TriggeringCondition(f"t{next(self.serial)}", data.draw(st.sampled_from(self.node_ids)),
+                                   roles, state)
+        outcomes = []
+        for resolver in (self.org, self.reference):
+            try:
+                outcomes.append(resolver.resolve(cond))
+            except InputError as exc:
+                outcomes.append(f"InputError: {exc}")
+        mine, theirs = outcomes
+        assert mine == theirs
+        if not isinstance(mine, str) and mine.complete:
+            self.overlays.append((mine.overlay, theirs.overlay))
+        assert self.org._postings() == member_by_member_postings(self.org._preorder,
+                                                                 self.org.taxonomy)
+
+    @precondition(lambda self: self.overlays)
+    @rule(data=st.data())
+    def dissolve(self, data):
+        mine, theirs = self.overlays.pop(data.draw(st.integers(0, len(self.overlays) - 1)))
+        self.org.dissolve(mine)
+        self.reference.dissolve(theirs)
+        assert mine.status is theirs.status is OverlayStatus.DISSOLVED
+
+    @rule(edge=MACHINE_EDGES)
+    def add_taxonomy_edge(self, edge):
+        self.org.taxonomy.add_subclass(*edge)  # the reference's taxonomy too
+
+    @invariant()
+    def bookings_agree(self):
+        assert list(self.org.booked.items()) == list(self.reference.booked.items())
+
+
+ResolverMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30,
+                                             deadline=None)
+TestResolverMachine = ResolverMachine.TestCase
