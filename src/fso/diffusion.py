@@ -29,13 +29,14 @@ popcount of 1), which consumes the same words.  Draws read the pre-step
 masks; drawn units are OR-ed into a copy, which becomes the next state.
 
 A network is settled once every live edge joins two agents that know the
-same units: no transmission can fire, so knowledge stops changing, and
-isolation only removes edges, so it stays settled.  Its rounds would draw
-one ``random()`` per link, two 32-bit Mersenne Twister words each, and
-use none.  ``run_scenario`` jumps from there to the next isolation step, or
-past the horizon: it repeats the measure and takes the skipped rounds' words
-with ``getrandbits`` (2**20 words a call, so memory does not grow with the
-horizon), leaving the generator where those rounds would.
+same units: no transmission can fire, and isolation only removes edges, so
+it stays settled.  ``step`` only exchanges; ``run_scenario`` compares the
+ends of every live link after a round that taught nothing (its measure
+repeats).  A settled round draws one ``random()`` per link, two 32-bit
+Mersenne Twister words each, and uses none, so ``run_scenario`` jumps to the
+next isolation step, or past the horizon: it repeats the measure and takes
+the skipped rounds' words with ``getrandbits`` (2**20 words a call, so memory
+does not grow with the horizon), leaving the generator where they would.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class MetaNetwork:
     knows: list[int]
     isolated: set[int] = field(default_factory=set)
     _live: tuple = field(default=(-1, ()), repr=False, compare=False)
-    settled: bool = field(default=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, edges: frozenset[tuple[int, int]], n: int) -> "MetaNetwork":
@@ -142,11 +142,10 @@ def diffusion_measure(net: MetaNetwork) -> float:
 
 def step(net: MetaNetwork, rng: random.Random, p: float) -> MetaNetwork:
     """One synchronous exchange round; mutates and returns the network."""
-    links = net.live_links()
     knows = net.knows
     after = knows[:]  # every draw reads the pre-step state, every unit lands here
     draw, bits = rng.random, rng.getrandbits
-    for sender, receiver in links:
+    for sender, receiver in net.live_links():
         if draw() < p and (new := knows[sender] & ~knows[receiver]):
             n = new.bit_count()
             k = n.bit_length()
@@ -159,8 +158,6 @@ def step(net: MetaNetwork, rng: random.Random, p: float) -> MetaNetwork:
                     new &= new - 1
                     r -= 1
                 after[receiver] |= new & -new
-    if after == knows:
-        net.settled = all(knows[u] == knows[v] for u, v in links)
     net.knows = after
     return net
 
@@ -261,13 +258,13 @@ def run_scenario(spec: ScenarioSpec) -> DiffusionTrace:
     rng = random.Random(spec.seed)
     values = [diffusion_measure(net)]
     isolations: list[tuple[int, int]] = []
-    t = 1
+    t, settled = 1, False
     while t <= spec.horizon:
         for time, strategy in spec.isolation_events:
             if time == t:
                 net, agent = isolate(net, strategy, rng)
                 isolations.append((t, agent))
-        if net.settled:  # nothing changes until the next isolation: jump there
+        if settled:  # nothing changes until the next isolation: jump there
             to = min((time for time, _ in spec.isolation_events if time > t),
                      default=spec.horizon + 1)
             words = 2 * len(net.live_links()) * (to - t)  # 2 per random()
@@ -279,6 +276,8 @@ def run_scenario(spec: ScenarioSpec) -> DiffusionTrace:
             step(net, rng, spec.transmit_probability)
             values.append(diffusion_measure(net))
             t += 1
+            settled = values[-1] == values[-2] and all(
+                net.knows[u] == net.knows[v] for u, v in net.live_links())
     return DiffusionTrace(tuple(values), tuple(isolations))
 
 

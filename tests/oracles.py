@@ -25,7 +25,9 @@ import random
 import re
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from functools import reduce
 from itertools import combinations, permutations
+from operator import add
 
 from fso.community import (
     DEFAULT_RESIDUAL_REQUEST,
@@ -899,6 +901,11 @@ def reference_measure(net: ReferenceMetaNetwork) -> float:
     return total / (len(net.agents) * len(net.knowledge))
 
 
+def reference_settled(net: ReferenceMetaNetwork) -> bool:
+    """Whether every live edge joins two agents that know the same units."""
+    return all(net.knows[u] == net.knows[v] for u, v in net.live_edges())
+
+
 def kth_set_bit(mask: int, k: int) -> int:
     """The k-th lowest set bit of ``mask`` (k from 0), as a one-bit mask: the
     unit selection ``step`` writes inline."""
@@ -959,8 +966,9 @@ def reference_aggregate(traces) -> tuple[tuple[float, ...], ...]:
     """Per-step (mean, min, max) of replicate traces, one pass per statistic."""
     replicates = len(traces)
     steps = len(traces[0].values)
+    # left to right: builtin sum() compensates float rounding from Python 3.12
     mean = tuple(
-        sum(trace.values[t] for trace in traces) / replicates for t in range(steps)
+        reduce(add, [trace.values[t] for trace in traces]) / replicates for t in range(steps)
     )
     low = tuple(min(trace.values[t] for trace in traces) for t in range(steps))
     high = tuple(max(trace.values[t] for trace in traces) for t in range(steps))

@@ -4,6 +4,9 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from functools import reduce
+from itertools import product
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +40,7 @@ from oracles import (
     reference_isolate,
     reference_measure,
     reference_run_scenario,
+    reference_settled,
     reference_step,
 )
 
@@ -52,6 +56,13 @@ def units(mask):
 
 def known_sets(net):
     return {agent: units(mask) for agent, mask in enumerate(net.knows)}
+
+
+def as_reference(net):
+    """A reference network in the state of ``net``."""
+    ref = ReferenceMetaNetwork.initial(frozenset(net.edges), len(net.knows))
+    ref.knows, ref.isolated = known_sets(net), set(net.isolated)
+    return ref
 
 
 # --- topologies -----------------------------------------------------------
@@ -409,17 +420,56 @@ def test_settled_rounds_leave_the_rng_where_the_reference_does():
         for t in range(1, s.horizon + 1):
             for time, strategy in s.isolation_events:
                 if time == t:
-                    random_after_settling += net.settled and strategy is IsolationStrategy.RANDOM
+                    random_after_settling += (reference_settled(ref)
+                                              and strategy is IsolationStrategy.RANDOM)
                     assert isolate(net, strategy, ours)[1] == reference_isolate(ref, strategy, theirs)[1]
-            if net.settled:  # settled only where no live edge can transmit
-                assert all(net.knows[u] == net.knows[v] for u, v in net.live_links()), s
+            settled = reference_settled(ref)
+            if settled:  # the round moves no unit and takes the words a jump takes
+                before, skipped = known_sets(net), random.Random()
+                skipped.setstate(ours.getstate())
+                skipped.getrandbits(32 * 2 * len(net.live_links()))
                 settled_rounds += 1
             step(net, ours, s.transmit_probability)
             reference_step(ref, theirs, s.transmit_probability)
             assert ours.getstate() == theirs.getstate(), (s, t)
             assert known_sets(net) == ref.knows
-        settled_runs += net.settled
+            if settled:
+                assert ref.knows == before and ours.getstate() == skipped.getstate(), (s, t)
+        settled_runs += reference_settled(ref)
     assert settled_rounds and random_after_settling and settled_runs
+
+
+def test_a_settled_round_changes_no_set():
+    """On random states: a round over a settled network moves no unit and takes
+    two words per live link, the words a jump takes; at p = 1 a round over any
+    other network moves one."""
+    rng = random.Random(26)
+    settled_states = unsettled_states = 0
+    for topology, strategy, p in product(Topology, IsolationStrategy, [0.05, 0.5, 1.0]):
+        for _ in range(20):
+            agents = 3 * rng.randint(1, 6) if topology is Topology.FRACTAL else rng.randint(1, 18)
+            net = MetaNetwork.initial(ScenarioSpec(topology, agents=agents).build_edges(), agents)
+            net.knows = [mask | rng.getrandbits(agents) for mask in net.knows]
+            for _ in range(rng.randint(0, agents // 2)):
+                isolate(net, strategy, rng)
+            if rng.random() < 0.5:  # half the states: each live component shares its units
+                while not reference_settled(as_reference(net)):
+                    step(net, rng, 1.0)
+            ref, before = as_reference(net), known_sets(net)
+            settled = reference_settled(ref)
+            ours, skipped = random.Random(rng.randrange(2**32)), random.Random()
+            skipped.setstate(ours.getstate())
+            skipped.getrandbits(32 * 2 * len(net.live_links()))
+            step(net, ours, p)
+            reference_step(ref, random.Random(rng.randrange(2**32)), p)
+            if settled:
+                settled_states += 1
+                assert known_sets(net) == ref.knows == before
+                assert ours.getstate() == skipped.getstate()
+            elif p == 1.0:
+                unsettled_states += 1
+                assert known_sets(net) != before
+    assert settled_states > 50 and unsettled_states > 10
 
 
 def with_final_rng(run, module, s):
@@ -459,6 +509,20 @@ def settling_spec(rng):
                         agents=agents)
 
 
+def rounds_until_settled(s):
+    """The first round after which the reference run of ``s`` is settled, or its horizon."""
+    ref = ReferenceMetaNetwork.initial(s.build_edges(), s.agents)
+    rng = random.Random(s.seed)
+    for t in range(1, s.horizon + 1):
+        for time, strategy in s.isolation_events:
+            if time == t:
+                reference_isolate(ref, strategy, rng)
+        reference_step(ref, rng, s.transmit_probability)
+        if reference_settled(ref):
+            return t
+    return s.horizon
+
+
 def test_jumps_over_settled_stretches_match_reference(monkeypatch):
     calls = Counter()
 
@@ -467,7 +531,7 @@ def test_jumps_over_settled_stretches_match_reference(monkeypatch):
         return step(net, rng, p)
 
     def watched_isolate(net, strategy, rng):
-        calls[strategy, net.settled] += 1
+        calls[strategy, reference_settled(as_reference(net))] += 1
         return isolate(net, strategy, rng)
 
     monkeypatch.setattr(diffusion, "step", counted_step)
@@ -477,8 +541,11 @@ def test_jumps_over_settled_stretches_match_reference(monkeypatch):
     for _ in range(150):
         s = settling_spec(rng)
         horizons[s.horizon] += s.horizon
+        stepped = calls["step"]
         ours = with_final_rng(run_scenario, diffusion, s)
         assert ours == with_final_rng(reference_run_scenario, oracles, s), s
+        settles = rounds_until_settled(s)  # the jump starts there, or one round later
+        assert settles <= calls["step"] - stepped <= settles + 1, s
     assert calls["step"] < sum(horizons.values()) // 10  # most steps were jumped over
     assert calls[IsolationStrategy.RANDOM, True] and calls[IsolationStrategy.MAX_DEGREE, True]
     assert horizons.keys() == {0, 1, 2, 150, 400}
@@ -526,7 +593,7 @@ def test_single_unit_draws_leave_the_rng_where_the_reference_does():
         seed = rng.randrange(2**32)
         ours, theirs = random.Random(seed), random.Random(seed)
         p = rng.choice([0.05, 0.5, 1.0])
-        while not net.settled:
+        while not reference_settled(ref):
             single += sum((net.knows[u] ^ net.knows[v]).bit_count() == 1 for u, v in edges)
             step(net, ours, p)
             reference_step(ref, theirs, p)
@@ -606,7 +673,7 @@ def test_aggregate_matches_sequential_rerun():
     assert seen == list(enumerate(replayed))
     for t in range(31):
         column = [trace.values[t] for trace in replayed]
-        assert result.mean[t] == sum(column) / 8
+        assert result.mean[t] == reduce(add, column) / 8  # left to right, as documented
         assert result.min[t] == min(column)
         assert result.max[t] == max(column)
 

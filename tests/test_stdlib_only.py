@@ -1,5 +1,6 @@
 """Guards over the package source: it imports only the stdlib, parses as
-Python 3.10, and defines only names that the program or its benchmark reaches."""
+Python 3.10, sums floats the same way on every interpreter, and defines only
+names that the program or its benchmark reaches."""
 
 import ast
 import re
@@ -65,6 +66,31 @@ def test_regexes_need_no_python_3_11_syntax():
         # An escaped character or a character class holds no quantifier.
         bare = re.sub(r"\[[^\]]*\]", "", re.sub(r"\\.", "x", pattern))
         assert not [c for c in NEW_IN_311 if c in bare], f"{name}: {pattern!r}"
+
+
+# Builtin sum() compensates float rounding from Python 3.12, so a float sum
+# there would change bytes between interpreters: only integer sums may use it.
+INTEGER_SUMS = {"diffusion_measure", "ReferenceMetaNetwork.live_degree", "reference_measure"}
+
+
+def sum_calls(tree, scope=()):
+    """The enclosing function or class path of each builtin ``sum(`` call."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from sum_calls(node, (*scope, node.name))
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"):
+            yield ".".join(scope)
+        yield from sum_calls(node, scope)
+
+
+def test_float_sums_are_left_to_right():
+    """``monte_carlo`` and its oracle sum floats left to right on every interpreter."""
+    found = {(path.name, name) for path in SOURCES + [ROOT / "tests" / "oracles.py"]
+             for name in sum_calls(ast.parse(path.read_text(encoding="utf-8"), str(path)))}
+    assert ("diffusion.py", "diffusion_measure") in found  # the walk enters functions
+    assert {(file, name) for file, name in found if name not in INTEGER_SUMS} == set()
 
 
 # Names that neither src/fso nor perfbench/ reaches, each kept for a reason.
