@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
@@ -298,6 +297,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a bug: the traceback, then one summary line
+        import traceback  # only a bug reads it: no command pays for its import
+
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -37,6 +37,15 @@ Mersenne Twister words each, and uses none, so ``run_scenario`` jumps to the
 next isolation step, or past the horizon: it repeats the measure and takes
 the skipped rounds' words with ``getrandbits`` (2**20 words a call, so memory
 does not grow with the horizon), leaving the generator where they would.
+
+The replicates of ``monte_carlo`` share one ``Wiring``, the part of a run
+that no seed changes: the sorted edges and their links, the isolation
+steps, and per isolated set its live links and max-degree agent.
+A max-degree isolation draws nothing, so the agent it cuts depends only on
+the set already cut; the sets that max-degree isolations alone reach are the
+same in every replicate, and the wiring works each out once.  A random
+isolation draws, so the sets after it belong to one replicate and are not
+kept.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ import csv
 import random
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .inputs import InputError, check_document, get_field, read_json, reading
@@ -111,28 +120,66 @@ def gen_fractal(n: int, cell_size: int) -> frozenset[tuple[int, int]]:
 # --- meta-network -------------------------------------------------------
 
 
-@dataclass
-class MetaNetwork:
-    """Agents 0..n-1: sorted edges, knowledge bitmasks, who is cut off."""
+class Wiring:
+    """What every run of one scenario shares, built once: the sorted edges,
+    their links (each edge low to high, then high to low), the isolation
+    steps, and a memo from isolated set to ``[live links, max-degree agent or
+    None until asked]``.
 
-    edges: tuple[tuple[int, int], ...]
-    knows: list[int]
-    isolated: set[int] = field(default_factory=set)
-    _live: tuple = field(default=(-1, ()), repr=False, compare=False)
+    The memo keeps only the sets that max-degree isolations alone reach from
+    none: that chain is the same in every run, so it holds at most one entry
+    per isolation event plus one, however many runs share the wiring.
+    """
+
+    def __init__(self, edges: frozenset[tuple[int, int]], agents: int,
+                 isolation_events: tuple[tuple[int, IsolationStrategy], ...] = ()):
+        self.edges = tuple(sorted(edges))
+        self.agents = agents
+        self.schedule: dict[int, list[IsolationStrategy]] = {}  # step -> strategies
+        for time, strategy in isolation_events:
+            self.schedule.setdefault(time, []).append(strategy)
+        self._links = [link for edge in self.edges for link in (edge, edge[::-1])]
+        self._memo: dict[frozenset[int], list] = {frozenset(): [self._links, None]}
+
+    def entry(self, cut: frozenset[int], keep: bool) -> list:
+        """The memo entry of the isolated set ``cut``, made (and kept if
+        ``keep``) on first use; its live links share the wiring's tuples."""
+        found = self._memo.get(cut)
+        if found is None:
+            found = [[link for link in self._links if cut.isdisjoint(link)], None]
+            if keep:
+                self._memo[cut] = found
+        return found
+
+
+class MetaNetwork:
+    """Agents 0..n-1 on a wiring: knowledge bitmasks, who is cut off.
+
+    ``isolate`` is the one way to cut an agent off.
+    """
+
+    def __init__(self, wiring: Wiring):
+        """Fresh state: agent i knows exactly unit i."""
+        self.wiring = wiring
+        self.knows = [1 << i for i in range(wiring.agents)]
+        self.isolated: frozenset[int] = frozenset()
+        self._at = wiring.entry(self.isolated, True)
 
     @classmethod
-    def initial(cls, edges: frozenset[tuple[int, int]], n: int) -> "MetaNetwork":
-        """Fresh state: agent i knows exactly unit i."""
-        return cls(tuple(sorted(edges)), [1 << i for i in range(n)])
+    def initial(cls, edges: frozenset[tuple[int, int]], n: int,
+                isolation_events: tuple[tuple[int, IsolationStrategy], ...] = ()
+                ) -> "MetaNetwork":
+        """Fresh state over ``edges`` on a wiring of its own."""
+        return cls(Wiring(edges, n, isolation_events))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return self.wiring.edges
 
     def live_links(self) -> list[tuple[int, int]]:
         """Both directions of each edge with no isolated end, in edge order and
-        low to high first: the draw order.  Rebuilt only when isolation grows."""
-        cut = self.isolated
-        if self._live[0] != len(cut):
-            self._live = (len(cut), [link for edge in self.edges if cut.isdisjoint(edge)
-                                     for link in (edge, edge[::-1])])
-        return self._live[1]
+        low to high first: the draw order."""
+        return self._at[0]
 
 
 def diffusion_measure(net: MetaNetwork) -> float:
@@ -168,15 +215,21 @@ def isolate(
     """Cut one agent's edges; its knowledge is retained.
 
     Some agent must still be unisolated: ``ScenarioSpec`` allows at most
-    ``agents`` isolation events.
+    ``agents`` isolation events.  A max-degree choice draws nothing, so it
+    is worked out once per isolated set and kept with the set's live links.
     """
-    candidates = [a for a in range(len(net.knows)) if a not in net.isolated]
+    wiring, cut, at = net.wiring, net.isolated, net._at
     if strategy is IsolationStrategy.RANDOM:
-        agent = candidates[rng.randrange(len(candidates))]
-    else:
-        degree = Counter(u for u, _ in net.live_links())
-        agent = min(candidates, key=lambda a: (-degree[a], a))
-    net.isolated.add(agent)
+        candidates = [a for a in range(len(net.knows)) if a not in cut]
+        agent, keep = candidates[rng.randrange(len(candidates))], False
+    else:  # the set it leads to is on the memo's chain if this one is
+        if at[1] is None:
+            degree = Counter(u for u, _ in at[0])
+            at[1] = min((a for a in range(len(net.knows)) if a not in cut),
+                        key=lambda a: (-degree[a], a))
+        agent, keep = at[1], cut in wiring._memo
+    net.isolated = cut | {agent}
+    net._at = wiring.entry(net.isolated, keep)
     return net, agent
 
 
@@ -252,20 +305,26 @@ class DiffusionTrace:
     isolations: tuple[tuple[int, int], ...] = ()  # (step, agent)
 
 
-def run_scenario(spec: ScenarioSpec) -> DiffusionTrace:
-    """Run one scenario to the horizon, deterministically for its seed."""
-    net = MetaNetwork.initial(spec.build_edges(), spec.agents)
-    rng = random.Random(spec.seed)
+def run_scenario(spec: ScenarioSpec, wiring: Wiring | None = None,
+                 seed: int | None = None) -> DiffusionTrace:
+    """Run one scenario to the horizon, deterministically for its seed.
+
+    ``monte_carlo`` hands every replicate the spec's one ``wiring`` and the
+    replicate's ``seed``; left out, the run builds its own and uses ``spec.seed``.
+    """
+    net = (MetaNetwork.initial(spec.build_edges(), spec.agents, spec.isolation_events)
+           if wiring is None else MetaNetwork(wiring))
+    schedule = net.wiring.schedule
+    rng = random.Random(spec.seed if seed is None else seed)
     values = [diffusion_measure(net)]
     isolations: list[tuple[int, int]] = []
     t, settled = 1, False
     while t <= spec.horizon:
-        for time, strategy in spec.isolation_events:
-            if time == t:
-                net, agent = isolate(net, strategy, rng)
-                isolations.append((t, agent))
+        for strategy in schedule.get(t, ()):
+            net, agent = isolate(net, strategy, rng)
+            isolations.append((t, agent))
         if settled:  # nothing changes until the next isolation: jump there
-            to = min((time for time, _ in spec.isolation_events if time > t),
+            to = min((time for time in schedule if time > t),
                      default=spec.horizon + 1)
             words = 2 * len(net.live_links()) * (to - t)  # 2 per random()
             for done in range(0, words, 1 << 20):  # at most 4 MB at a time
@@ -305,8 +364,9 @@ def monte_carlo(spec: ScenarioSpec, replicates: int,
     """
     if replicates < 1:
         raise InputError("replicates must be at least 1")
+    wiring = Wiring(spec.build_edges(), spec.agents, spec.isolation_events)
     for r in range(replicates):
-        trace = run_scenario(replace(spec, seed=spec.seed + r))
+        trace = run_scenario(spec, wiring, spec.seed + r)
         if on_replicate is not None:
             on_replicate(r, trace)
         if r == 0:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL
 lines as they happen.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -28,6 +29,7 @@ from fso.diffusion import (
     gen_hierarchy,
     load_scenario,
     monte_carlo,
+    write_aggregate_csv,
 )
 from fso.fractal import load_fixture
 from fso.mutualism import (
@@ -319,6 +321,32 @@ def test_criterion_9_simulation_orderings(experiment_scale_runs):
         )
 
         assert elapsed < 60.0
+
+
+# sha256 of each committed scenario's 100-replicate aggregate CSV: the
+# experiment's bytes, which no optimization may change on any interpreter.
+EXPERIMENT_DIGESTS = {
+    "baseline-fractal": "7d6e3b3a8ae2aa55d313cb4ac32e20634d18cfcac1f7548f4455e6d557f0b00b",
+    "baseline-hierarchy": "c9d75799994ae347774ae1572372d3f62676381300da4c2017ff52f8f113721e",
+    "repeated-isolation-fractal":
+        "42e64187423f17dc00ba30bd90fcbd81d59d29629b50ec3059ef648025037317",
+    "repeated-isolation-hierarchy":
+        "97f81c24ce6651f330e3c8842383dbad0a43694091d8a5e39e4d994f4c567dea",
+    "single-isolation-fractal":
+        "5cd9154d2a48bb118cc43196b281d264e6b2e6166352111dbd875822b281adf7",
+    "single-isolation-hierarchy":
+        "a50018a2775e0ca757703118ed6911dbd199c97f21c3c7f3b9474c74df9cd85c",
+}
+
+
+def test_experiment_csvs_keep_their_bytes(experiment_scale_runs, tmp_path):
+    runs = experiment_scale_runs[0]
+    digests = {}
+    for (topology, label), result in runs.items():
+        stem = f"{EXPERIMENT_FILES[label]}-{topology.value}"
+        write_aggregate_csv(result, tmp_path / f"{stem}.csv")
+        digests[stem] = hashlib.sha256((tmp_path / f"{stem}.csv").read_bytes()).hexdigest()
+    assert digests == EXPERIMENT_DIGESTS
 
 
 def test_committed_scenarios_are_the_experiment_specs():

@@ -977,18 +977,29 @@ def test_resolve_report_writer_matches_indented_sorted_json_dumps(results):
 LAYERS = {"community", "descriptions", "diffusion", "fractal", "mutualism"}
 
 
-def layers_loaded(code: str) -> set[str]:
-    """The fso layers in ``sys.modules`` after running ``code`` in a fresh interpreter."""
+def modules_loaded(code: str) -> set[str]:
+    """The names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
     script = f"{code}\nimport sys\nprint(*sys.modules)"
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
-    return {layer for layer in LAYERS if f"fso.{layer}" in done.stdout.split()}
+    return set(done.stdout.split())
+
+
+def layers_loaded(code: str) -> set[str]:
+    """The fso layers in ``sys.modules`` after running ``code`` in a fresh interpreter."""
+    loaded = modules_loaded(code)
+    return {layer for layer in LAYERS if f"fso.{layer}" in loaded}
 
 
 def test_importing_the_command_line_loads_no_layer():
     assert layers_loaded("import fso.cli") == set()
+
+
+def test_importing_the_command_line_loads_no_traceback_module():
+    """Only an internal error reads ``traceback``, so only it imports the module."""
+    assert "traceback" not in modules_loaded("import fso.cli") - modules_loaded("pass")
 
 
 @pytest.mark.parametrize("argv,loaded", [

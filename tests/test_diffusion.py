@@ -19,6 +19,7 @@ from fso.diffusion import (
     MetaNetwork,
     ScenarioSpec,
     Topology,
+    Wiring,
     diffusion_measure,
     gen_fractal,
     gen_hierarchy,
@@ -130,9 +131,9 @@ def test_forced_transfer_between_two_agents():
 
 
 def test_isolated_agent_never_learns():
-    net = MetaNetwork.initial(frozenset({(0, 1), (1, 2)}), 3)
-    net.isolated.add(0)
+    net = MetaNetwork.initial(frozenset({(0, 1), (1, 2), (0, 2)}), 3)
     rng = random.Random(1)
+    assert isolate(net, IsolationStrategy.MAX_DEGREE, rng)[1] == 0  # a tie: the lowest id
     for _ in range(50):
         step(net, rng, p=1.0)
     assert units(net.knows[0]) == {0}
@@ -676,6 +677,70 @@ def test_aggregate_matches_sequential_rerun():
         assert result.mean[t] == reduce(add, column) / 8  # left to right, as documented
         assert result.min[t] == min(column)
         assert result.max[t] == max(column)
+
+
+def replicated_spec(rng):
+    """A scenario whose replicates isolate different agents: up to 60 agents,
+    random and max-degree isolations mixed, several often at one step."""
+    topology = rng.choice(list(Topology))
+    agents = 3 * rng.randint(1, 20) if topology is Topology.FRACTAL else rng.randint(2, 60)
+    horizon = rng.randint(20, 80)
+    shared = rng.randint(1, horizon)
+    events = tuple((shared if rng.random() < 0.3 else rng.randint(1, horizon),
+                    rng.choice(list(IsolationStrategy)))
+                   for _ in range(rng.randint(2, min(agents, 6))))
+    return ScenarioSpec(topology, horizon=horizon,
+                        transmit_probability=rng.choice([0.05, 0.5, 1.0]),
+                        isolation_events=events, seed=rng.randrange(2**32), agents=agents,
+                        branching=rng.randint(2, 4))
+
+
+def test_replicates_sharing_a_wiring_match_reference_runs():
+    """Every replicate of ``monte_carlo`` runs on one wiring; each must still be
+    the reference run of its own seed, isolations included."""
+    rng = random.Random(27)
+    mixed = 0
+    for _ in range(20):
+        s = replicated_spec(rng)
+        seen = []
+        result = monte_carlo(s, 20, lambda r, trace: seen.append(trace))
+        expected = [reference_run_scenario(replace(s, seed=s.seed + r)) for r in range(20)]
+        assert seen == expected, s
+        assert (result.mean, result.min, result.max) == reference_aggregate(expected), s
+        mixed += len({strategy for _, strategy in s.isolation_events}) == 2
+    assert mixed >= 10
+
+
+def test_wiring_keeps_only_the_max_degree_chain():
+    """The memo keeps the isolated sets that max-degree isolations alone reach:
+    one per event plus none, however many runs share the wiring."""
+    R, M = IsolationStrategy.RANDOM, IsolationStrategy.MAX_DEGREE
+    for events, kept in [(((2, M), (4, M), (4, M), (9, M)), 5),
+                         (((2, M), (4, R), (6, M), (8, M)), 2),
+                         (((2, R), (4, M)), 1)]:
+        s = spec(agents=30, horizon=12, isolation_events=events)
+        wiring = Wiring(s.build_edges(), s.agents, s.isolation_events)
+        for seed in range(40):
+            assert run_scenario(s, wiring, seed) == run_scenario(replace(s, seed=seed))
+        assert len(wiring._memo) == kept, events
+
+
+def test_wiring_memory_does_not_grow_with_replicates():
+    """Random isolations give each replicate isolated sets of its own, which the
+    shared wiring does not keep: 200 replicates peak no higher than 20."""
+    R, M = IsolationStrategy.RANDOM, IsolationStrategy.MAX_DEGREE
+    s = spec(agents=30, horizon=20, seed=4,
+             isolation_events=((2, M), (4, R), (6, M), (8, R), (10, M), (12, R)))
+    monte_carlo(s, 200)  # fills the interpreter's free lists, which tracemalloc counts
+    peaks = []
+    for replicates in (20, 200):
+        tracemalloc.start()
+        try:
+            monte_carlo(s, replicates)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] * 1.1
 
 
 def test_mean_trace_is_non_decreasing():
