@@ -9,14 +9,16 @@ Subcommands::
 
 Match and resolve reports are JSON (stdout or ``--out``); simulation
 traces are CSV.  Identical inputs, flags and seed produce byte-identical
-outputs.  Each subcommand imports only the layers it runs.  Exit codes: 0
-success, 2 bad input (``OSError`` or ``InputError``), 1 internal error (a
-bug), reported with its traceback.
+outputs.  Each subcommand imports only the layers it runs, and runs with
+the cyclic garbage collector off (``main`` puts back the caller's
+setting).  Exit codes: 0 success, 2 bad input (``OSError`` or
+``InputError``), 1 internal error (a bug), reported with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import contextmanager, nullcontext
@@ -291,6 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # No command makes cyclic garbage that grows with its input (the resolve
+    # tree, the one cycle a command keeps, is in use until its report is
+    # written), so the collector's passes over what the loaders build buy
+    # nothing.  A caller's setting is put back, as found.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
@@ -302,6 +310,9 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

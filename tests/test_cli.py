@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import fso.cli
 from fso.cli import _render, _render_resolution, _write_report, main
 from fso.community import load_community
 from fso.diffusion import load_scenario, run_scenario
@@ -1014,3 +1016,77 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, loaded):
     code = ("import contextlib, io\nfrom fso.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0")
     assert layers_loaded(code) == loaded
+
+
+# --- the cyclic collector ---------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Puts back the collector's setting after the test, however it ends."""
+    was_on = gc.isenabled()
+    yield
+    (gc.enable if was_on else gc.disable)()
+
+
+def _broken(args):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("on_before", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv,code", [
+    (["simulate", "--scenario", "{}/scenario.json", "--out", "{}/x.csv"], 0),
+    (["resolve", "--fixture", "{}/absent.json"], 2),
+    (["resolve", "--fixture", "{}/absent.json"], 1),  # the command raises
+], ids=["exit-0", "exit-2", "exit-1"])
+def test_main_runs_the_command_without_the_collector_and_puts_it_back(
+        tmp_path, monkeypatch, collector, on_before, argv, code):
+    scenario_file(tmp_path, horizon=2)
+    command = f"cmd_{argv[0]}"
+    run = _broken if code == 1 else getattr(fso.cli, command)
+    seen = []
+
+    def watched(args):
+        seen.append(gc.isenabled())
+        return run(args)
+
+    monkeypatch.setattr(fso.cli, command, watched)
+    (gc.enable if on_before else gc.disable)()
+    assert main([arg.format(tmp_path) for arg in argv]) == code
+    assert gc.isenabled() is on_before
+    assert seen == [False]
+
+
+def cyclic_garbage_left(argv) -> int:
+    """Objects in reference cycles that one run of ``argv`` leaves, the
+    collector off; a first run imports the layers and fills their caches."""
+    assert main(argv) == 0
+    gc.collect()
+    assert main(argv) == 0
+    return gc.collect()
+
+
+def test_commands_leave_cyclic_garbage_that_does_not_grow_with_their_input(
+        tmp_path, collector):
+    """``main`` runs commands with the collector off, which is safe only while
+    no command makes a cycle per replicate, condition or record."""
+    gc.disable()
+    scenario = scenario_file(tmp_path, horizon=10)
+    simulate = ["simulate", "--scenario", scenario, "--out", str(tmp_path / "trace.csv"),
+                "--dump-replicates", "--replicates"]
+    fixture = generated_fixture(random.Random(3), conditions=400)
+    resolve = []
+    for conditions in (100, 400):
+        path = write(tmp_path / f"org{conditions}.json",
+                     json.dumps({**fixture, "conditions": fixture["conditions"][:conditions]}))
+        resolve.append(["resolve", "--fixture", path, "--out", str(tmp_path / "report.json")])
+    match = []
+    for records in (5, 20):
+        (tmp_path / f"c{records}").mkdir()
+        community = generated_community(tmp_path / f"c{records}", random.Random(4), 4, records)
+        match.append(["match", "--community", community, "--out", str(tmp_path / "report.json")])
+
+    assert (cyclic_garbage_left(simulate + ["5"])
+            == cyclic_garbage_left(simulate + ["50"]))
+    assert cyclic_garbage_left(resolve[0]) == cyclic_garbage_left(resolve[1]) > 1000  # the tree
+    assert cyclic_garbage_left(match[0]) == cyclic_garbage_left(match[1])
