@@ -11,8 +11,11 @@ Match and resolve reports are JSON (stdout or ``--out``); simulation
 traces are CSV.  Identical inputs, flags and seed produce byte-identical
 outputs.  Each subcommand imports only the layers it runs, and runs with
 the cyclic garbage collector off (``main`` puts back the caller's
-setting).  Exit codes: 0 success, 2 bad input (``OSError`` or
-``InputError``), 1 internal error (a bug), reported with its traceback.
+setting; ``python -m fso.cli`` leaves it off to the exit).  The layers'
+value types are named tuples and ``inputs.Record``s, so no command imports
+``dataclasses`` and the ``inspect`` and ``ast`` that it loads.  Exit codes:
+0 success, 2 bad input (``OSError`` or ``InputError``), 1 internal error
+(a bug), reported with its traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import gc
 import json
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -238,7 +240,7 @@ def cmd_simulate(args) -> int:
     targets[0].parent.mkdir(parents=True, exist_ok=True)  # a missing --out of several scenarios
     for scenario_path, spec, target, dump_path in zip(scenario_paths, specs, targets, dumps):
         if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
+            spec = spec._replace(seed=args.seed)
         # each replicate's rows are written as it finishes; no trace is kept
         with (nullcontext() if dump_path is None
               else diffusion.write_replicates_csv(dump_path)) as dump:
@@ -316,4 +318,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.disable()  # to the exit: switched back on, a pass would walk all the command built
     sys.exit(main())

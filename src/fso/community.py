@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from itertools import count
 from pathlib import Path
+from typing import NamedTuple
 
 from .descriptions import ServiceDescription, load_descriptions
 from .inputs import InputError, check_document, check_keys, get_field, read_json, reading
@@ -64,8 +64,7 @@ class MatchType(Enum):
     GROUP = "group"
 
 
-@dataclass(frozen=True)
-class MatchPolicy:
+class MatchPolicy(NamedTuple):
     """Knobs of the matching rule.
 
     allow_specialization lets a provider of a supertype satisfy a request
@@ -79,8 +78,7 @@ class MatchPolicy:
     require_time_overlap: bool = True
 
 
-@dataclass(frozen=True)
-class Match:
+class Match(NamedTuple):
     """Outcome of matching two descriptions (argument order matters).
 
     ``forward`` is the type the first description enacts for the second
@@ -106,8 +104,7 @@ class Match:
 NO_MATCH = Match()
 
 
-@dataclass(frozen=True)
-class MatchEvent:
+class MatchEvent(NamedTuple):
     """One emitted match: the two parties and the Match of their records.
 
     ``match`` reads from the first member's side, so its ``forward`` type
@@ -166,11 +163,12 @@ def match_pair(
     return Match(forward, backward)
 
 
-@dataclass
 class _Entry:
-    seq: int  # publication order
-    owner: str
-    description: ServiceDescription
+    __slots__ = ("seq", "owner", "description")
+
+    def __init__(self, seq: int, owner: str, description: ServiceDescription):
+        self.seq = seq  # publication order
+        self.owner, self.description = owner, description
 
 
 class _Bucket:
@@ -307,7 +305,7 @@ class Community:
             if candidate.owner in self.activities:
                 if match.backward is not None:  # the newcomer binds the venue
                     self._unindex(candidate)
-                    candidate.description = replace(candidate.description, request=None)
+                    candidate.description = candidate.description._replace(request=None)
                     self._index(candidate)
                 return [event]
             self._unindex(candidate)
@@ -365,7 +363,7 @@ class Community:
                 self._unindex(candidate)
                 events.append(MatchEvent((member_id, candidate.owner), match))
                 if match.backward is not None:  # the candidate binds the venue
-                    derived = replace(derived, request=None)
+                    derived = derived._replace(request=None)
         self.activities.add(member_id)
         self._store(member_id, derived)
         return events

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from datetime import datetime
 
-from .inputs import InputError, read_text, reading
+from .inputs import InputError, Record, read_text, reading
 
 SERVICE_NS = "http://www.pats.ua.ac.be/AALService#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -62,31 +61,29 @@ class ValidationError(InputError):
     """A parsed record violates a description invariant."""
 
 
-@dataclass(frozen=True)
-class LocationSpec:
+class LocationSpec(Record):
     """Where a service takes place: a place class and an optional place."""
 
-    place_class: str
-    located_in: str | None = None
+    __slots__ = ("place_class", "located_in")
 
-    def __post_init__(self):
+    def __init__(self, place_class: str, located_in: str | None = None):
+        self.place_class, self.located_in = place_class, located_in
         if not self.place_class:
             raise ValidationError("location block requires a non-empty place class")
 
 
-@dataclass(frozen=True)
-class ServiceDescription:
+class ServiceDescription(Record):
     """One published record: who offers or looks for what, and when."""
 
-    creation_time: datetime
-    start_time: datetime
-    end_time: datetime
-    creator: str
-    provide: str | None = None
-    request: str | None = None
-    location: LocationSpec | None = None
+    __slots__ = ("creation_time", "start_time", "end_time", "creator", "provide", "request",
+                 "location")
 
-    def __post_init__(self):
+    def __init__(self, creation_time: datetime, start_time: datetime, end_time: datetime,
+                 creator: str, provide: str | None = None, request: str | None = None,
+                 location: LocationSpec | None = None):
+        self.creation_time, self.start_time, self.end_time = creation_time, start_time, end_time
+        self.creator, self.provide, self.request = creator, provide, request
+        self.location = location
         if self.provide is None and self.request is None:
             raise ValidationError("both 'provide' and 'request' missing")
         for name in ("creation_time", "start_time", "end_time"):

@@ -54,10 +54,10 @@ import csv
 import random
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
-from .inputs import InputError, check_document, get_field, read_json, reading
+from .inputs import InputError, Record, check_document, get_field, read_json, reading
 
 
 class IsolationStrategy(Enum):
@@ -242,20 +242,19 @@ MAX_AGENTS = 10_000  # the knowledge masks take agents**2 bits
 MAX_EDGES = 100_000  # a fractal cell is a clique: edges grow as cell_size**2
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """Everything needed to reproduce one simulation run."""
 
-    topology: Topology
-    horizon: int = DEFAULT_HORIZON
-    transmit_probability: float = DEFAULT_TRANSMIT_PROBABILITY
-    isolation_events: tuple[tuple[int, IsolationStrategy], ...] = ()
-    seed: int = 0
-    agents: int = 15
-    cell_size: int = 3
-    branching: int = 2
+    __slots__ = ("topology", "horizon", "transmit_probability", "isolation_events", "seed",
+                 "agents", "cell_size", "branching")
 
-    def __post_init__(self):
+    def __init__(self, topology: Topology, horizon: int = DEFAULT_HORIZON,
+                 transmit_probability: float = DEFAULT_TRANSMIT_PROBABILITY,
+                 isolation_events: tuple[tuple[int, IsolationStrategy], ...] = (),
+                 seed: int = 0, agents: int = 15, cell_size: int = 3, branching: int = 2):
+        self.topology, self.horizon, self.seed = topology, horizon, seed
+        self.transmit_probability, self.isolation_events = transmit_probability, isolation_events
+        self.agents, self.cell_size, self.branching = agents, cell_size, branching
         for name in ("horizon", "seed", "agents", "cell_size", "branching"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -297,8 +296,7 @@ class ScenarioSpec:
         return gen_hierarchy(self.agents, self.branching)
 
 
-@dataclass(frozen=True)
-class DiffusionTrace:
+class DiffusionTrace(NamedTuple):
     """Diffusion value per step (index 0 is the initial state)."""
 
     values: tuple[float, ...]
@@ -340,8 +338,7 @@ def run_scenario(spec: ScenarioSpec, wiring: Wiring | None = None,
     return DiffusionTrace(tuple(values), tuple(isolations))
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(NamedTuple):
     """Per-step aggregates of replicated runs of one spec."""
 
     mean: tuple[float, ...]
@@ -384,7 +381,7 @@ def monte_carlo(spec: ScenarioSpec, replicates: int,
 
 # --- spec and trace I/O --------------------------------------------------
 
-_SCENARIO_KEYS = frozenset(f.name for f in fields(ScenarioSpec))
+_SCENARIO_KEYS = frozenset(ScenarioSpec.__slots__)
 
 
 def scenario_from_dict(data: dict) -> ScenarioSpec:

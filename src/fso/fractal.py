@@ -19,12 +19,12 @@ dissolved.  A member serves in at most one active overlay at a time.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
-from .inputs import InputError, check_document, check_keys, get_field, read_json, reading
+from .inputs import InputError, Record, check_document, check_keys, get_field, read_json, reading
 from .taxonomy import Taxonomy, taxonomy_from_spec
 
 
@@ -32,8 +32,7 @@ class AlreadyDissolved(Exception):
     """The overlay was dissolved before."""
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(Record):
     """A concrete member of one community, with the types it can provide.
 
     A frozenset passed as ``offers`` is kept as it is, not copied, so members
@@ -42,15 +41,9 @@ class Member:
     """
 
     __slots__ = ("id", "offers")
-    id: str
-    offers: frozenset[str]
 
     def __init__(self, id: str, offers=()):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "offers", frozenset(offers))
-
-    def __reduce__(self):  # copy and pickle rebuild a frozen slotted member through __init__
-        return Member, (self.id, self.offers)
+        self.id, self.offers = id, frozenset(offers)
 
     def provides(self, role_type: str, tax: Taxonomy) -> bool:
         return not self.offers.isdisjoint(tax.subtypes_of(role_type))
@@ -82,24 +75,23 @@ class CommunityNode:
         return f"CommunityNode({self.id!r}, {len(self.members)} members, {len(self.children)} children)"
 
 
-@dataclass
-class TriggeringCondition:
+class TriggeringCondition(Record):
     """A situation demanding a response activity with the given roles."""
 
-    id: str
-    origin: str
-    required_roles: tuple[str, ...]
-    state: dict[int, str] = field(default_factory=dict)  # role slot -> member id
+    __slots__ = ("id", "origin", "required_roles", "state")
+    __hash__ = None  # mutable
 
-    def __post_init__(self):
-        self.required_roles = tuple(self.required_roles)
+    def __init__(self, id: str, origin: str, required_roles: tuple[str, ...],
+                 state: dict[int, str] | None = None):
+        self.id, self.origin = id, origin
+        self.state = {} if state is None else state  # role slot -> member id
+        self.required_roles = tuple(required_roles)
         for slot in self.state:
             if not 0 <= slot < len(self.required_roles):
                 raise ValueError(f"preassigned slot {slot} is out of range")
 
 
-@dataclass(frozen=True)
-class ExceptionRecord:
+class ExceptionRecord(NamedTuple):
     """Raised when a community cannot staff all roles and escalates."""
 
     community_id: str
@@ -111,22 +103,25 @@ class OverlayStatus(Enum):
     DISSOLVED = "dissolved"
 
 
-@dataclass
-class SocialOverlayNetwork:
+class SocialOverlayNetwork(Record):
     """The temporary team assembled for one condition."""
 
-    condition_id: str
-    assignments: tuple[tuple[str, str], ...]  # (role type, member id) per slot
-    home_communities: dict[str, str]  # member id -> community id
-    status: OverlayStatus = OverlayStatus.ACTIVE
+    __slots__ = ("condition_id", "assignments", "home_communities", "status")
+    __hash__ = None  # dissolving it changes its status
+
+    def __init__(self, condition_id: str,
+                 assignments: tuple[tuple[str, str], ...],  # (role type, member id) per slot
+                 home_communities: dict[str, str],  # member id -> community id
+                 status: OverlayStatus = OverlayStatus.ACTIVE):
+        self.condition_id, self.assignments = condition_id, assignments
+        self.home_communities, self.status = home_communities, status
 
     @property
     def member_ids(self) -> tuple[str, ...]:
         return tuple(member for _, member in self.assignments)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(NamedTuple):
     """Outcome of resolving one condition."""
 
     condition_id: str

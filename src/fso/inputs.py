@@ -3,6 +3,8 @@
 Every fso input is a file a person wrote.  Whatever is wrong with its content
 raises an InputError whose message names the file and, where one applies, the
 line or the field path, such as ``community.children[1].members[0].id``.
+What the files are read into, the value types that validate their fields,
+share ``Record``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,35 @@ class InputError(ValueError):
     def __str__(self) -> str:
         message = super().__str__()
         return message if self.file is None else f"{self.file}: {message}"
+
+
+class Record:
+    """A value type whose fields are its ``__slots__``, set by its ``__init__``.
+
+    A record equals a record of its own type with equal fields, hashes as the
+    tuple of them and shows them in its repr.  ``_replace(**changes)`` is a
+    changed copy built by ``__init__``, so its checks run again.  A type whose
+    fields change, such as an overlay's status, sets ``__hash__ = None``; no
+    other record is changed after ``__init__``, though its slots would allow it.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 @contextmanager

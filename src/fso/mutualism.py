@@ -25,8 +25,9 @@ pairwise relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
+
+from .inputs import Record
 
 ALLOWED_EVALUATIONS = (-1, 0, 1)
 
@@ -35,14 +36,13 @@ class CorrespondenceMismatch(Exception):
     """Correspondence endpoints do not name the systems being checked."""
 
 
-@dataclass(frozen=True)
-class ActionSystem:
+class ActionSystem(Record):
     """A named set of actions with a total evaluation map over them."""
 
-    id: str
-    evaluations: Mapping[str, int]
+    __slots__ = ("id", "evaluations")
 
-    def __post_init__(self):
+    def __init__(self, id: str, evaluations: Mapping[str, int]):
+        self.id, self.evaluations = id, evaluations
         for action, value in self.evaluations.items():
             if value not in ALLOWED_EVALUATIONS:
                 raise ValueError(
@@ -50,17 +50,14 @@ class ActionSystem:
                 )
 
 
-@dataclass(frozen=True)
-class ActionCorrespondence:
+class ActionCorrespondence(Record):
     """A partial bijection between the action sets of two systems."""
 
-    source: str
-    target: str
-    pairs: frozenset[tuple[str, str]]
+    __slots__ = ("source", "target", "pairs")
 
-    def __post_init__(self):
-        pairs = frozenset(tuple(p) for p in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
+    def __init__(self, source: str, target: str, pairs: frozenset[tuple[str, str]]):
+        self.source, self.target = source, target
+        self.pairs = pairs = frozenset(tuple(p) for p in pairs)
         if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
             raise ValueError("correspondence must be injective in both coordinates")
 
@@ -70,8 +67,7 @@ class ActionCorrespondence:
         )
 
 
-@dataclass(frozen=True)
-class MutualisticWitness:
+class MutualisticWitness(NamedTuple):
     """The pair of actions certifying a relationship.
 
     ``forward_action`` belongs to the first system and benefits the second;

@@ -16,18 +16,20 @@ and a subtree walk at every escalation level), the posting lists as they
 were built before equal offer sets shared one closure (one closure per
 member) and a resolve result as the JSON value the report was once dumped
 from, and the description section keeps the Turtle parser as it was before
-tuple tokens.
+tuple tokens.  The last section keeps the value types that validate their
+fields as the dataclasses they were before they became ``Record``s.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from functools import reduce
 from itertools import combinations, permutations
 from operator import add
+from typing import Mapping
 
 from fso.community import (
     DEFAULT_RESIDUAL_REQUEST,
@@ -47,9 +49,17 @@ from fso.descriptions import (
     ValidationError,
 )
 from fso.diffusion import (
+    DEFAULT_HORIZON,
+    DEFAULT_TRANSMIT_PROBABILITY,
+    MAX_AGENTS,
+    MAX_EDGES,
+    MAX_HORIZON,
     DiffusionTrace,
     IsolationStrategy,
     ScenarioSpec,
+    Topology,
+    gen_fractal,
+    gen_hierarchy,
 )
 from fso.fractal import (
     AlreadyDissolved,
@@ -62,7 +72,7 @@ from fso.fractal import (
     TriggeringCondition,
 )
 from fso.inputs import InputError
-from fso.mutualism import ActionCorrespondence, ActionSystem
+from fso.mutualism import ALLOWED_EVALUATIONS, ActionCorrespondence, ActionSystem
 from fso.taxonomy import Taxonomy
 
 # --- transitive closure (taxonomy) --------------------------------------
@@ -596,7 +606,7 @@ class ReferenceCommunity:
             return False
         if match.backward is not None:  # the newcomer serves the venue request
             # the venue request is now satisfied; keep offering the activity
-            activity_entry.description = replace(activity_entry.description, request=None)
+            activity_entry.description = activity_entry.description._replace(request=None)
         entry.consumed = True
         events.append(MatchEvent((activity_entry.owner, entry.owner), match))
         return True
@@ -973,3 +983,156 @@ def reference_aggregate(traces) -> tuple[tuple[float, ...], ...]:
     low = tuple(min(trace.values[t] for trace in traces) for t in range(steps))
     high = tuple(max(trace.values[t] for trace in traces) for t in range(steps))
     return mean, low, high
+
+
+# --- validated value types as dataclasses ---------------------------------
+# Each is its fso namesake's dataclass definition, named ``Reference...``.
+
+
+@dataclass(frozen=True)
+class ReferenceLocationSpec:
+    """Where a service takes place: a place class and an optional place."""
+
+    place_class: str
+    located_in: str | None = None
+
+    def __post_init__(self):
+        if not self.place_class:
+            raise ValidationError("location block requires a non-empty place class")
+
+
+@dataclass(frozen=True)
+class ReferenceServiceDescription:
+    """One published record: who offers or looks for what, and when."""
+
+    creation_time: datetime
+    start_time: datetime
+    end_time: datetime
+    creator: str
+    provide: str | None = None
+    request: str | None = None
+    location: LocationSpec | None = None
+
+    def __post_init__(self):
+        if self.provide is None and self.request is None:
+            raise ValidationError("both 'provide' and 'request' missing")
+        for name in ("creation_time", "start_time", "end_time"):
+            value = getattr(self, name)
+            if not isinstance(value, datetime):
+                raise ValidationError(f"{name} must be a datetime")
+            if value.tzinfo is not None:
+                raise ValidationError(f"{name} must be timezone-naive")
+        if self.start_time > self.end_time:
+            raise ValidationError("start_time is after end_time")
+
+    def overlaps(self, other: "ServiceDescription") -> bool:
+        """True iff the [start, end] windows intersect."""
+        return max(self.start_time, other.start_time) <= min(
+            self.end_time, other.end_time
+        )
+
+
+@dataclass(frozen=True)
+class ReferenceScenarioSpec:
+    """Everything needed to reproduce one simulation run."""
+
+    topology: Topology
+    horizon: int = DEFAULT_HORIZON
+    transmit_probability: float = DEFAULT_TRANSMIT_PROBABILITY
+    isolation_events: tuple[tuple[int, IsolationStrategy], ...] = ()
+    seed: int = 0
+    agents: int = 15
+    cell_size: int = 3
+    branching: int = 2
+
+    def __post_init__(self):
+        for name in ("horizon", "seed", "agents", "cell_size", "branching"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        p = self.transmit_probability
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise InputError(f"transmit_probability must be a number, got {p!r}")
+        if not 0 < p <= 1:
+            raise InputError("transmit_probability must be in (0, 1]")
+        if self.horizon < 0:
+            raise InputError("horizon must be non-negative")
+        if self.horizon > MAX_HORIZON:
+            raise InputError(f"horizon must be at most {MAX_HORIZON}, got {self.horizon}")
+        if self.seed < 0:  # random.Random(-s) is random.Random(s): replicates would repeat
+            raise InputError(f"seed must be non-negative, got {self.seed}")
+        if self.agents < 1:
+            raise InputError(f"agents must be at least 1, got {self.agents}")
+        if self.agents > MAX_AGENTS:
+            raise InputError(f"agents must be at most {MAX_AGENTS}, got {self.agents}")
+        # counted before any edge is built; a hierarchy's agents - 1 edges fit anyway
+        if self.topology is Topology.FRACTAL and self.cell_size >= 3:
+            cells, size = self.agents // self.cell_size, self.cell_size
+            edges = cells * size * (size - 1) // 2 + (2 * cells if cells > 1 else 0)
+            if edges > MAX_EDGES:
+                raise InputError(f"cell_size {size} with {self.agents} agents makes"
+                                 f" {edges} edges, more than {MAX_EDGES}")
+        for time, _ in self.isolation_events:
+            if not 1 <= time <= self.horizon:
+                raise InputError(f"isolation time {time} outside 1..{self.horizon}")
+        if len(self.isolation_events) > self.agents:
+            raise InputError(
+                f"isolation_events: {len(self.isolation_events)} events"
+                f" but only {self.agents} agents"
+            )
+
+    def build_edges(self) -> frozenset[tuple[int, int]]:
+        if self.topology is Topology.FRACTAL:
+            return gen_fractal(self.agents, self.cell_size)
+        return gen_hierarchy(self.agents, self.branching)
+
+
+@dataclass
+class ReferenceTriggeringCondition:
+    """A situation demanding a response activity with the given roles."""
+
+    id: str
+    origin: str
+    required_roles: tuple[str, ...]
+    state: dict[int, str] = field(default_factory=dict)  # role slot -> member id
+
+    def __post_init__(self):
+        self.required_roles = tuple(self.required_roles)
+        for slot in self.state:
+            if not 0 <= slot < len(self.required_roles):
+                raise ValueError(f"preassigned slot {slot} is out of range")
+
+
+@dataclass(frozen=True)
+class ReferenceActionSystem:
+    """A named set of actions with a total evaluation map over them."""
+
+    id: str
+    evaluations: Mapping[str, int]
+
+    def __post_init__(self):
+        for action, value in self.evaluations.items():
+            if value not in ALLOWED_EVALUATIONS:
+                raise ValueError(
+                    f"evaluation of {action!r} must be -1, 0 or 1, got {value!r}"
+                )
+
+
+@dataclass(frozen=True)
+class ReferenceActionCorrespondence:
+    """A partial bijection between the action sets of two systems."""
+
+    source: str
+    target: str
+    pairs: frozenset[tuple[str, str]]
+
+    def __post_init__(self):
+        pairs = frozenset(tuple(p) for p in self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
+            raise ValueError("correspondence must be injective in both coordinates")
+
+    def inverse(self) -> "ReferenceActionCorrespondence":
+        return ReferenceActionCorrespondence(
+            self.target, self.source, [(b, a) for a, b in self.pairs]
+        )

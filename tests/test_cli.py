@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -671,7 +670,7 @@ def test_simulate_dump_replicates(tmp_path):
     scenario = scenario_file(tmp_path, horizon=12, seed=4,
                              isolation_events=[[3, "random"], [5, "max_degree"]])
     spec = load_scenario(scenario)
-    runs = [run_scenario(replace(spec, seed=spec.seed + r)) for r in range(3)]
+    runs = [run_scenario(spec._replace(seed=spec.seed + r)) for r in range(3)]
 
     def rendered(header, rows):
         text = io.StringIO(newline="")
@@ -979,14 +978,17 @@ def test_resolve_report_writer_matches_indented_sorted_json_dumps(results):
 LAYERS = {"community", "descriptions", "diffusion", "fractal", "mutualism"}
 
 
-def modules_loaded(code: str) -> set[str]:
-    """The names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
-    script = f"{code}\nimport sys\nprint(*sys.modules)"
+def fresh_output(script: str) -> str:
+    """What ``script`` prints when run in a fresh interpreter that imports this ``src``."""
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
-    return set(done.stdout.split())
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+def modules_loaded(code: str) -> set[str]:
+    """The names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
+    return set(fresh_output(f"{code}\nimport sys\nprint(*sys.modules)").split())
 
 
 def layers_loaded(code: str) -> set[str]:
@@ -1002,6 +1004,14 @@ def test_importing_the_command_line_loads_no_layer():
 def test_importing_the_command_line_loads_no_traceback_module():
     """Only an internal error reads ``traceback``, so only it imports the module."""
     assert "traceback" not in modules_loaded("import fso.cli") - modules_loaded("pass")
+
+
+def test_no_layer_loads_dataclasses_or_inspect():
+    """The value types are named tuples and ``Record``s, so no command pays for
+    ``dataclasses`` and the ``inspect``, ``ast`` and ``dis`` that it imports."""
+    code = ("import fso.cli\n"
+            "from fso import community, descriptions, diffusion, fractal, mutualism, taxonomy")
+    assert (modules_loaded(code) - modules_loaded("pass")) & {"dataclasses", "inspect"} == set()
 
 
 @pytest.mark.parametrize("argv,loaded", [
@@ -1055,6 +1065,27 @@ def test_main_runs_the_command_without_the_collector_and_puts_it_back(
     assert main([arg.format(tmp_path) for arg in argv]) == code
     assert gc.isenabled() is on_before
     assert seen == [False]
+
+
+def test_running_the_module_keeps_the_collector_off_to_the_exit(tmp_path):
+    """``python -m fso.cli`` turns the collector off before ``main``, for good: turned
+    back on, its next pass would walk everything the command built, on the way out."""
+    fixture = write(tmp_path / "org.json",
+                    json.dumps(generated_fixture(random.Random(3), conditions=50)))
+    argv = ["fso", "resolve", "--fixture", fixture, "--out", str(tmp_path / "report.json")]
+    script = ("import gc, runpy, sys\n"
+              "import fso.cli, fso.fractal\n"  # what the command imports is loaded first
+              "gc.collect()\n"
+              "freed = []\n"
+              "gc.callbacks.append(lambda phase, info: phase == 'stop'"
+              " and freed.append(info['collected']))\n"
+              f"sys.argv = {argv!r}\n"
+              "try:\n"
+              "    runpy.run_module('fso.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n"
+              "    assert exc.code == 0, exc.code\n"
+              "print(gc.isenabled(), sum(freed))\n")
+    assert fresh_output(script).split() == ["False", "0"]  # off, and the tree never collected
 
 
 def cyclic_garbage_left(argv) -> int:

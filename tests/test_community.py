@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from datetime import datetime, timedelta
 from itertools import permutations
 
@@ -571,7 +570,7 @@ def test_index_agrees_with_reference_on_adversarial_windows():
             owner, record = _random_publication(rng, people, types, SHAPES + ("same",))
             start = DAY + timedelta(hours=rng.randrange(24))
             length = decade if rng.random() < 0.03 else timedelta(hours=rng.choice((0, 0, 1, 2)))
-            record = replace(record, start_time=start, end_time=start + length)
+            record = record._replace(start_time=start, end_time=start + length)
             assert_candidates_by_definition(community, record)
             assert community.publish(owner, record) == reference.publish(owner, record)
             assert community.pending() == reference.pending()

@@ -3,7 +3,6 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from functools import reduce
 from itertools import product
 from operator import add
@@ -635,7 +634,7 @@ def test_aggregate_matches_three_pass_reference():
         seed=11,
     )
     result = monte_carlo(s, 25)
-    traces = [run_scenario(replace(s, seed=s.seed + r)) for r in range(25)]
+    traces = [run_scenario(s._replace(seed=s.seed + r)) for r in range(25)]
     assert (result.mean, result.min, result.max) == reference_aggregate(traces)
 
 
@@ -667,10 +666,7 @@ def test_aggregate_matches_sequential_rerun():
     s = spec(horizon=30, seed=5)
     seen = []
     result = monte_carlo(s, 8, lambda r, trace: seen.append((r, trace)))
-    replayed = [
-        run_scenario(ScenarioSpec(**{**s.__dict__, "seed": s.seed + r}))
-        for r in range(8)
-    ]
+    replayed = [run_scenario(s._replace(seed=s.seed + r)) for r in range(8)]
     assert seen == list(enumerate(replayed))
     for t in range(31):
         column = [trace.values[t] for trace in replayed]
@@ -704,7 +700,7 @@ def test_replicates_sharing_a_wiring_match_reference_runs():
         s = replicated_spec(rng)
         seen = []
         result = monte_carlo(s, 20, lambda r, trace: seen.append(trace))
-        expected = [reference_run_scenario(replace(s, seed=s.seed + r)) for r in range(20)]
+        expected = [reference_run_scenario(s._replace(seed=s.seed + r)) for r in range(20)]
         assert seen == expected, s
         assert (result.mean, result.min, result.max) == reference_aggregate(expected), s
         mixed += len({strategy for _, strategy in s.isolation_events}) == 2
@@ -721,7 +717,7 @@ def test_wiring_keeps_only_the_max_degree_chain():
         s = spec(agents=30, horizon=12, isolation_events=events)
         wiring = Wiring(s.build_edges(), s.agents, s.isolation_events)
         for seed in range(40):
-            assert run_scenario(s, wiring, seed) == run_scenario(replace(s, seed=seed))
+            assert run_scenario(s, wiring, seed) == run_scenario(s._replace(seed=seed))
         assert len(wiring._memo) == kept, events
 
 

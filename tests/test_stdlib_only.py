@@ -106,31 +106,45 @@ UNREACHED_BY_DESIGN = {
 }
 
 
+def slots(node) -> list:
+    """The string constants that a ``__slots__ = (...)`` assignment declares, else none."""
+    if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.Tuple, ast.List))
+            and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)):
+        return node.value.elts
+    return []
+
+
 def reached_names() -> tuple[set[str], set[str]]:
     """Every name that src/fso and perfbench/ load or import, and every attribute
     they read or string they hold: how a module-level and a class-level name is reached.
-    An attribute that is only assigned or deleted is not reached."""
+    An attribute that is only assigned or deleted is not reached, and a string in a
+    ``__slots__`` declaration, which defines a field, does not reach it."""
     loaded, touched = set(), set()
     for path in SOURCES + sorted((ROOT / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        declared = {id(slot) for node in ast.walk(tree) for slot in slots(node)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 loaded.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 loaded.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 touched.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in declared):
                 touched.add(node.value)
     return loaded, touched
 
 
 def definitions(body):
-    """(name, node) for each function, class and assigned name in a module or class body."""
+    """(name, node) for each function, class and assigned name in a module or class
+    body; a class's ``__slots__`` entries are its fields."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
         elif isinstance(node, ast.Assign):
             yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+            yield from ((slot.value, node) for slot in slots(node))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             yield node.target.id, node
 
