@@ -11,7 +11,8 @@ Match and resolve reports are JSON (stdout or ``--out``); simulation
 traces are CSV.  Identical inputs, flags and seed produce byte-identical
 outputs.  Each subcommand imports only the layers it runs, and runs with
 the cyclic garbage collector off (``main`` puts back the caller's
-setting; ``python -m fso.cli`` leaves it off to the exit).  The layers'
+setting; ``run``, the start path of ``python -m fso.cli`` and of the
+installed ``fso``, leaves it off to the exit).  The layers'
 value types are named tuples and ``inputs.Record``s, so no command imports
 ``dataclasses`` and the ``inspect`` and ``ast`` that it loads.  Exit codes:
 0 success, 2 bad input (``OSError`` or ``InputError``), 1 internal error
@@ -317,6 +318,13 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> int:
+    """The one start path, of ``python -m fso.cli`` and of the installed ``fso``:
+    ``main`` with the collector off to the exit, since a pass after ``main``
+    would walk all the command built only to free what the exit frees."""
+    gc.disable()
+    return main()
+
+
 if __name__ == "__main__":
-    gc.disable()  # to the exit: switched back on, a pass would walk all the command built
-    sys.exit(main())
+    sys.exit(run())

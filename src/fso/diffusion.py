@@ -34,9 +34,14 @@ it stays settled.  ``step`` only exchanges; ``run_scenario`` compares the
 ends of every live link after a round that taught nothing (its measure
 repeats).  A settled round draws one ``random()`` per link, two 32-bit
 Mersenne Twister words each, and uses none, so ``run_scenario`` jumps to the
-next isolation step, or past the horizon: it repeats the measure and takes
-the skipped rounds' words with ``getrandbits`` (2**20 words a call, so memory
-does not grow with the horizon), leaving the generator where they would.
+next isolation step, or past the horizon, repeating the measure.  The
+skipped rounds' words are owed, not drawn.  After a jump the one draw that
+reads the generator is a ``random`` isolation, so the owed words are paid
+just before it, with ``getrandbits`` (2**20 words a call, so memory does not
+grow with the horizon), leaving the generator where the skipped rounds
+would.  Words that nothing reads before the horizon are never made.  An
+event that let an agent rejoin would make the network step again, and
+would have to pay them before that round.
 
 The replicates of ``monte_carlo`` share one ``Wiring``, the part of a run
 that no seed changes: the sorted edges and their links, the isolation
@@ -309,6 +314,10 @@ def run_scenario(spec: ScenarioSpec, wiring: Wiring | None = None,
 
     ``monte_carlo`` hands every replicate the spec's one ``wiring`` and the
     replicate's ``seed``; left out, the run builds its own and uses ``spec.seed``.
+    Once the network is settled the run jumps to the next isolation step, or
+    past the horizon, and owes the words the jumped rounds would have drawn:
+    it pays them only before a ``random`` isolation, the one later draw that
+    reads the generator.
     """
     net = (MetaNetwork.initial(spec.build_edges(), spec.agents, spec.isolation_events)
            if wiring is None else MetaNetwork(wiring))
@@ -316,17 +325,19 @@ def run_scenario(spec: ScenarioSpec, wiring: Wiring | None = None,
     rng = random.Random(spec.seed if seed is None else seed)
     values = [diffusion_measure(net)]
     isolations: list[tuple[int, int]] = []
-    t, settled = 1, False
+    t, settled, owed = 1, False, 0  # owed: words the jumped rounds would have drawn
     while t <= spec.horizon:
         for strategy in schedule.get(t, ()):
+            if owed and strategy is IsolationStrategy.RANDOM:  # the one later draw
+                for done in range(0, owed, 1 << 20):  # at most 4 MB at a time
+                    rng.getrandbits(32 * min(owed - done, 1 << 20))
+                owed = 0
             net, agent = isolate(net, strategy, rng)
             isolations.append((t, agent))
         if settled:  # nothing changes until the next isolation: jump there
             to = min((time for time in schedule if time > t),
                      default=spec.horizon + 1)
-            words = 2 * len(net.live_links()) * (to - t)  # 2 per random()
-            for done in range(0, words, 1 << 20):  # at most 4 MB at a time
-                rng.getrandbits(32 * min(words - done, 1 << 20))
+            owed += 2 * len(net.live_links()) * (to - t)  # 2 per random()
             values += [values[-1]] * (to - t)
             t = to
         else:

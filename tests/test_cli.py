@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -20,7 +21,8 @@ from fso.diffusion import load_scenario, run_scenario
 from fso.fractal import ExceptionRecord, Resolution, SocialOverlayNetwork, load_fixture
 from oracles import resolution_json
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 
 WALKING = (DATA / "walking_service.ttl").read_text()
 PREFIX = "@prefix service: <http://www.pats.ua.ac.be/AALService#> .\n"
@@ -978,10 +980,12 @@ def test_resolve_report_writer_matches_indented_sorted_json_dumps(results):
 LAYERS = {"community", "descriptions", "diffusion", "fractal", "mutualism"}
 
 
-def fresh_output(script: str) -> str:
-    """What ``script`` prints when run in a fresh interpreter that imports this ``src``."""
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+def fresh_output(script: str, **env: str) -> str:
+    """What ``script`` prints when run in a fresh interpreter that imports this
+    ``src``, with ``env`` added to its environment."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           **env}
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True).stdout
 
@@ -1086,6 +1090,79 @@ def test_running_the_module_keeps_the_collector_off_to_the_exit(tmp_path):
               "    assert exc.code == 0, exc.code\n"
               "print(gc.isenabled(), sum(freed))\n")
     assert fresh_output(script).split() == ["False", "0"]  # off, and the tree never collected
+
+
+def entry_point() -> tuple[str, str]:
+    """The module and function that ``pyproject.toml`` names for the ``fso``
+    script, read without ``tomllib`` (3.11+)."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^fso\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.MULTILINE)
+    return target
+
+
+def test_the_installed_script_keeps_the_collector_off_to_the_exit(tmp_path):
+    """The installed ``fso`` runs what ``pyproject.toml`` names as the script an
+    install generates does: once it is imported, no collection runs, during
+    the command or after it; ``python -m fso.cli`` takes the same start path."""
+    module, function = entry_point()
+    assert (f'if __name__ == "__main__":\n    sys.exit({function}())\n'
+            in (ROOT / "src" / Path(*module.split("."))).with_suffix(".py").read_text())
+    fixture = write(tmp_path / "org.json",
+                    json.dumps(generated_fixture(random.Random(3), conditions=50)))
+    argv = ["fso", "resolve", "--fixture", fixture, "--out", str(tmp_path / "report.json")]
+    script = ("import gc, sys\n"
+              f"from {module} import {function}\n"
+              "passes = []\n"
+              "gc.callbacks.append(lambda phase, info: phase == 'start' and passes.append(1))\n"
+              f"sys.argv = {argv!r}\n"
+              "try:\n"
+              f"    sys.exit({function}())\n"
+              "except SystemExit as exc:\n"
+              "    assert exc.code == 0, exc.code\n"
+              "made = [[] for _ in range(10_000)]\n"  # enough to start a pass, were it on
+              "print(gc.isenabled(), len(passes))\n")
+    assert fresh_output(script).split() == ["False", "0"]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Every command writes the same bytes under hash seeds 0, 1 and a random
+    one: no set of strings (taxonomy types, offers, posting keys) leaks its
+    order into a report."""
+    write(tmp_path / "types.txt", "Walking subClassOf Fitness\nCooking subClassOf Chores\n"
+          "Cleaning subClassOf Chores\n")
+    members = {"alice": WALKING, "bob": offer(request="Fitness"), "carol": offer("Cooking",
+               "Cleaning"), "dave": offer("Cleaning", "Cooking"), "erin": WALKING,
+               "frank": offer(request="Walking"), "grace": offer(provide="Location")}
+    for member, text in members.items():
+        write(tmp_path / f"{member}.ttl", text)
+    community = write(tmp_path / "community.json", json.dumps({
+        "taxonomy": "types.txt", "policy": {"allow_specialization": True},
+        "members": [{"id": m, "descriptions": [f"{m}.ttl"]} for m in members]}))
+    fixture = write(tmp_path / "org.json",
+                    json.dumps(generated_fixture(random.Random(5), conditions=40)))
+    commands = [
+        ["match", "--taxonomy", str(tmp_path / "types.txt"), "--allow-specialization",
+         *(str(tmp_path / f"{m}.ttl") for m in members)],
+        ["match", "--community", community],
+        ["resolve", "--fixture", str(DATA / "sibling_fixture.json")],
+        ["resolve", "--fixture", fixture],
+        ["simulate", "--scenario", *map(str, sorted((ROOT / "scenarios").glob("*.json"))),
+         "--replicates", "3", "--dump-replicates", "--out", "{out}"],
+    ]
+    outputs = []
+    for seed in ("0", "1", "random"):
+        out = tmp_path / f"hash-{seed}"
+        out.mkdir()
+        script = ("import contextlib, io\nfrom fso.cli import main\n"
+                  f"for n, argv in enumerate({commands!r}):\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+                  f"        assert main([arg.format(out={str(out)!r}) for arg in argv]) == 0\n"
+                  "    print(n, text.getvalue(), sep='\\n')\n")
+        printed = fresh_output(script, PYTHONHASHSEED=seed)
+        outputs.append((printed, {path.name: path.read_bytes() for path in out.iterdir()}))
+    assert len(outputs[0][1]) == 12 and outputs[0][0].count('"events"') == 2
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def cyclic_garbage_left(argv) -> int:

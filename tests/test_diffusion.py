@@ -6,6 +6,7 @@ from collections import Counter
 from functools import reduce
 from itertools import product
 from operator import add
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -43,6 +44,9 @@ from oracles import (
     reference_settled,
     reference_step,
 )
+
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def spec(topology=Topology.FRACTAL, **overrides):
@@ -472,11 +476,11 @@ def test_a_settled_round_changes_no_set():
     assert settled_states > 50 and unsettled_states > 10
 
 
-def with_final_rng(run, module, s):
-    """``run(s)`` and the state its generator ends in; ``module`` makes the generator."""
+def kept_rng(run, module, s, kind=random.Random):
+    """``run(s)`` and the generator it made, a ``kind``; ``module`` makes the generator."""
     made = []
 
-    class Kept(random.Random):
+    class Kept(kind):
         def __init__(self, seed):
             super().__init__(seed)
             made.append(self)
@@ -488,7 +492,71 @@ def with_final_rng(run, module, s):
     finally:
         module.random = real
     (kept,) = made
+    return trace, kept
+
+
+def with_final_rng(run, module, s):
+    """``run(s)`` and the state its generator ends in; ``module`` makes the generator."""
+    trace, kept = kept_rng(run, module, s)
     return trace, kept.getstate()
+
+
+def watched_run(run, module, s, names, live_links, rounds=None):
+    """``run(s)`` with ``module``'s step and isolate functions (``names``) watched.
+
+    ``draws`` holds the generator's state after each round the run steps (the
+    first ``rounds`` of them, if given) and before each random isolation (by
+    its place among the isolations), in run order; ``links`` the live links
+    ``live_links(net)`` of each stepped round; ``final`` the state it ends in.
+    """
+    draws, links, isolations = [], [], 0
+    real_step, real_isolate = (getattr(module, name) for name in names)
+
+    def stepped(net, rng, p):
+        links.append(live_links(net))
+        net = real_step(net, rng, p)
+        if rounds is None or len(links) <= rounds:
+            draws.append(("round", len(links), rng.getstate()))
+        return net
+
+    def isolated(net, strategy, rng):
+        nonlocal isolations
+        if strategy is IsolationStrategy.RANDOM:
+            draws.append(("random", isolations, rng.getstate()))
+        isolations += 1
+        return real_isolate(net, strategy, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, names[0], stepped)
+        patch.setattr(module, names[1], isolated)
+        trace, final = with_final_rng(run, module, s)
+    return SimpleNamespace(trace=trace, draws=draws, links=links, final=final)
+
+
+def assert_draws_match_reference(s) -> tuple[int, list[int]]:
+    """Run ``s`` and its reference, both watched, and assert that they give
+    equal traces and equal generator states after each round the run steps and
+    before each random isolation.  The words of the rounds jumped after the
+    last draw that was read, two per live link of the reference's rounds, must
+    carry the run's final state to the reference's: they are the words a run
+    never makes.  Returns the rounds stepped and the reference's live links of
+    each round."""
+    ours = watched_run(run_scenario, diffusion, s, ("step", "isolate"),
+                       lambda net: len(net.live_links()))
+    stepped = len(ours.links)
+    theirs = watched_run(reference_run_scenario, oracles, s,
+                         ("reference_step", "reference_isolate"),
+                         lambda net: 2 * len(net.live_edges()), rounds=stepped)
+    assert ours.trace == theirs.trace, s
+    assert ours.draws == theirs.draws, s
+    drawn_at = [ours.trace.isolations[i][0] for kind, i, _ in ours.draws if kind == "random"]
+    unmade = sum(theirs.links[max([stepped + 1, *drawn_at]) - 1:])  # links, one random() each
+    rest = random.Random()
+    rest.setstate(ours.final)
+    for _ in range(unmade):
+        rest.random()
+    assert rest.getstate() == theirs.final, s
+    return stepped, theirs.links
 
 
 def settling_spec(rng):
@@ -526,41 +594,123 @@ def rounds_until_settled(s):
 def test_jumps_over_settled_stretches_match_reference(monkeypatch):
     calls = Counter()
 
-    def counted_step(net, rng, p):
-        calls["step"] += 1
-        return step(net, rng, p)
-
     def watched_isolate(net, strategy, rng):
         calls[strategy, reference_settled(as_reference(net))] += 1
         return isolate(net, strategy, rng)
 
-    monkeypatch.setattr(diffusion, "step", counted_step)
     monkeypatch.setattr(diffusion, "isolate", watched_isolate)
     rng = random.Random(404)
-    horizons = Counter()
+    horizons, stepped = Counter(), 0
     for _ in range(150):
         s = settling_spec(rng)
         horizons[s.horizon] += s.horizon
-        stepped = calls["step"]
-        ours = with_final_rng(run_scenario, diffusion, s)
-        assert ours == with_final_rng(reference_run_scenario, oracles, s), s
+        rounds, _ = assert_draws_match_reference(s)
         settles = rounds_until_settled(s)  # the jump starts there, or one round later
-        assert settles <= calls["step"] - stepped <= settles + 1, s
-    assert calls["step"] < sum(horizons.values()) // 10  # most steps were jumped over
+        assert settles <= rounds <= settles + 1, s
+        stepped += rounds
+    assert stepped < sum(horizons.values()) // 10  # most steps were jumped over
     assert calls[IsolationStrategy.RANDOM, True] and calls[IsolationStrategy.MAX_DEGREE, True]
     assert horizons.keys() == {0, 1, 2, 150, 400}
 
 
 def test_jump_longer_than_one_draw_matches_reference():
-    # 100 words per step over ~12,000 settled steps: the words come in two pieces
     s = spec(horizon=12_000, transmit_probability=1.0, seed=1,
              isolation_events=((11_999, IsolationStrategy.RANDOM),))
-    ours = with_final_rng(run_scenario, diffusion, s)
-    assert ours == with_final_rng(reference_run_scenario, oracles, s)
+    stepped, links = assert_draws_match_reference(s)
+    # 100 words per round over ~12,000 jumped rounds: the isolation pays them in two pieces
+    assert 2 * sum(links[stepped:11_998]) > 1 << 20
+
+
+class WordCounted(random.Random):
+    """A generator that counts the Mersenne Twister words it draws (two per
+    ``random()``, one per started 32 bits of ``getrandbits``) and its calls
+    that take more than one."""
+
+    def __init__(self, seed):
+        self.words = self.multi_word_calls = 0
+        super().__init__(seed)
+
+    def random(self):
+        self.words += 2
+        return super().random()
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        self.multi_word_calls += k > 32
+        return super().getrandbits(k)
+
+
+def test_a_run_makes_no_word_after_its_last_stepped_round(monkeypatch):
+    """The committed experiment specs settle and isolate by max degree only, so
+    a run's words are the reference's up to the last round it steps: the
+    settled rounds' words are never made, in one call or many."""
+    tally, stepped = [], Counter()
+
+    def tallied_step(net, rng, p):
+        net = reference_step(net, rng, p)
+        tally.append(rng.words)  # after each round of the reference
+        return net
+
+    def counted_step(net, rng, p):
+        stepped["rounds"] += 1
+        return step(net, rng, p)
+
+    monkeypatch.setattr(oracles, "reference_step", tallied_step)
+    monkeypatch.setattr(diffusion, "step", counted_step)
+    made = unmade = 0
+    for path in sorted(SCENARIOS.glob("*.json")):
+        committed = diffusion.load_scenario(path)
+        for r in range(3):
+            s = committed._replace(seed=committed.seed + r)
+            stepped.clear()
+            tally.clear()
+            trace, ours = kept_rng(run_scenario, diffusion, s, WordCounted)
+            assert kept_rng(reference_run_scenario, oracles, s, WordCounted)[0] == trace
+            assert ours.multi_word_calls == 0, (path.name, r)
+            assert ours.words == tally[stepped["rounds"] - 1], (path.name, r)
+            made, unmade = made + ours.words, unmade + tally[-1] - ours.words
+    assert unmade > 3 * made  # most of the reference's words are never made
+
+
+def large_settling_spec(rng, fewest, most):
+    """A scenario of ``fewest`` to ``most`` agents that settles well before its
+    horizon, then isolates at random two to four times (and at times by max
+    degree).  The horizon, at most 2,000, keeps the reference run near 180,000
+    link visits."""
+    while True:
+        topology = rng.choice(list(Topology))
+        p = rng.choice([0.5, 1.0])
+        agents = rng.randint(fewest, most)
+        if topology is Topology.FRACTAL:  # about agents / 2p rounds to settle
+            agents -= agents % 3
+            links, settles = 2 * len(gen_fractal(agents, 3)), agents / 2 / p
+        else:  # the root's edges carry half the units: about agents rounds at p = 1
+            links, settles = 2 * (agents - 1), agents * (1 if p == 1 else 2.5)
+        horizon = min(2000, 180_000 // links)
+        late = int(1.1 * settles) + 20
+        if horizon >= late + 20:
+            break
+    events = [(rng.randint(late, horizon), IsolationStrategy.RANDOM)
+              for _ in range(rng.randint(2, 4))]
+    events += [(rng.randint(late, horizon), IsolationStrategy.MAX_DEGREE)
+               for _ in range(rng.randint(0, 1))]
+    return ScenarioSpec(topology, horizon=horizon, transmit_probability=p,
+                        isolation_events=tuple(events), seed=rng.randrange(2**32),
+                        agents=agents)
+
+
+def test_random_isolations_long_after_settling_match_reference_at_scale():
+    rng = random.Random(31)
+    for fewest, most in ((60, 100), (100, 200), (200, 300)):
+        s = large_settling_spec(rng, fewest, most)
+        stepped, _ = assert_draws_match_reference(s)
+        assert stepped < min(time for time, _ in s.isolation_events), s  # all after the jump
 
 
 def test_long_settled_stretch_takes_its_words_in_bounded_memory():
-    s = spec(horizon=200_000, transmit_probability=1.0)  # 80 MB of words if drawn at once
+    # 80 MB of words if drawn at once, owed until the random isolation at the horizon
+    s = spec(horizon=200_000, transmit_probability=1.0,
+             isolation_events=((200_000, IsolationStrategy.RANDOM),))
     tracemalloc.start()
     try:
         trace = run_scenario(s)
