@@ -45,7 +45,8 @@ would have to pay them before that round.
 
 The replicates of ``monte_carlo`` share one ``Wiring``, the part of a run
 that no seed changes: the sorted edges and their links, the isolation
-steps, and per isolated set its live links and max-degree agent.
+steps, and per isolated set an entry built whole on first use, its live
+links and max-degree agent.
 A max-degree isolation draws nothing, so the agent it cuts depends only on
 the set already cut; the sets that max-degree isolations alone reach are the
 same in every replicate, and the wiring works each out once.  A random
@@ -128,8 +129,9 @@ def gen_fractal(n: int, cell_size: int) -> frozenset[tuple[int, int]]:
 class Wiring:
     """What every run of one scenario shares, built once: the sorted edges,
     their links (each edge low to high, then high to low), the isolation
-    steps, and a memo from isolated set to ``[live links, max-degree agent or
-    None until asked]``.
+    steps, and a memo from isolated set to ``(live links, max-degree agent)``,
+    each entry built whole on first use; the agent is None only once every
+    agent is cut off.
 
     The memo keeps only the sets that max-degree isolations alone reach from
     none: that chain is the same in every run, so it holds at most one entry
@@ -144,21 +146,28 @@ class Wiring:
         for time, strategy in isolation_events:
             self.schedule.setdefault(time, []).append(strategy)
         self._links = [link for edge in self.edges for link in (edge, edge[::-1])]
-        self._memo: dict[frozenset[int], list] = {frozenset(): [self._links, None]}
+        self._memo: dict[frozenset[int], tuple] = {}
 
-    def entry(self, cut: frozenset[int], keep: bool) -> list:
+    def entry(self, cut: frozenset[int], keep: bool) -> tuple:
         """The memo entry of the isolated set ``cut``, made (and kept if
-        ``keep``) on first use; its live links share the wiring's tuples."""
+        ``keep``) on first use: its live links, which share the wiring's
+        tuples, and the live agent of highest live degree, the lowest id
+        among equals."""
         found = self._memo.get(cut)
         if found is None:
-            found = [[link for link in self._links if cut.isdisjoint(link)], None]
+            links = [link for link in self._links if cut.isdisjoint(link)]
+            degree = Counter(u for u, _ in links)
+            found = links, min((a for a in range(self.agents) if a not in cut),
+                               key=lambda a: (-degree[a], a), default=None)
             if keep:
                 self._memo[cut] = found
         return found
 
 
 class MetaNetwork:
-    """Agents 0..n-1 on a wiring: knowledge bitmasks, who is cut off.
+    """Agents 0..n-1 on a wiring: knowledge bitmasks, who is cut off, and the
+    wiring's entry for that set.  A network on a wiring of its own is
+    ``MetaNetwork(Wiring(edges, n))``.
 
     ``isolate`` is the one way to cut an agent off.
     """
@@ -169,13 +178,6 @@ class MetaNetwork:
         self.knows = [1 << i for i in range(wiring.agents)]
         self.isolated: frozenset[int] = frozenset()
         self._at = wiring.entry(self.isolated, True)
-
-    @classmethod
-    def initial(cls, edges: frozenset[tuple[int, int]], n: int,
-                isolation_events: tuple[tuple[int, IsolationStrategy], ...] = ()
-                ) -> "MetaNetwork":
-        """Fresh state over ``edges`` on a wiring of its own."""
-        return cls(Wiring(edges, n, isolation_events))
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -220,19 +222,17 @@ def isolate(
     """Cut one agent's edges; its knowledge is retained.
 
     Some agent must still be unisolated: ``ScenarioSpec`` allows at most
-    ``agents`` isolation events.  A max-degree choice draws nothing, so it
-    is worked out once per isolated set and kept with the set's live links.
+    ``agents`` isolation events.  A max-degree choice draws nothing, so the
+    wiring's entry for the isolated set already names it.
     """
-    wiring, cut, at = net.wiring, net.isolated, net._at
+    wiring, cut = net.wiring, net.isolated
     if strategy is IsolationStrategy.RANDOM:
         candidates = [a for a in range(len(net.knows)) if a not in cut]
         agent, keep = candidates[rng.randrange(len(candidates))], False
     else:  # the set it leads to is on the memo's chain if this one is
-        if at[1] is None:
-            degree = Counter(u for u, _ in at[0])
-            at[1] = min((a for a in range(len(net.knows)) if a not in cut),
-                        key=lambda a: (-degree[a], a))
-        agent, keep = at[1], cut in wiring._memo
+        agent, keep = net._at[1], cut in wiring._memo
+        if agent is None:
+            raise ValueError("every agent is isolated already")
     net.isolated = cut | {agent}
     net._at = wiring.entry(net.isolated, keep)
     return net, agent
@@ -319,8 +319,7 @@ def run_scenario(spec: ScenarioSpec, wiring: Wiring | None = None,
     it pays them only before a ``random`` isolation, the one later draw that
     reads the generator.
     """
-    net = (MetaNetwork.initial(spec.build_edges(), spec.agents, spec.isolation_events)
-           if wiring is None else MetaNetwork(wiring))
+    net = MetaNetwork(wiring or Wiring(spec.build_edges(), spec.agents, spec.isolation_events))
     schedule = net.wiring.schedule
     rng = random.Random(spec.seed if seed is None else seed)
     values = [diffusion_measure(net)]

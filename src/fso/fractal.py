@@ -139,8 +139,9 @@ class FractalOrganization:
 
     The tree is indexed once, when the organization is built: one preorder
     list of all members, each community's own members sorted by id, and
-    per community the span of that list its own members and its subtree
-    take.  A tree changed afterwards needs a new organization.
+    per community id the span of that list its own members and its subtree
+    take, with its parent's id, so escalation climbs by id alone.  A tree
+    changed afterwards needs a new organization.
 
     On the first resolve, and again once the taxonomy has gained an edge or
     been replaced, an inverted index is built: per type, the ascending
@@ -158,18 +159,17 @@ class FractalOrganization:
         self.root = root
         self.taxonomy = taxonomy
         self.booked: dict[str, str] = {}  # member id -> condition id
-        self._nodes: dict[str, CommunityNode] = {}
         self._members: dict[str, Member] = {}
         self._homes: dict[str, str] = {}  # member id -> community id
         self._preorder: list[Member] = []
-        self._spans: dict[str, tuple[int, int, int]] = {}  # id -> start, own end, subtree end
+        # id -> start, own end, subtree end, parent id
+        self._spans: dict[str, tuple[int, int, int, str | None]] = {}
         self._postings_key: tuple | None = None  # (taxonomy, edge count) the postings reflect
         self._index(root)
 
-    def _index(self, node: CommunityNode) -> None:
-        if node.id in self._nodes:
+    def _index(self, node: CommunityNode, parent: str | None = None) -> None:
+        if node.id in self._spans:
             raise InputError(f"duplicate community id {node.id!r}")
-        self._nodes[node.id] = node
         for member in node.members:
             if member.id in self._homes:
                 raise InputError(f"duplicate member id {member.id!r}")
@@ -178,18 +178,16 @@ class FractalOrganization:
         start = len(self._preorder)
         self._preorder.extend(sorted(node.members, key=lambda m: m.id))
         own_end = len(self._preorder)
+        self._spans[node.id] = (start, own_end, own_end, parent)  # refuses the id below
         for child in node.children:
-            self._index(child)
-        self._spans[node.id] = (start, own_end, len(self._preorder))
-
-    def node(self, community_id: str) -> CommunityNode:
-        if community_id not in self._nodes:
-            raise InputError(f"unknown community {community_id!r}")
-        return self._nodes[community_id]
+            self._index(child, node.id)
+        self._spans[node.id] = (start, own_end, len(self._preorder), parent)
 
     def resolve(self, cond: TriggeringCondition) -> Resolution:
         """Staff a condition, escalating as far as the root if needed."""
-        node = self.node(cond.origin)
+        community = cond.origin
+        if community not in self._spans:
+            raise InputError(f"unknown community {community!r}")
         roles = cond.required_roles
         assignment: dict[int, str] = {}  # slot -> member id
         for slot, role_type in enumerate(roles):
@@ -197,14 +195,14 @@ class FractalOrganization:
                 self._preassign(cond.state[slot], role_type, assignment)
                 assignment[slot] = cond.state[slot]
         trail: list[ExceptionRecord] = []
-        came_from: CommunityNode | None = None
+        came_from: str | None = None
         postings = self._postings()
         while True:
-            start, own_end, end = self._spans[node.id]
+            start, own_end, end, parent = self._spans[community]
             if came_from is None:  # the origin sees its own members
                 slices = ((start, own_end),)
             else:  # an ancestor skips the child subtree it was escalated from
-                skip_start, _, skip_end = self._spans[came_from.id]
+                skip_start, _, skip_end, _ = self._spans[came_from]
                 slices = ((start, skip_start), (skip_end, end))
             for slot, role_type in enumerate(roles):
                 if slot not in assignment:
@@ -219,10 +217,10 @@ class FractalOrganization:
                 overlay = SocialOverlayNetwork(cond.id, tuple(zip(roles, chosen)),
                                                {m: self._homes[m] for m in chosen})
                 return Resolution(cond.id, overlay, (), tuple(trail))
-            if node.parent is None:
+            if parent is None:
                 return Resolution(cond.id, None, missing, tuple(trail))
-            trail.append(ExceptionRecord(node.id, missing))
-            came_from, node = node, node.parent
+            trail.append(ExceptionRecord(community, missing))
+            came_from, community = community, parent
 
     def dissolve(self, overlay: SocialOverlayNetwork) -> SocialOverlayNetwork:
         """Release an overlay's members and mark it dissolved."""

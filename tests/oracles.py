@@ -22,6 +22,7 @@ fields as the dataclasses they were before they became ``Record``s.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
@@ -983,6 +984,14 @@ def reference_aggregate(traces) -> tuple[tuple[float, ...], ...]:
     low = tuple(min(trace.values[t] for trace in traces) for t in range(steps))
     high = tuple(max(trace.values[t] for trace in traces) for t in range(steps))
     return mean, low, high
+
+
+def reference_resilience_loss(baseline, disrupted) -> float:
+    """Σₜ (bₜ − dₜ) / Σₜ bₜ over the values of two traces of one seed: the share
+    of the undisrupted run's diffusion, summed over the horizon, that the
+    disruption cost (the "resilience triangle" of Bruneau et al., 2003)."""
+    return (math.fsum(b - d for b, d in zip(baseline, disrupted, strict=True))
+            / math.fsum(baseline))
 
 
 # --- validated value types as dataclasses ---------------------------------

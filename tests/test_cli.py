@@ -1165,6 +1165,69 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def interpreters_beside_this_one() -> list[str]:
+    """The other Python 3.10+ interpreters installed in the directory that holds
+    the running one, as a version manager lays them out."""
+    found, home = [], Path(sys.base_prefix).resolve()
+    for python in sorted(home.parent.glob("*/bin/python3")):
+        if python.parents[1] == home:
+            continue
+        probe = subprocess.run([str(python), "-S", "-c",
+                                "import sys; print(sys.version_info >= (3, 10))"],
+                               capture_output=True, text=True)
+        if probe.stdout.strip() == "True":
+            found.append(str(python))
+    return found
+
+
+def test_every_installed_interpreter_writes_the_same_bytes(tmp_path):
+    """``python -m fso.cli`` exits, prints and writes the same bytes under every
+    Python 3.10+ installed beside the running one: a fraction of other than 3
+    or 6 digits and a ``Z`` zone, which 3.10's fromisoformat refuses, included."""
+    others = interpreters_beside_this_one()
+    if not others:
+        pytest.skip("no other Python 3.10+ is installed beside this one")
+    head, record = offer("Cycling", "Jogging").split("\n\n", 1)
+
+    def stamped(creation, start, end):
+        return (record.replace("13:00:00", creation).replace("17:00:00", start)
+                .replace("21:00:00", end))
+
+    stamps = write(tmp_path / "stamps.ttl", "\n\n".join([
+        head, stamped("13:00:00.5", "17:00:00.25", "21:00:00.1234"),
+        stamped("13:00:00.1234567", "17:00:00.1234567", "21:00:00.5")]))
+    zoned = write(tmp_path / "zoned.ttl", WALKING.replace('17:00:00"', '17:00:00Z"'))
+    scenarios = [str(ROOT / "scenarios" / f"{stem}.json")
+                 for stem in ("baseline-hierarchy", "repeated-isolation-fractal")]
+    commands = [
+        ["match", "--taxonomy", str(DATA / "fitness_taxonomy.txt"),
+         str(DATA / "walking_service.ttl"), stamps],
+        ["match", zoned],
+        *(["resolve", "--fixture", str(fixture)] for fixture in sorted(DATA.glob("*.json"))),
+        ["simulate", "--scenario", *scenarios, "--replicates", "3", "--dump-replicates",
+         "--out", "simulated"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(n, python):
+        """Each command's exit code, stdout and stderr, and every file written."""
+        out = tmp_path / f"python-{n}"
+        out.mkdir()
+        done = [subprocess.run([python, "-m", "fso.cli", *argv], cwd=out, env=env,
+                               capture_output=True) for argv in commands]
+        written = {str(path.relative_to(out)): path.read_bytes()
+                   for path in sorted(out.rglob("*")) if path.is_file()}
+        return [(d.returncode, d.stdout, d.stderr) for d in done], written
+
+    expected = run(0, sys.executable)
+    assert [code for code, _, _ in expected[0]] == [0, 2, 0, 0, 0]
+    assert b'"start_time": "2013-05-12T17:00:00.123456"' in expected[0][0][1]
+    assert expected[0][1][2].endswith(b"start_time must be timezone-naive\n")
+    assert len(expected[1]) == 4
+    for n, python in enumerate(others, 1):
+        assert run(n, python) == expected, python
+
+
 def cyclic_garbage_left(argv) -> int:
     """Objects in reference cycles that one run of ``argv`` leaves, the
     collector off; a first run imports the layers and fills their caches."""

@@ -53,6 +53,11 @@ def spec(topology=Topology.FRACTAL, **overrides):
     return ScenarioSpec(topology=topology, **overrides)
 
 
+def network(edges, n):
+    """A fresh network over ``edges`` on a wiring of its own."""
+    return MetaNetwork(Wiring(edges, n))
+
+
 def units(mask):
     """Decode a knowledge bitmask into the set of unit numbers it holds."""
     return {u for u in range(mask.bit_length()) if mask >> u & 1}
@@ -128,13 +133,13 @@ def test_fractal_divisibility_enforced():
 
 
 def test_forced_transfer_between_two_agents():
-    net = MetaNetwork.initial(frozenset({(0, 1)}), 2)
+    net = network(frozenset({(0, 1)}), 2)
     step(net, random.Random(0), p=1.0)
     assert known_sets(net) == {0: {0, 1}, 1: {0, 1}}
 
 
 def test_isolated_agent_never_learns():
-    net = MetaNetwork.initial(frozenset({(0, 1), (1, 2), (0, 2)}), 3)
+    net = network(frozenset({(0, 1), (1, 2), (0, 2)}), 3)
     rng = random.Random(1)
     assert isolate(net, IsolationStrategy.MAX_DEGREE, rng)[1] == 0  # a tie: the lowest id
     for _ in range(50):
@@ -162,7 +167,7 @@ def replay_step(knows, edges, isolated, rng, p):
 @pytest.mark.parametrize("p", [1.0, 0.7, 0.3])
 def test_step_matches_replay_oracle_on_path(p):
     edges = frozenset({(0, 1), (1, 2), (2, 3)})
-    net = MetaNetwork.initial(edges, 4)
+    net = network(edges, 4)
     rng = random.Random(42)
     oracle_rng = random.Random(42)
     expected = known_sets(net)
@@ -174,7 +179,7 @@ def test_step_matches_replay_oracle_on_path(p):
 
 def test_step_matches_replay_oracle_with_isolation():
     edges = gen_fractal(15, 3)
-    net = MetaNetwork.initial(edges, 15)
+    net = network(edges, 15)
     rng = random.Random(5)
     oracle_rng = random.Random(5)
     expected = known_sets(net)
@@ -192,7 +197,7 @@ def test_step_matches_replay_oracle_with_isolation():
 
 def test_max_degree_picks_star_center():
     star = frozenset({(0, 1), (0, 2), (0, 3)})
-    net = MetaNetwork.initial(star, 4)
+    net = network(star, 4)
     _, agent = isolate(net, IsolationStrategy.MAX_DEGREE, random.Random(0))
     assert agent == 0
     assert net.isolated == {0}
@@ -200,9 +205,19 @@ def test_max_degree_picks_star_center():
 
 def test_max_degree_tie_breaks_to_lowest_id():
     square = frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
-    net = MetaNetwork.initial(square, 4)
+    net = network(square, 4)
     _, agent = isolate(net, IsolationStrategy.MAX_DEGREE, random.Random(0))
     assert agent == 0
+
+
+@pytest.mark.parametrize("strategy", list(IsolationStrategy))
+def test_isolating_with_every_agent_cut_off_is_refused(strategy):
+    net = network(gen_hierarchy(3, 2), 3)
+    for _ in range(3):
+        isolate(net, IsolationStrategy.MAX_DEGREE, random.Random(0))
+    with pytest.raises(ValueError):
+        isolate(net, strategy, random.Random(0))
+    assert net.isolated == {0, 1, 2}
 
 
 def test_random_isolation_is_uniform():
@@ -210,7 +225,7 @@ def test_random_isolation_is_uniform():
     counts = {agent: 0 for agent in range(15)}
     rng = random.Random(0)
     for _ in range(draws):
-        net = MetaNetwork.initial(gen_fractal(15, 3), 15)
+        net = network(gen_fractal(15, 3), 15)
         _, agent = isolate(net, IsolationStrategy.RANDOM, rng)
         counts[agent] += 1
     expected = draws / 15
@@ -223,12 +238,12 @@ def test_random_isolation_is_uniform():
 
 
 def test_initial_measure_is_one_over_units():
-    net = MetaNetwork.initial(gen_fractal(15, 3), 15)
+    net = network(gen_fractal(15, 3), 15)
     assert diffusion_measure(net) == pytest.approx(15 / 225)
 
 
 def test_full_knowledge_measures_one():
-    net = MetaNetwork.initial(gen_fractal(15, 3), 15)
+    net = network(gen_fractal(15, 3), 15)
     rng = random.Random(0)
     for _ in range(15 * 15):  # a connected round at p=1 teaches at least one unit
         step(net, rng, p=1.0)
@@ -239,7 +254,7 @@ def test_full_knowledge_measures_one():
 def test_measure_matches_recount_on_random_states():
     rng = random.Random(3)
     for _ in range(100):
-        net = MetaNetwork.initial(gen_hierarchy(10, 2), 10)
+        net = network(gen_hierarchy(10, 2), 10)
         p = rng.choice([0.2, 0.5, 1.0])
         for _ in range(rng.randrange(12)):
             if rng.random() < 0.2 and len(net.isolated) < 10:
@@ -371,7 +386,7 @@ def test_lockstep_with_reference_until_no_agents_left():
     for _ in range(30):
         agents = rng.randint(1, 12)
         edges = gen_hierarchy(agents, rng.randint(2, 3))
-        net = MetaNetwork.initial(edges, agents)
+        net = network(edges, agents)
         ref = ReferenceMetaNetwork.initial(edges, agents)
         seed = rng.randrange(2**32)
         ours, theirs = random.Random(seed), random.Random(seed)
@@ -418,7 +433,7 @@ def test_settled_rounds_leave_the_rng_where_the_reference_does():
         s = late_isolation_spec(rng)
         assert run_scenario(s) == reference_run_scenario(s), s  # jumps the settled stretches
         edges = s.build_edges()
-        net = MetaNetwork.initial(edges, s.agents)
+        net = network(edges, s.agents)
         ref = ReferenceMetaNetwork.initial(edges, s.agents)
         ours, theirs = random.Random(s.seed), random.Random(s.seed)
         for t in range(1, s.horizon + 1):
@@ -452,7 +467,7 @@ def test_a_settled_round_changes_no_set():
     for topology, strategy, p in product(Topology, IsolationStrategy, [0.05, 0.5, 1.0]):
         for _ in range(20):
             agents = 3 * rng.randint(1, 6) if topology is Topology.FRACTAL else rng.randint(1, 18)
-            net = MetaNetwork.initial(ScenarioSpec(topology, agents=agents).build_edges(), agents)
+            net = network(ScenarioSpec(topology, agents=agents).build_edges(), agents)
             net.knows = [mask | rng.getrandbits(agents) for mask in net.knows]
             for _ in range(rng.randint(0, agents // 2)):
                 isolate(net, strategy, rng)
@@ -738,7 +753,7 @@ def test_single_unit_draws_leave_the_rng_where_the_reference_does():
     for _ in range(60):
         agents = rng.randint(2, 4)
         edges = gen_hierarchy(agents, rng.randint(2, 3))
-        net = MetaNetwork.initial(edges, agents)
+        net = network(edges, agents)
         ref = ReferenceMetaNetwork.initial(edges, agents)
         seed = rng.randrange(2**32)
         ours, theirs = random.Random(seed), random.Random(seed)
@@ -869,6 +884,32 @@ def test_wiring_keeps_only_the_max_degree_chain():
         for seed in range(40):
             assert run_scenario(s, wiring, seed) == run_scenario(s._replace(seed=seed))
         assert len(wiring._memo) == kept, events
+
+
+def test_wiring_entries_are_built_whole():
+    """Every entry a shared wiring keeps is an immutable (live links, max-degree
+    agent) pair: the reference's live links and its max-degree choice for the
+    set, the lowest id among equals, and None once every agent is cut off."""
+    rng = random.Random(32)
+    M = IsolationStrategy.MAX_DEGREE
+    specs = [replicated_spec(rng) for _ in range(12)]
+    specs += [spec(topology, agents=6, horizon=12,
+                   isolation_events=tuple((t, M) for t in range(1, 7)))
+              for topology in Topology]
+    everyone_cut = 0
+    for s in specs:
+        wiring = Wiring(s.build_edges(), s.agents, s.isolation_events)
+        for seed in range(10):
+            run_scenario(s, wiring, seed)
+        for cut, entry in wiring._memo.items():
+            ref = ReferenceMetaNetwork.initial(s.build_edges(), s.agents)
+            ref.isolated = set(cut)
+            live = [a for a in ref.agents if a not in cut]
+            assert type(entry) is tuple, s
+            assert entry[0] == [link for u, v in ref.live_edges() for link in ((u, v), (v, u))]
+            assert entry[1] == min(live, key=lambda a: (-ref.live_degree(a), a), default=None)
+            everyone_cut += not live
+    assert everyone_cut >= 2
 
 
 def test_wiring_memory_does_not_grow_with_replicates():
