@@ -32,6 +32,8 @@ from typing import TYPE_CHECKING
 from .inputs import InputError, reading
 
 if TYPE_CHECKING:  # each command imports the layers it runs, and only those
+    from .community import MatchEvent
+    from .descriptions import ServiceDescription
     from .fractal import Resolution
 
 EXIT_OK = 0
@@ -51,22 +53,41 @@ def _layout(items: list[str], indent: str, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
-def _render(value, indent: str) -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` placed at ``indent``.
+def _render_event(event: MatchEvent) -> str:
+    """One entry of the match report's ``events``, indented to its place.
 
-    Dict keys must be strings.  The stdlib encodes with its pure-Python
-    encoder whenever ``indent`` is set; here ``_layout`` lays out the
-    containers and every string goes to the C escaper.
+    Its kind decides its keys, written here in sorted order: a service
+    names the member whose record enacts the matched type as its provider.
     """
-    if isinstance(value, str):
-        return _encode_string(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        return _layout([f"{_encode_string(key)}: {_render(value[key], inner)}"
-                        for key in sorted(value)], indent, "{}")
-    if isinstance(value, (list, tuple)):
-        return _layout([_render(item, inner) for item in value], indent)
-    return json.dumps(value)  # a number, a boolean or None
+    encode = _encode_string
+    forward, backward = event.match
+    first, second = map(encode, event.members)
+    kind = event.kind.value
+    fields = [f'"kind": {encode(kind)}']
+    if kind != "mutualistic":
+        fields.append(f'"matched_type": {encode(backward if forward is None else forward)}')
+    fields.append(f'"members": [\n        {first},\n        {second}\n      ]')
+    if kind == "service":
+        provider, requester = (first, second) if forward is not None else (second, first)
+        fields += [f'"provider": {provider}', f'"requester": {requester}']
+    elif kind == "mutualistic":
+        fields += [f'"x_type": {encode(forward)}', f'"y_type": {encode(backward)}']
+    return _layout(fields, "    ", "{}")
+
+
+def _render_pending(owner: str, record: ServiceDescription) -> str:
+    """One entry of the match report's ``pending``, indented to its place;
+    a side the record does not state is ``null``."""
+    encode = _encode_string
+    provide = "null" if record.provide is None else encode(record.provide)
+    request = "null" if record.request is None else encode(record.request)
+    return ("{\n"
+            f'      "end_time": {encode(record.end_time.isoformat())},\n'
+            f'      "member": {encode(owner)},\n'
+            f'      "provide": {provide},\n'
+            f'      "request": {request},\n'
+            f'      "start_time": {encode(record.start_time.isoformat())}\n'
+            "    }")
 
 
 def _render_resolution(resolution: Resolution) -> str:
@@ -178,14 +199,9 @@ def cmd_match(args) -> int:
     events = []
     for member_id, record in plan:
         events.extend(community.publish(member_id, record))
-    pending = ({"member": owner, "provide": d.provide, "request": d.request,
-                "start_time": d.start_time.isoformat(), "end_time": d.end_time.isoformat()}
-               for owner, d in community.pending())
+    pending = (_render_pending(owner, record) for owner, record in community.pending())
     with _report(args.out) as write:
-        _write_report(write, {
-            "events": (_render(event.to_json_dict(), "    ") for event in events),
-            "pending": (_render(entry, "    ") for entry in pending),
-        })
+        _write_report(write, {"events": map(_render_event, events), "pending": pending})
     return EXIT_OK
 
 

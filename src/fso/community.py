@@ -118,19 +118,6 @@ class MatchEvent(NamedTuple):
     def kind(self) -> MatchType:
         return self.match.kind
 
-    def to_json_dict(self) -> dict:
-        forward, backward, kind = self.match.forward, self.match.backward, self.kind
-        data: dict = {"kind": kind.value, "members": list(self.members)}
-        if kind is MatchType.SERVICE:
-            provider, requester = self.members if forward is not None else self.members[::-1]
-            data.update(provider=provider, requester=requester,
-                        matched_type=forward if forward is not None else backward)
-        elif kind is MatchType.GROUP:
-            data["matched_type"] = forward
-        else:  # MUTUALISTIC: an emitted event is never NO_MATCH
-            data.update(x_type=forward, y_type=backward)
-        return data
-
 
 def _satisfies(provide: str, request: str, tax: Taxonomy, pol: MatchPolicy) -> str | None:
     """The type actually enacted when ``provide`` serves ``request``.

@@ -15,19 +15,22 @@ tolerated and skipped, and inside location blocks bare IRIs are accepted
 (a property IRI followed by a place IRI); both forms occur in published
 description snippets in the wild.
 
-Tokens are plain strings from one ``findall`` pass, and a token's kind
+Tokens are the strings of one single-group ``findall``, and a token's kind
 follows from its text: ``<`` starts an IRI and ``"`` a literal, ``@prefix``,
 ``a`` and ``[];.`` stand for themselves, anything else is a prefixed name.
-The parser walks the tokens by index and keeps no offsets: an error finds
-its offset by scanning the text again up to the failing token.  Within a
-document each prefixed name and predicate is resolved once, until a
-``@prefix`` line may change what it means.
+The parser walks the tokens by index and keeps no offsets.  A block's walk
+steps from one structure token to the next and checks the block's structure
+before its statements are read; an error finds its offset by scanning the
+text again up to the failing token.  Within a document each prefixed name
+and predicate is resolved once, until a ``@prefix`` line may change what it
+means.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from datetime import datetime
 
 from .inputs import InputError, Record, read_text, reading
@@ -104,38 +107,33 @@ class ServiceDescription(Record):
 
 # --- tokenizer ---------------------------------------------------------
 
-# One ``(token, bad)`` pair per match.  The lead absorbs whitespace and
-# comments; ``bad`` takes the first character that starts no token, and the
-# rest of the text; ``\Z`` takes trailing whitespace or a trailing comment.
-# So every position matches, none is retried, and the pairs end in an empty
-# one.  Only ``bad`` is DOTALL: globally, ``\\.`` would also swallow a
-# backslash-newline.
-_TOKEN_RE = re.compile(
-    r"""
-    \s*(?:\#[^\n]*\s*)*
-    (?:
-      ( @prefix\b
-      | <[^<>\s]*>
-      | "[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^(?:<[^<>\s]*>|[A-Za-z_][\w.\-]*:[\w.\-]*))?
-      | (?:[A-Za-z_][\w.\-]*)?:[\w.\-]*
-      | a\b
-      | [;.\[\]]
-      )
-    | (?s:(.).*)
-    | \Z
-    )
-    """,
-    re.VERBOSE,
-)
+# One token; its text tells its kind.  The most frequent alternatives come first.
+_TOKEN_RE = re.compile(r"""
+      [;.\[\]]
+    | (?:[A-Za-z_][\w.\-]*)?:[\w.\-]*
+    | a\b
+    | "[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^(?:<[^<>\s]*>|[A-Za-z_][\w.\-]*:[\w.\-]*))?
+    | <[^<>\s]*>
+    | @prefix\b
+""", re.VERBOSE)
+# The scanner's one group makes ``findall`` return the token strings.  The
+# lead absorbs whitespace and comments.  The catch-all takes the first
+# character that starts no token, and the rest of the text, so only the last
+# string can hold such a character, and it does iff it is no token.  The empty
+# alternative takes trailing whitespace or a trailing comment.  So every
+# position matches and none is retried.  Only the catch-all is DOTALL:
+# globally, ``\\.`` would also swallow a backslash-newline.
+_SCAN_RE = re.compile(rf"\s*(?:\#[^\n]*\s*)*({_TOKEN_RE.pattern}|(?s:.+)|)", re.VERBOSE)
 
 _STRUCTURE = frozenset({"@prefix", ".", ";", "[", "]"})
-# The xsd:dateTime lexical form.  Python 3.11's fromisoformat alone also
-# reads bare dates, week dates and the basic format; 3.10's does not.
-_DATETIME_RE = re.compile(
-    r"(-?[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})"
-    r"(?:\.([0-9]+))?(Z|[+-][0-9]{2}:[0-9]{2})?"
+# A literal in the xsd:dateTime lexical form, which no escape fits, and its
+# datatype.  Python 3.11's fromisoformat alone also reads bare dates, week
+# dates and the basic format; 3.10's does not.
+_LITERAL_RE = re.compile(
+    r'"(-?[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2})'
+    r'(?:\.([0-9]+))?(Z|[+-][0-9]{2}:[0-9]{2})?"\^\^(.*)'
 )
-_XSD_DATETIME = XSD_NS + "dateTime"
+_DATETIME = XSD_NS + "dateTime"
 _TIMES = frozenset({"creationTime", "startTime", "endTime"})
 _REQUIRED = _TIMES | {"hasCreator"}
 
@@ -146,19 +144,20 @@ _REQUIRED = _TIMES | {"hasCreator"}
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        found = _TOKEN_RE.findall(text)
-        if len(found) > 1 and found[-2][1]:
-            raise self._error(f"unexpected character {found[-2][1]!r}", len(found) - 2)
-        self.tokens = [token for token, _ in found if token]
+        # an empty string is a match that ends the text
+        self.tokens = tokens = list(filter(None, _SCAN_RE.findall(text)))
+        if tokens and not _TOKEN_RE.fullmatch(tokens[-1]):
+            raise self._error(f"unexpected character {tokens[-1][0]!r}", len(tokens) - 1)
+        # the indices of the structure tokens, where a block walk has something to decide
+        self.marks = list(itertools.compress(itertools.count(), map(_STRUCTURE.__contains__, tokens)))
         self.prefixes = {"service": SERVICE_NS, "xsd": XSD_NS}
-        self.blocks: dict[int, list[list[int]]] = {}  # '[' index -> statements
+        self.blocks: dict[int, list[tuple[int, int]]] = {}  # '[' index -> statements
         self.names: dict[str, str] = {}  # IRI or prefixed-name token -> IRI
         self.preds: dict[str, str] = {}  # predicate token -> predicate name
 
     def _offset(self, i: int) -> int:
         """Where token ``i`` starts, found by scanning again up to it."""
-        match = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None))
-        return match.start(match.lastindex)
+        return next(itertools.islice(_SCAN_RE.finditer(self.text), i, None)).start(1)
 
     def _error(self, message: str, i: int) -> ParseError:
         return ParseError(message, self._offset(i))
@@ -199,31 +198,37 @@ class _Parser:
     def _parse_block(self, i: int) -> int:
         """Read the block opened by token ``i``; return the index after its ``]``.
 
-        Its statements, lists of token indices split on ``;``, go to
-        ``self.blocks`` under the index of the ``[``, which stands for the
-        block in its parent's statement.  Nested blocks are kept on an
-        explicit stack, so no nesting depth exhausts the call stack.
+        Its statements, split on ``;``, go to ``self.blocks`` under the index
+        of the ``[``, which stands for the block in its parent's statement.
+        A statement is the index of its first token and its number of tokens,
+        a nested block counting as one, so a pair's object is the token after
+        its predicate.  The walk steps from one structure token to the next.
+        Nested blocks are kept on an explicit stack, so no nesting depth
+        exhausts the call stack.
         """
-        tokens, open_blocks = self.tokens, []
-        statements, opened = [[]], i
-        for i in range(i + 1, len(tokens)):
+        tokens, marks, open_blocks = self.tokens, self.marks, []
+        # ``first``: where the statement starts; ``hidden``: its tokens inside nested blocks
+        statements, opened, first, hidden = [], i, i + 1, 0
+        for k in range(bisect_left(marks, i) + 1, len(marks)):
+            i = marks[k]
             token = tokens[i]
-            if token not in _STRUCTURE:
-                statements[-1].append(i)
-            elif token == ";":
-                statements.append([])
-            elif token == "]":  # a dangling 'a' before a full pair is dropped
-                self.blocks[opened] = [s[1:] if len(s) == 3 and tokens[s[0]] == "a" else s
-                                       for s in statements if s]
+            if token == "[":
+                open_blocks.append((statements, opened, first, hidden - i))  # + ']' index at the end
+                statements, opened, first, hidden = [], i, i + 1, 0
+                continue
+            if token != ";" and token != "]":
+                raise self._error(f"unexpected {token!r} in block", i)
+            size = i - first - hidden
+            if size:  # a dangling 'a' before a full pair is dropped
+                statements.append((first + 1, 2) if size == 3 and tokens[first] == "a"
+                                  else (first, size))
+            first, hidden = i + 1, 0
+            if token == "]":
+                self.blocks[opened] = statements
                 if not open_blocks:
                     return i + 1
-                statements, opened = open_blocks.pop()
-            elif token == "[":
-                statements[-1].append(i)
-                open_blocks.append((statements, opened))
-                statements, opened = [[]], i
-            else:
-                raise self._error(f"unexpected {token!r} in block", i)
+                statements, opened, first, hidden = open_blocks.pop()
+                hidden += i  # the nested block's tokens after its '['
         raise self._error("unterminated '['", opened)
 
     # --- statement interpretation ---
@@ -261,49 +266,37 @@ class _Parser:
         self.preds[self.tokens[i]] = pred
         return pred
 
-    def _datetime(self, i: int) -> datetime:
-        """The xsd:dateTime literal at token ``i``."""
+    def _literal_error(self, i: int) -> ParseError:
+        """Why token ``i`` is no xsd:dateTime literal, checked in reading order."""
         token = self.tokens[i]
-        if token[0] != '"':
-            raise self._error("expected a dateTime literal", i)
-        if token[-1] == '"':
-            raise self._error("literal is missing a ^^xsd:dateTime datatype", i)
         lexical, _, datatype = token[1:].rpartition('"^^')
+        if token[0] != '"':
+            return self._error("expected a dateTime literal", i)
+        if token[-1] == '"':
+            return self._error("literal is missing a ^^xsd:dateTime datatype", i)
         datatype_iri = self.names.get(datatype) or self._expand(i, datatype)
-        if datatype_iri != _XSD_DATETIME:
-            raise self._error(f"unsupported datatype {datatype_iri!r}", i)
-        match = _DATETIME_RE.fullmatch(lexical)  # escaped or not: no escape passes
-        try:
-            if match is None:
-                raise ValueError(lexical)
-            iso = lexical
-            if match.lastindex > 1:  # six fraction digits and ±hh:mm, as 3.10 reads
-                head, fraction, zone = match.groups()
-                zone = "+00:00" if zone == "Z" else zone or ""
-                iso = f"{head}.{(fraction or '').ljust(6, '0')[:6]}{zone}"
-            return datetime.fromisoformat(iso)
-        except ValueError:
-            lexical = lexical.replace('\\"', '"').replace("\\\\", "\\")
-            raise self._error(f"invalid dateTime value {lexical!r}", i) from None
+        if datatype_iri != _DATETIME:
+            return self._error(f"unsupported datatype {datatype_iri!r}", i)
+        lexical = lexical.replace('\\"', '"').replace("\\\\", "\\")
+        return self._error(f"invalid dateTime value {lexical!r}", i)
 
     def _build_location(self, i: int) -> LocationSpec:
         """The place class and the place, each stated once; one or two bare
         IRIs together state the place."""
         tokens, place_class, located_in, bare = self.tokens, None, None, []
-        for statement in self.blocks[i]:
-            first = statement[0]
+        for first, size in self.blocks[i]:
             if tokens[first] == "[":
                 raise self._error("nested block inside a location block", first)
-            if tokens[first] == "a" and len(statement) == 2:
+            if tokens[first] == "a" and size == 2:
                 if place_class is not None:
                     raise self._error("duplicate place class in location block", first)
-                place_class = self._expand(statement[1])
-            elif len(statement) > 2:
+                place_class = self._expand(first + 1)
+            elif size > 2:
                 raise self._error("malformed location statement", first)
-            elif located_in is not None or bare and len(statement) == 2:
+            elif located_in is not None or bare and size == 2:
                 raise self._error("duplicate located-in place in location block", first)
-            elif len(statement) == 2:
-                located_in = self._expand(statement[1])
+            elif size == 2:
+                located_in = self._expand(first + 1)
             else:
                 bare.append(self._expand(first))
         if len(bare) > 2:
@@ -316,33 +309,41 @@ class _Parser:
 
     def _build_record(self, i: int) -> ServiceDescription:
         tokens, names, preds, fields = self.tokens, self.names, self.preds, {}
-        for statement in self.blocks[i]:
-            first = tokens[statement[0]]
+        for p, size in self.blocks[i]:
+            first = tokens[p]
             if first == "[":
-                raise self._error("a block cannot start a statement", statement[0])
-            if len(statement) != 2:
-                raise self._error("expected a predicate-object pair", statement[0])
+                raise self._error("a block cannot start a statement", p)
+            if size != 2:
+                raise self._error("expected a predicate-object pair", p)
             if first == "a":
                 continue  # record-level type assertion, irrelevant here
-            p, o = statement
-            pred, obj = preds.get(first) or self._predicate(p), tokens[o]
+            pred, obj = preds.get(first) or self._predicate(p), tokens[p + 1]
             if pred in fields:
                 raise self._error(f"duplicate predicate {pred!r}", p)
             if pred in _TIMES:
-                fields[pred] = self._datetime(o)
+                lit = _LITERAL_RE.fullmatch(obj)
+                if not lit or (names.get(lit[4]) or self._expand(p + 1, lit[4])) != _DATETIME:
+                    raise self._literal_error(p + 1)
+                stamp, fraction, zone, _ = lit.groups()
+                if fraction or zone:  # six fraction digits and ±hh:mm, as 3.10 reads
+                    stamp += f".{(fraction or '')[:6]:0<6}{(zone or '').replace('Z', '+00:00')}"
+                try:
+                    fields[pred] = datetime.fromisoformat(stamp)
+                except ValueError:
+                    raise self._literal_error(p + 1) from None
             elif pred == "hasCreator":
-                fields[pred] = names.get(obj) or self._name(o, "creator must be an IRI", p)
+                fields[pred] = names.get(obj) or self._name(p + 1, "creator must be an IRI", p)
             elif pred == "hasServiceLocation":
                 if obj != "[":
                     raise self._error("location must be a bracket block", p)
-                fields[pred] = self._build_location(o)
+                fields[pred] = self._build_location(p + 1)
             else:  # provide | request: a service-namespace IRI by its local name
-                iri = names.get(obj) or self._name(o, "expected a type IRI or prefixed name", o)
+                iri = names.get(obj) or self._name(p + 1, "expected a type IRI or prefixed name",
+                                                   p + 1)
                 local = iri[len(SERVICE_NS):]
                 fields[pred] = local if local and iri.startswith(SERVICE_NS) else iri
-        missing = _REQUIRED - fields.keys()
-        if missing:
-            raise ValidationError(f"record is missing {sorted(missing)}")
+        if not fields.keys() >= _REQUIRED:
+            raise ValidationError(f"record is missing {sorted(_REQUIRED - fields.keys())}")
         return ServiceDescription(  # in field order
             fields["creationTime"], fields["startTime"], fields["endTime"], fields["hasCreator"],
             fields.get("provide"), fields.get("request"), fields.get("hasServiceLocation"))
@@ -361,27 +362,34 @@ def load_descriptions(path) -> list[ServiceDescription]:
 
 # --- serializer --------------------------------------------------------
 
-_BARE_NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*$")
+_BARE_NAME_RE = re.compile(r"[A-Za-z_][\w.\-]*")
 
 
-def _render_type(name: str) -> str:
-    if _BARE_NAME_RE.match(name):
-        return f"service:{name}"
+def _iri(name: str) -> str:
+    if not _TOKEN_RE.fullmatch(f"<{name}>"):
+        raise ValueError(f"no IRI token can carry {name!r}")
     return f"<{name}>"
 
 
+def _render_type(name: str) -> str:
+    if name.startswith(SERVICE_NS) and name != SERVICE_NS:
+        raise ValueError(f"type {name!r} would read back as its local name")
+    return f"service:{name}" if _BARE_NAME_RE.fullmatch(name) else _iri(name)
+
+
 def serialize_description(d: ServiceDescription) -> str:
-    """Canonical text for one record.
+    """Canonical text for one record, which parses back to it.
 
     Fixed prefix block, predicates in lexicographic order, two-space
     indentation, one predicate-object pair per line.  Field-equal records
-    serialize to byte-identical text.
+    serialize to byte-identical text.  A name that no token carries back,
+    such as one holding whitespace, ``<`` or ``>``, raises ValueError.
     """
     location = ""
     if d.location is not None:
         place, within = d.location.place_class, d.location.located_in
-        within = "" if within is None else f" ;\n    <{LOCATED_IN_IRI}> <{within}>"
-        location = f"  service:hasServiceLocation [\n    a <{place}>{within}\n  ] ;\n"
+        within = "" if within is None else f" ;\n    <{LOCATED_IN_IRI}> {_iri(within)}"
+        location = f"  service:hasServiceLocation [\n    a {_iri(place)}{within}\n  ] ;\n"
     provide = "" if d.provide is None else f"  service:provide {_render_type(d.provide)} ;\n"
     request = "" if d.request is None else f"  service:request {_render_type(d.request)} ;\n"
     return (f"@prefix service: <{SERVICE_NS}> .\n"
@@ -390,7 +398,7 @@ def serialize_description(d: ServiceDescription) -> str:
             "[\n"
             f'  service:creationTime "{d.creation_time.isoformat()}"^^xsd:dateTime ;\n'
             f'  service:endTime "{d.end_time.isoformat()}"^^xsd:dateTime ;\n'
-            f"  service:hasCreator <{d.creator}> ;\n"
+            f"  service:hasCreator {_iri(d.creator)} ;\n"
             f"{location}{provide}{request}"
             f'  service:startTime "{d.start_time.isoformat()}"^^xsd:dateTime\n'
             "] .\n")

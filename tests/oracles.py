@@ -10,7 +10,8 @@ also keeps the simulator as it was before its data layout was trimmed
 three-pass aggregation, the k-th-set-bit unit selection ``step`` now
 writes inline) as the reference for differential tests, and the
 community section keeps the publisher as it was before its index (a full
-re-scan of every record ever published) for the same purpose, and the
+re-scan of every record ever published) for the same purpose and a match
+event as the JSON value the report was once dumped from, and the
 fractal section keeps the resolver as it was before its tree index (a sort
 and a subtree walk at every escalation level), the posting lists as they
 were built before equal offer sets shared one closure (one closure per
@@ -669,6 +670,22 @@ class ReferenceCommunity:
 
 
 # --- graphs --------------------------------------------------------------
+
+
+def event_json(event: MatchEvent) -> dict:
+    """One event of the match report as a JSON value, the way it was built
+    before the command line wrote each event straight to text."""
+    forward, backward, kind = event.match.forward, event.match.backward, event.kind
+    data: dict = {"kind": kind.value, "members": list(event.members)}
+    if kind is MatchType.SERVICE:
+        provider, requester = event.members if forward is not None else event.members[::-1]
+        data.update(provider=provider, requester=requester,
+                    matched_type=forward if forward is not None else backward)
+    elif kind is MatchType.GROUP:
+        data["matched_type"] = forward
+    else:  # MUTUALISTIC: an emitted event is never NO_MATCH
+        data.update(x_type=forward, y_type=backward)
+    return data
 
 
 def connected_after_removal(n: int, edges, removed=None) -> bool:

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fso.cli
-from fso.cli import _render, _render_resolution, _write_report, main
-from fso.community import load_community
+from fso.cli import _render_event, _render_pending, _render_resolution, _write_report, main
+from fso.community import Match, MatchEvent, load_community
+from fso.descriptions import ServiceDescription
 from fso.diffusion import load_scenario, run_scenario
 from fso.fractal import ExceptionRecord, Resolution, SocialOverlayNetwork, load_fixture
-from oracles import resolution_json
+from oracles import event_json, resolution_json
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data"
@@ -564,7 +565,7 @@ def test_match_report_matches_the_oracle_at_benchmark_scale(tmp_path, capsys):
     pending = [{"member": owner, "provide": d.provide, "request": d.request,
                 "start_time": d.start_time.isoformat(), "end_time": d.end_time.isoformat()}
                for owner, d in community.pending()]
-    expected = json.dumps({"events": [event.to_json_dict() for event in events],
+    expected = json.dumps({"events": [event_json(event) for event in events],
                            "pending": pending}, indent=2, sort_keys=True) + "\n"
     assert len(plan) == 1200
     assert {event.kind.value for event in events} == {"service", "group", "mutualistic"}
@@ -928,25 +929,59 @@ def test_internal_error_exits_1_with_traceback(tmp_path, capsys, monkeypatch):
 
 
 _TEXT = st.text(max_size=8) | st.text('"\\/\b\f\n\r\t\x00\x7féß€\u2028😀', max_size=8)
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
-    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
-                      | st.dictionaries(_TEXT, children, max_size=4)),
-    max_leaves=20,
-)
 
 
-@given(_JSON_VALUES)
-def test_report_writer_matches_indented_sorted_json_dumps(value):
-    assert _render(value, "") == json.dumps(value, indent=2, sort_keys=True)
+@st.composite
+def match_events(draw):
+    """An event of each kind, with ids and types from the escape alphabet: a
+    service in either direction, a group, or a mutualistic match."""
+    members, first = (draw(_TEXT), draw(_TEXT)), draw(_TEXT)
+    second = draw(_TEXT.filter(lambda text: text != first))
+    return MatchEvent(members, draw(st.sampled_from(
+        [Match(first, None), Match(None, first), Match(first, first), Match(first, second)])))
 
 
-@given(st.dictionaries(_TEXT, st.lists(_JSON_VALUES, max_size=3), max_size=3))
+@st.composite
+def pending_entries(draw):
+    """A pending record and its owner, with ``provide`` or ``request`` None."""
+    provide = draw(st.none() | _TEXT)
+    request = draw(_TEXT if provide is None else st.none() | _TEXT)
+    start = draw(st.datetimes())
+    record = ServiceDescription(start, start, draw(st.datetimes(min_value=start)),
+                                "http://example.org/c", provide, request)
+    return draw(_TEXT), record
+
+
+def entry_text(entry) -> str:
+    """A match report entry as the command line writes it."""
+    return _render_event(entry) if isinstance(entry, MatchEvent) else _render_pending(*entry)
+
+
+def entry_json(entry) -> dict:
+    """A match report entry as a JSON value."""
+    if isinstance(entry, MatchEvent):
+        return event_json(entry)
+    owner, d = entry
+    return {"member": owner, "provide": d.provide, "request": d.request,
+            "start_time": d.start_time.isoformat(), "end_time": d.end_time.isoformat()}
+
+
+@given(st.lists(match_events() | pending_entries(), max_size=6))
+def test_report_writer_matches_indented_sorted_json_dumps(entries):
+    """Each entry is ``json.dumps(indent=2, sort_keys=True)`` placed at a list item's indent."""
+    for entry in entries:
+        expected = json.dumps(entry_json(entry), indent=2, sort_keys=True)
+        assert entry_text(entry) == expected.replace("\n", "\n    ")
+
+
+@given(st.dictionaries(_TEXT, st.lists(match_events() | pending_entries(), max_size=3),
+                       max_size=3))
 def test_report_sections_match_indented_sorted_json_dumps(sections):
     chunks = []
-    _write_report(chunks.append, {key: (_render(entry, "    ") for entry in entries)
+    _write_report(chunks.append, {key: map(entry_text, entries)
                                   for key, entries in sections.items()})
-    assert "".join(chunks) == json.dumps(sections, indent=2, sort_keys=True)
+    report = {key: [*map(entry_json, entries)] for key, entries in sections.items()}
+    assert "".join(chunks) == json.dumps(report, indent=2, sort_keys=True)
 
 
 _IDS = st.lists(_TEXT, min_size=1, max_size=4, unique=True)

@@ -16,7 +16,7 @@ from fso.community import (
 from fso.descriptions import ServiceDescription
 from fso.taxonomy import Taxonomy
 
-from oracles import ReferenceCommunity, random_dag, random_type_name
+from oracles import ReferenceCommunity, event_json, random_dag, random_type_name
 
 DAY = datetime(2013, 5, 12)
 
@@ -167,9 +167,9 @@ def test_publish_matches_request_with_later_offer(fitness_tax):
     assert len(events) == 1
     event = events[0]
     assert event.kind is MatchType.SERVICE
-    assert event.to_json_dict()["provider"] == "m2"
-    assert event.to_json_dict()["requester"] == "m1"
-    assert event.to_json_dict()["matched_type"] == "Walking"
+    assert event_json(event)["provider"] == "m2"
+    assert event_json(event)["requester"] == "m1"
+    assert event_json(event)["matched_type"] == "Walking"
     assert community.pending() == []
 
 
@@ -203,12 +203,12 @@ def test_group_walk_scenario(fitness_tax):
 
     third = community.publish("m3", desc(request="Walking"))
     assert [e.kind for e in third] == [MatchType.SERVICE]
-    assert third[0].to_json_dict()["provider"] == "activity:Walking"
+    assert event_json(third[0])["provider"] == "activity:Walking"
     assert (served_by(third, "activity:Walking"), venue_of(third, "activity:Walking")) == (["m3"], [])
 
     fourth = community.publish("m4", desc(provide="Location"))
     assert [e.kind for e in fourth] == [MatchType.SERVICE]
-    assert fourth[0].to_json_dict()["provider"] == "m4"
+    assert event_json(fourth[0])["provider"] == "m4"
     assert (served_by(fourth, "activity:Walking"), venue_of(fourth, "activity:Walking")) == ([], ["m4"])
     assert activity_record(community, "activity:Walking").request is None
 

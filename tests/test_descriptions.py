@@ -233,6 +233,48 @@ def test_roundtrip_property(d):
     assert parse_descriptions(serialize_description(d)) == [d]
 
 
+# Names near the edges of what a token carries: a trailing newline, which
+# ``$`` would let through, space, angle brackets, the service namespace.
+_EDGE_NAMES = ["Walk\n", "Walk ", "a b", "<x>", "x>", "", "_", "Walk.", "1x", "é",
+               SERVICE_NS, SERVICE_NS + "Walk", "http://example.org/x#y"]
+_ANY_NAME = st.text(max_size=12) | st.sampled_from(_EDGE_NAMES)
+
+
+@st.composite
+def any_name_descriptions(draw):
+    """A record whose types, creator and places are any text."""
+    provide = draw(st.none() | _ANY_NAME)
+    request = draw(_ANY_NAME if provide is None else st.none() | _ANY_NAME)
+    location = draw(st.none() | st.builds(LocationSpec, _ANY_NAME.filter(bool),
+                                          st.none() | _ANY_NAME))
+    stamp = draw(st.datetimes())
+    return ServiceDescription(stamp, stamp, stamp, draw(_ANY_NAME), provide, request, location)
+
+
+@given(any_name_descriptions())
+def test_serialized_record_parses_back_or_is_refused(d):
+    """A record reads back from its text unless a name holds whitespace, ``<`` or
+    ``>``, or a type names the service namespace and more; then it is refused."""
+    place = d.location or LocationSpec("x")
+    names = [d.creator, d.provide, d.request, place.place_class, place.located_in]
+    types = [name for name in (d.provide, d.request) if name is not None]
+    if any(c.isspace() or c in "<>" for name in names if name is not None for c in name) or any(
+            name.startswith(SERVICE_NS) and name != SERVICE_NS for name in types):
+        with pytest.raises(ValueError):
+            serialize_description(d)
+    else:
+        assert parse_descriptions(serialize_description(d)) == [d]
+
+
+@pytest.mark.parametrize("field,name", [("provide", "Walk\n"), ("request", SERVICE_NS + "Walk"),
+                                        ("creator", "http://example.org/a b"),
+                                        ("creator", "http://example.org/<u>")])
+def test_names_that_no_token_carries_are_refused(field, name):
+    d = make_description(**{field: name})
+    with pytest.raises(ValueError, match="read back|carry"):
+        serialize_description(d)
+
+
 # --- differential test against the reference parser ------------------------------
 
 
@@ -372,6 +414,21 @@ _EDGE_BODIES = [
     "[ service:provide ab ] .",
     "[ service:provide a: ] .",
     "[ service:provide : ] .",
+    "$",
+    "[ service:provide service:X ] .$",
+    "[ service:provide service:X ] . # a comment that ends the text",
+    "a",
+    "[ service:provide service:X ] . a",
+    "[ service:provide service:X ] .\x0b\x1c\xa0\u2028\u3000",
+    # a statement that goes on after a nested block, and blocks left open
+    "[ service:provide [ a <x> ] service:X ] .",
+    "[ a service:hasServiceLocation [ a <x> ] ] .",
+    "[ a [ a <x> ] [ a <y> ] ] .",
+    "[ service:hasServiceLocation [ a <x> ; <p> [ a <y> ] <q> ] ] .",
+    "[ service:hasServiceLocation [ a <x> ] <y> ; service:provide service:X ] .",
+    "[ service:hasServiceLocation [ a <x> ] ; ; [ a <y> ] ] .",
+    "[ service:hasServiceLocation [ a <x> ] . ] .",
+    "[ service:provide service:X ; service:hasServiceLocation [ a <x>",
 ]
 
 
