@@ -45,14 +45,6 @@ _INPUT_ERRORS = (OSError, InputError)
 _encode_string = json.encoder.encode_basestring_ascii  # C, when the _json extension is built
 
 
-def _layout(items: list[str], indent: str, brackets: str = "[]") -> str:
-    """Rendered items as ``json.dumps(indent=2)`` lays out a container at ``indent``."""
-    if not items:
-        return brackets
-    inner = "\n" + indent + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
-
-
 def _render_event(event: MatchEvent) -> str:
     """One entry of the match report's ``events``, indented to its place.
 
@@ -72,7 +64,7 @@ def _render_event(event: MatchEvent) -> str:
         fields += [f'"provider": {provider}', f'"requester": {requester}']
     elif kind == "mutualistic":
         fields += [f'"x_type": {encode(forward)}', f'"y_type": {encode(backward)}']
-    return _layout(fields, "    ", "{}")
+    return "{\n      " + ",\n      ".join(fields) + "\n    }"
 
 
 def _render_pending(owner: str, record: ServiceDescription) -> str:
@@ -94,29 +86,29 @@ def _render_resolution(resolution: Resolution) -> str:
     """One entry of the resolve report's ``results``, indented to its place.
 
     A result has a fixed shape, written out here line by line with its keys
-    in sorted order; only a complete result has ``home_communities``.
+    in sorted order; only a complete result has ``home_communities``.  Each
+    list is one join at its fixed indent, and an empty one reads ``[]``.
     """
     encode = _encode_string
     overlay = resolution.overlay
-    assignment = _layout([
-        "{\n"
-        f'          "member": {encode(member)},\n'
-        f'          "role": {encode(role)}\n'
-        "        }"
-        for role, member in (() if overlay is None else overlay.assignments)
-    ], " " * 6)
-    exceptions = _layout([
-        "{\n"
-        f'          "community": {encode(record.community_id)},\n'
-        f'          "missing_roles": {_layout([*map(encode, record.missing_roles)], " " * 10)}\n'
-        "        }"
-        for record in resolution.exceptions
-    ], " " * 6)
-    missing = _layout([*map(encode, resolution.missing_roles)], " " * 6)
-    homes = "" if overlay is None else '      "home_communities": ' + _layout([
-        f"{encode(member)}: {encode(home)}"
-        for member, home in sorted(overlay.home_communities.items())
-    ], " " * 6, "{}") + ",\n"
+    assignment = ",\n        ".join([
+        f'{{\n          "member": {encode(member)},\n          "role": {encode(role)}\n        }}'
+        for role, member in (() if overlay is None else overlay.assignments)])
+    assignment = f"[\n        {assignment}\n      ]" if assignment else "[]"
+    exceptions = ",\n        ".join([
+        f'{{\n          "community": {encode(record.community_id)},\n          "missing_roles": '
+        + ("[\n            " + ",\n            ".join(map(encode, record.missing_roles))
+           + "\n          ]" if record.missing_roles else "[]") + "\n        }"
+        for record in resolution.exceptions])
+    exceptions = f"[\n        {exceptions}\n      ]" if exceptions else "[]"
+    missing = ",\n        ".join(map(encode, resolution.missing_roles))
+    missing = f"[\n        {missing}\n      ]" if missing else "[]"
+    homes = ""
+    if overlay is not None:
+        homes = ",\n        ".join([f"{encode(member)}: {encode(home)}"
+                                      for member, home in sorted(overlay.home_communities.items())])
+        homes = f"{{\n        {homes}\n      }}" if homes else "{}"
+        homes = f'      "home_communities": {homes},\n'
     return ("{\n"
             f'      "assignment": {assignment},\n'
             f'      "condition": {encode(resolution.condition_id)},\n'

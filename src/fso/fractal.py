@@ -140,8 +140,10 @@ class FractalOrganization:
     The tree is indexed once, when the organization is built: one preorder
     list of all members, each community's own members sorted by id, and
     per community id the span of that list its own members and its subtree
-    take, with its parent's id, so escalation climbs by id alone.  A tree
-    changed afterwards needs a new organization.
+    take, with its parent's id, so escalation climbs by id alone, and per
+    member id its home community, in whose own members a preassigned member
+    is found by bisection.  A tree changed afterwards needs a new
+    organization.
 
     On the first resolve, and again once the taxonomy has gained an edge or
     been replaced, an inverted index is built: per type, the ascending
@@ -150,16 +152,18 @@ class FractalOrganization:
     which is exactly ``Member.provides``: ``o`` is in ``subtypes_of(T)``
     iff ``T`` is in ``ancestors(o)``, unregistered types included.  Each
     distinct offer set's closure is derived once per build and serves every
-    member that offers that set.  A slot's search bisects to the start of
-    each scope slice and walks forward in preorder, so it meets the same
-    candidates in the same order as a member-by-member scan.
+    member that offers that set.  The same build lists the member ids in
+    preorder.  A slot's search bisects to the start of each scope slice and
+    walks its posting list forward by index, reading each id from that list,
+    to the first member neither booked nor taken by the condition, so it
+    meets the same candidates in the same order as a member-by-member scan.
+    The slots still open at one level are the only ones searched at the next.
     """
 
     def __init__(self, root: CommunityNode, taxonomy: Taxonomy):
         self.root = root
         self.taxonomy = taxonomy
         self.booked: dict[str, str] = {}  # member id -> condition id
-        self._members: dict[str, Member] = {}
         self._homes: dict[str, str] = {}  # member id -> community id
         self._preorder: list[Member] = []
         # id -> start, own end, subtree end, parent id
@@ -173,7 +177,6 @@ class FractalOrganization:
         for member in node.members:
             if member.id in self._homes:
                 raise InputError(f"duplicate member id {member.id!r}")
-            self._members[member.id] = member
             self._homes[member.id] = node.id
         start = len(self._preorder)
         self._preorder.extend(sorted(node.members, key=lambda m: m.id))
@@ -189,14 +192,18 @@ class FractalOrganization:
         if community not in self._spans:
             raise InputError(f"unknown community {community!r}")
         roles = cond.required_roles
-        assignment: dict[int, str] = {}  # slot -> member id
-        for slot, role_type in enumerate(roles):
-            if slot in cond.state:
-                self._preassign(cond.state[slot], role_type, assignment)
-                assignment[slot] = cond.state[slot]
+        postings, ids, booked = self._postings(), self._ids, self.booked
+        chosen: list[str | None] = [None] * len(roles)  # slot -> member id
+        taken: set[str] = set()  # the members chosen so far
+        open_slots = [*enumerate(roles)]  # (slot, role type) still to staff, in slot order
+        if cond.state:
+            for slot in sorted(cond.state):
+                self._preassign(cond.state[slot], roles[slot], taken)
+                chosen[slot] = cond.state[slot]
+                taken.add(chosen[slot])
+            open_slots = [(slot, role) for slot, role in open_slots if slot not in cond.state]
         trail: list[ExceptionRecord] = []
         came_from: str | None = None
-        postings = self._postings()
         while True:
             start, own_end, end, parent = self._spans[community]
             if came_from is None:  # the origin sees its own members
@@ -204,19 +211,28 @@ class FractalOrganization:
             else:  # an ancestor skips the child subtree it was escalated from
                 skip_start, _, skip_end, _ = self._spans[came_from]
                 slices = ((start, skip_start), (skip_end, end))
-            for slot, role_type in enumerate(roles):
-                if slot not in assignment:
-                    member_id = self._first_free(postings.get(role_type, ()), slices, assignment)
-                    if member_id is not None:
-                        assignment[slot] = member_id
-            missing = tuple(role for slot, role in enumerate(roles) if slot not in assignment)
-            if not missing:
-                chosen = [assignment[slot] for slot in range(len(roles))]
-                for member_id in chosen:
-                    self.booked[member_id] = cond.id
+            still_open = []
+            for slot, role_type in open_slots:  # the first free member of the scope, in preorder
+                positions = postings.get(role_type, ())
+                for lo, hi in slices:
+                    for i in range(bisect_left(positions, lo), bisect_left(positions, hi)):
+                        member_id = ids[positions[i]]
+                        if member_id not in booked and member_id not in taken:
+                            break
+                    else:  # none free in this slice
+                        continue
+                    chosen[slot] = member_id
+                    taken.add(member_id)
+                    break
+                else:  # none free in the scope: the slot stays open
+                    still_open.append((slot, role_type))
+            open_slots = still_open
+            if not open_slots:
+                booked.update(dict.fromkeys(chosen, cond.id))
                 overlay = SocialOverlayNetwork(cond.id, tuple(zip(roles, chosen)),
-                                               {m: self._homes[m] for m in chosen})
+                                               dict(zip(chosen, map(self._homes.get, chosen))))
                 return Resolution(cond.id, overlay, (), tuple(trail))
+            missing = tuple(role for _, role in open_slots)
             if parent is None:
                 return Resolution(cond.id, None, missing, tuple(trail))
             trail.append(ExceptionRecord(community, missing))
@@ -235,36 +251,33 @@ class FractalOrganization:
     # --- helpers ---
 
     def _postings(self) -> dict[str, list[int]]:
-        """The per-type posting lists, rebuilt when the taxonomy changed since the last build."""
+        """The per-type posting lists, rebuilt when the taxonomy changed since the last
+        build, which also lists the preorder's member ids as ``_ids``."""
         key = (self.taxonomy, len(self.taxonomy.subclass_edges))
         if self._postings_key != key:
-            self._postings_key, self._postings_by_type = key, {}
-            closures: dict[frozenset[str], set[str]] = {}  # offer set -> types it provides
+            postings: dict[str, list[int]] = {}
+            lists_of: dict[frozenset[str], list] = {}  # offer set -> the lists it is posted to
             for pos, member in enumerate(self._preorder):
-                if member.offers not in closures:
-                    closures[member.offers] = set().union(*map(self.taxonomy.ancestors,
-                                                               member.offers))
-                for role_type in closures[member.offers]:
-                    self._postings_by_type.setdefault(role_type, []).append(pos)
+                lists = lists_of.get(member.offers)
+                if lists is None:
+                    types = set().union(*map(self.taxonomy.ancestors, member.offers))
+                    lists = lists_of[member.offers] = [postings.setdefault(t, []) for t in types]
+                for positions in lists:
+                    positions.append(pos)
+            self._postings_key, self._postings_by_type = key, postings
+            self._ids = [member.id for member in self._preorder]
         return self._postings_by_type
 
-    def _first_free(self, positions: list[int], slices, assignment: dict[int, str]) -> str | None:
-        """The first member at ``positions`` within the slices, neither booked nor assigned."""
-        for lo, hi in slices:
-            for pos in positions[bisect_left(positions, lo):bisect_left(positions, hi)]:
-                member_id = self._preorder[pos].id
-                if member_id not in self.booked and member_id not in assignment.values():
-                    return member_id
-        return None
-
-    def _preassign(self, member_id: str, role_type: str, assignment: dict[int, str]) -> None:
+    def _preassign(self, member_id: str, role_type: str, taken: set[str]) -> None:
         """Check one preassigned member against the tree, its role and the bookings."""
-        member = self._members.get(member_id)
-        if member is None:
+        home = self._homes.get(member_id)
+        if home is None:
             raise InputError(f"preassigned member {member_id!r} is not in the tree")
+        start, own_end, _, _ = self._spans[home]  # the home's own members, in id order
+        member = self._preorder[bisect_left(self._ids, member_id, start, own_end)]
         if not member.provides(role_type, self.taxonomy):
             raise InputError(f"preassigned member {member_id!r} does not provide {role_type!r}")
-        if member_id in assignment.values():
+        if member_id in taken:
             raise InputError(f"member {member_id!r} preassigned to two roles")
         if member_id in self.booked:
             raise InputError(f"preassigned member {member_id!r} is already booked")
@@ -280,17 +293,31 @@ _CONDITION_KEYS = frozenset({"id", "origin", "roles", "state"})
 
 
 def _node_from_dict(data, where: str, offer_sets: dict) -> CommunityNode:
-    """One community and its subtree.  ``offer_sets`` maps each offer set read
-    so far from the document to its first frozenset, which every later member
-    with equal offers shares."""
+    """One community and its subtree.
+
+    ``offer_sets`` maps each offers list read so far from the document, as a
+    tuple, and each distinct offer set to the first frozenset of that set,
+    which every later member with equal offers shares.  A member whose list
+    was read before takes its set from one lookup; any other member goes
+    through the field checks, so a bad one is named as it always was.
+    """
     check_keys(data, _NODE_KEYS, where)
     members_at = f"{where}.members"
     listed = get_field(data, "members", list, where, default=())
     members = []
     for i, m in enumerate(listed):
+        try:  # offers listed before: their set is one lookup away
+            if type(m["id"]) is str and type(m["offers"]) is list:
+                members.append(Member(m["id"], offer_sets[tuple(m["offers"])]))
+                continue
+        except (KeyError, TypeError):  # a first sighting, a missing field, not an object
+            pass
         member_id = get_field(m, "id", str, members_at, i)
-        offers = frozenset(get_field(m, "offers", list, members_at, i, (), str))
-        members.append(Member(member_id, offer_sets.setdefault(offers, offers)))
+        listed_offers = get_field(m, "offers", list, members_at, i, (), str)
+        offers = frozenset(listed_offers)
+        offers = offer_sets.setdefault(offers, offers)
+        offer_sets[tuple(listed_offers)] = offers
+        members.append(Member(member_id, offers))
     # get_field has made each member an object; one pass over all their keys
     # costs less than a check_keys call for each of thousands of members
     if not _MEMBER_KEYS.issuperset(chain.from_iterable(listed)):

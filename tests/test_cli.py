@@ -644,6 +644,56 @@ def test_resolve_malformed_fixture_names_file_and_field(tmp_path, capsys, fixtur
     assert_input_error(capsys, ["resolve", "--fixture", path], "bad.json", *fragments)
 
 
+def deep_members(members):
+    """A fixture whose community ``community.children[0].children[1]`` lists
+    ``members``.  Every community before it lists members offering ``["N"]``,
+    so a later member's offers list ``["N"]`` has been read before; a string
+    ``"N"`` would read as that list if its type went unchecked."""
+    same = [{"id": f"m{k}", "offers": ["N"]} for k in range(4)]
+    return {"community": {"id": "city", "members": same[:1], "children": [
+        {"id": "a", "members": same[1:2], "children": [
+            {"id": "a0", "members": same[2:]},
+            {"id": "a1", "members": members}]}]}}
+
+
+DEEP = "community.children[0].children[1].members"
+N1, N2 = {"id": "n1", "offers": ["N"]}, {"id": "n2", "offers": ["N"]}
+
+
+@pytest.mark.parametrize(
+    "members,message",
+    [
+        ([N1, N2, ["N"]], f"{DEEP}[2] must be a JSON object, got list"),
+        ([N1, N2, {"offers": ["N"]}], f"missing field {DEEP}[2].id"),
+        ([N1, N2, {"id": 7, "offers": ["N"]}], f"{DEEP}[2].id must be a string, got int"),
+        ([N1, N2, {"id": "x", "offers": "N"}], f"{DEEP}[2].offers must be a list, got str"),
+        ([N1, N2, {"id": "x", "offers": ["N", 5]}],
+         f"{DEEP}[2].offers[1] must be a string, got int"),
+        ([N1, N2, {"id": "x", "offers": [["N"]]}],
+         f"{DEEP}[2].offers[0] must be a string, got list"),
+        ([N1, N2, {"id": "x", "offers": ["N"], "offer": ["N"]}],
+         f"{DEEP}[2]: unknown keys ['offer']"),
+        # the members' fields are checked in list order ...
+        ([N1, {"id": "x", "offers": 5}, N2, {"id": 5, "offers": ["N"]}],
+         f"{DEEP}[1].offers must be a list, got int"),
+        # ... and their keys only after the last member's fields
+        ([{"id": "x", "offers": ["N"], "extra": 1}, N1, N2, {"id": 5, "offers": ["N"]}],
+         f"{DEEP}[3].id must be a string, got int"),
+    ],
+    ids=["member-not-an-object", "missing-id", "id-not-a-string", "offers-not-a-list",
+         "int-offer", "list-offer", "unknown-member-key", "offers-before-a-later-id",
+         "id-before-an-earlier-unknown-key"],
+)
+def test_resolve_names_a_bad_member_after_equal_offers(tmp_path, capsys, members, message):
+    """A member after others with equal offers is named exactly as any other,
+    before anything is written."""
+    path = write(tmp_path / "bad.json", json.dumps(deep_members(members)))
+    out = tmp_path / "report.json"
+    assert main(["resolve", "--fixture", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
 # --- simulate -------------------------------------------------------------------
 
 

@@ -567,6 +567,66 @@ def test_many_members_load_in_bounded_memory(many_members_fixture):
     assert peak < 3 * 2**20
 
 
+# --- the resolve workload's scale -----------------------------------------
+
+
+def write_workload_fixture(path, rng):
+    """A fixture shaped like the benchmark's resolve workload: a complete tree
+    of depth 4 and fan-out 5 (781 communities) of 20 members, and 4,000
+    three-role conditions over 6 categories of 5 leaf roles each.  Member 0
+    of a community offers only ``Coordinator``, which no search asks for;
+    about 10% of the conditions preassign a distinct coordinator."""
+    categories = [f"Role{c}" for c in range(6)]
+    leaves = [f"{category}x{i}" for category in categories for i in range(5)]
+    counter = itertools.count()
+    node_ids, coordinators = [], []
+
+    def build(level):
+        node_id = f"c{next(counter)}"
+        node_ids.append(node_id)
+        coordinators.append(f"{node_id}-m00")
+        members = [{"id": f"{node_id}-m00", "offers": ["Coordinator"]}] + [
+            {"id": f"{node_id}-m{j:02d}", "offers": sorted(rng.sample(leaves, rng.choice((1, 1, 2))))}
+            for j in range(1, 20)]
+        return {"id": node_id, "members": members,
+                "children": [build(level + 1) for _ in range(5 if level < 4 else 0)]}
+
+    community = build(0)
+    preassigned = iter(rng.sample(coordinators, len(coordinators)))
+    conditions = []
+    for k in range(4000):
+        roles = [rng.choice(leaves) if rng.random() < 0.6 else rng.choice(categories)
+                 for _ in range(3)]
+        cond = {"id": f"t{k:04d}", "origin": rng.choice(node_ids), "roles": roles}
+        if rng.random() < 0.1:
+            roles[2] = "Coordinator"
+            cond["state"] = {"Coordinator": next(preassigned)}
+        conditions.append(cond)
+    path.write_text(json.dumps({
+        "taxonomy_edges": [[leaf, leaf.split("x")[0]] for leaf in leaves],
+        "community": community, "conditions": conditions}), encoding="utf-8")
+    return path
+
+
+def test_resolve_agrees_with_reference_resolver_at_workload_scale(tmp_path):
+    """15,620 members and 4,000 conditions, in fixture order: every result and
+    the final bookings, in booking order, are the reference resolver's."""
+    org, conditions = load_fixture(
+        write_workload_fixture(tmp_path / "organization.json", random.Random(2034)))
+    reference = ReferenceFractalOrganization(org.root, org.taxonomy)
+    depths = {node.id: node_depth(node) for node in org.root.walk()}
+    assert len(depths) == 781 and len(org._preorder) == 15620
+    preassigned = to_root = 0
+    for cond in conditions:
+        mine = org.resolve(cond)
+        assert mine == reference.resolve(cond)
+        preassigned += bool(cond.state)
+        to_root += len(mine.exceptions) == depths[cond.origin] > 0
+    assert list(org.booked.items()) == list(reference.booked.items())
+    assert 300 < preassigned < 500 and to_root >= 10
+    assert 0.7 < len(org.booked) / len(org._preorder) < 0.85
+
+
 # --- a stateful differential machine ----------------------------------------
 
 MACHINE_TYPES = ["T0", "T1", "T2", "T3", "T4", "T5"]
