@@ -304,9 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # No command makes cyclic garbage that grows with its input (the resolve
-    # tree, the one cycle a command keeps, is in use until its report is
-    # written), so the collector's passes over what the loaders build buy
+    # No command makes cyclic garbage of its own, and what the loaders build
+    # is freed by reference counting, so the collector's passes over it buy
     # nothing.  A caller's setting is put back, as found.
     collecting = gc.isenabled()
     gc.disable()

@@ -50,18 +50,14 @@ class Member(Record):
 
 
 class CommunityNode:
-    """One community in the tree."""
+    """One community in the tree; it points to its children, never to its parent."""
 
     def __init__(self, id: str, members: list[Member] | None = None):
         self.id = id
         self.members: list[Member] = list(members or [])
         self.children: list[CommunityNode] = []
-        self.parent: CommunityNode | None = None
 
     def add_child(self, child: "CommunityNode") -> "CommunityNode":
-        if child.parent is not None:
-            raise ValueError(f"community {child.id!r} already has a parent")
-        child.parent = self
         self.children.append(child)
         return child
 
@@ -138,12 +134,13 @@ class FractalOrganization:
     """A community tree plus the booking state of its members.
 
     The tree is indexed once, when the organization is built: one preorder
-    list of all members, each community's own members sorted by id, and
-    per community id the span of that list its own members and its subtree
-    take, with its parent's id, so escalation climbs by id alone, and per
-    member id its home community, in whose own members a preassigned member
-    is found by bisection.  A tree changed afterwards needs a new
-    organization.
+    list of all members and one of their ids, each community's own members
+    sorted by id, and per community id the span of that list its own
+    members and its subtree take, with its parent's id, so escalation climbs
+    by id alone, and per member id its home community, in whose own members
+    a preassigned member is found by bisection.  A community reached twice,
+    under two parents or under its own descendant, is refused as a duplicate
+    id.  A tree changed afterwards needs a new organization.
 
     On the first resolve, and again once the taxonomy has gained an edge or
     been replaced, an inverted index is built: per type, the ascending
@@ -152,11 +149,11 @@ class FractalOrganization:
     which is exactly ``Member.provides``: ``o`` is in ``subtypes_of(T)``
     iff ``T`` is in ``ancestors(o)``, unregistered types included.  Each
     distinct offer set's closure is derived once per build and serves every
-    member that offers that set.  The same build lists the member ids in
-    preorder.  A slot's search bisects to the start of each scope slice and
-    walks its posting list forward by index, reading each id from that list,
-    to the first member neither booked nor taken by the condition, so it
-    meets the same candidates in the same order as a member-by-member scan.
+    member that offers that set.  A slot's search bisects to the start of
+    each scope slice and walks its posting list forward by index, reading
+    each id from the preorder id list, to the first member neither booked
+    nor taken by the condition, so it meets the same candidates in the same
+    order as a member-by-member scan.
     The slots still open at one level are the only ones searched at the next.
     """
 
@@ -170,6 +167,7 @@ class FractalOrganization:
         self._spans: dict[str, tuple[int, int, int, str | None]] = {}
         self._postings_key: tuple | None = None  # (taxonomy, edge count) the postings reflect
         self._index(root)
+        self._ids = [member.id for member in self._preorder]
 
     def _index(self, node: CommunityNode, parent: str | None = None) -> None:
         if node.id in self._spans:
@@ -251,8 +249,7 @@ class FractalOrganization:
     # --- helpers ---
 
     def _postings(self) -> dict[str, list[int]]:
-        """The per-type posting lists, rebuilt when the taxonomy changed since the last
-        build, which also lists the preorder's member ids as ``_ids``."""
+        """The per-type posting lists, rebuilt when the taxonomy changed since the last build."""
         key = (self.taxonomy, len(self.taxonomy.subclass_edges))
         if self._postings_key != key:
             postings: dict[str, list[int]] = {}
@@ -265,7 +262,6 @@ class FractalOrganization:
                 for positions in lists:
                     positions.append(pos)
             self._postings_key, self._postings_by_type = key, postings
-            self._ids = [member.id for member in self._preorder]
         return self._postings_by_type
 
     def _preassign(self, member_id: str, role_type: str, taken: set[str]) -> None:

@@ -742,12 +742,14 @@ def resolution_json(resolution: Resolution) -> dict:
     return data
 
 
-def node_depth(node: CommunityNode) -> int:
-    """Edges from ``node`` up to the root: the most escalations it can raise."""
-    levels = 0
-    while node.parent is not None:
-        levels, node = levels + 1, node.parent
-    return levels
+def node_depths(root: CommunityNode) -> dict[str, int]:
+    """Per community id, the edges from it up to ``root``: the most
+    escalations a condition fired there can raise."""
+    depths = {root.id: 0}
+    for node in root.walk():
+        for child in node.children:
+            depths[child.id] = depths[node.id] + 1
+    return depths
 
 
 def member_by_member_postings(preorder: list[Member], taxonomy: Taxonomy) -> dict[str, list[int]]:
@@ -765,7 +767,8 @@ class ReferenceFractalOrganization:
 
     It reads only the public tree (``CommunityNode.walk`` and
     ``Member.provides``) and keeps its own lookups and bookings, so it
-    shares no code with ``FractalOrganization``.  Every escalation level
+    shares no code with ``FractalOrganization``; it escalates through a
+    child id -> parent map built from ``walk``.  Every escalation level
     re-sorts each community's members and walks the skipped-over subtrees
     again, every open slot tests each member of the scope with
     ``Member.provides`` (where the resolver reads per-type posting lists),
@@ -777,6 +780,7 @@ class ReferenceFractalOrganization:
         self.taxonomy = taxonomy
         self.booked: dict[str, str] = {}  # member id -> condition id
         self._nodes = {node.id: node for node in root.walk()}
+        self._parents = {child.id: node for node in root.walk() for child in node.children}
         self._members = {member.id: (member, node.id)  # member id -> member, home
                          for node in root.walk() for member in node.members}
 
@@ -846,11 +850,11 @@ class ReferenceFractalOrganization:
                 for member_id in overlay.member_ids:
                     self.booked[member_id] = cond.id
                 return Resolution(cond.id, overlay, (), tuple(trail))
-            if node.parent is None:
+            if node is self.root:
                 return Resolution(cond.id, None, missing, tuple(trail))
             trail.append(ExceptionRecord(node.id, missing))
             came_from = node
-            node = node.parent
+            node = self._parents[node.id]
 
     def dissolve(self, overlay: SocialOverlayNetwork) -> SocialOverlayNetwork:
         """Release the members the overlay still holds and mark it dissolved."""

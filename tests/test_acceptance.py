@@ -49,7 +49,7 @@ from oracles import (
     closure_matrix,
     connected_after_removal,
     has_cut_vertex,
-    node_depth,
+    node_depths,
     random_dag,
     random_description,
     random_mutualism_instance,
@@ -242,7 +242,7 @@ def test_criterion_7_fso_escalation():
                 rng, org, favor_local=index % 2 == 0
             )
             result = org.resolve(cond)
-            assert len(result.exceptions) <= node_depth(origin)
+            assert len(result.exceptions) <= node_depths(org.root)[origin.id]
             if test_fractal.local_greedy_completes(
                 origin, cond.required_roles, org.taxonomy
             ):

@@ -1,9 +1,11 @@
 import copy
+import gc
 import itertools
 import json
 import pickle
 import random
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from fso.taxonomy import Taxonomy
 from oracles import (
     ReferenceFractalOrganization,
     member_by_member_postings,
-    node_depth,
+    node_depths,
     random_dag,
     resolution_json,
 )
@@ -70,7 +72,7 @@ def test_unoffered_role_escalates_to_depth():
     result = org.resolve(condition("district-a", ["Doctor"]))
     assert not result.complete
     assert result.missing_roles == ("Doctor",)
-    assert len(result.exceptions) == node_depth(left) == 1
+    assert len(result.exceptions) == node_depths(org.root)[left.id] == 1
 
 
 def test_unknown_origin_rejected():
@@ -144,10 +146,44 @@ def test_member_copies_and_pickles():
 
 
 def test_a_community_has_one_parent():
-    child = CommunityNode("district")
-    CommunityNode("city").add_child(child)
-    with pytest.raises(ValueError, match=r"^community 'district' already has a parent$"):
-        CommunityNode("town").add_child(child)
+    """A community reached twice from the root is refused when the
+    organization is built: hung under two parents of one tree, or added
+    under its own descendant, which makes an object cycle that is refused
+    before the index recurses into it."""
+    root, district = CommunityNode("city"), CommunityNode("district")
+    root.add_child(district)
+    root.add_child(CommunityNode("town")).add_child(district)
+    with pytest.raises(InputError, match=r"^duplicate community id 'district'$"):
+        FractalOrganization(root, Taxonomy())
+    root = CommunityNode("city")
+    root.add_child(CommunityNode("district")).add_child(CommunityNode("block")).add_child(root)
+    with pytest.raises(InputError, match=r"^duplicate community id 'city'$"):
+        FractalOrganization(root, Taxonomy())
+
+
+def test_a_subtree_may_serve_two_organizations():
+    district = CommunityNode("district", [Member("clinic", ["Nurse"])])
+    city, town = CommunityNode("city"), CommunityNode("town")
+    city.add_child(district)
+    town.add_child(district)
+    for root in (city, town):
+        result = FractalOrganization(root, Taxonomy()).resolve(condition("district", ["Nurse"]))
+        assert result.overlay.home_communities == {"clinic": "district"}
+
+
+def test_the_tree_is_freed_by_reference_counting():
+    """The tree holds no reference cycle: dropping the organization frees
+    it at once, with the cycle collector off."""
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        org, _ = load_fixture(DATA / "sibling_fixture.json")
+        root = weakref.ref(org.root)
+        del org
+        assert root() is None
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def test_preassigned_slot_must_name_a_role():
@@ -235,7 +271,7 @@ def test_trail_never_longer_than_origin_depth():
         org = random_org(rng)
         cond, origin = random_condition(rng, org)
         result = org.resolve(cond)
-        assert len(result.exceptions) <= node_depth(origin)
+        assert len(result.exceptions) <= node_depths(org.root)[origin.id]
         if result.complete:
             assert result.missing_roles == ()
         else:
@@ -450,7 +486,7 @@ def test_resolve_agrees_with_reference_resolver_on_a_large_tree():
     root = full_tree(rng, types, weights)
     org = FractalOrganization(root, tax)
     reference = ReferenceFractalOrganization(root, tax)
-    depths = {node.id: node_depth(node) for node in root.walk()}
+    depths = node_depths(root)
     assert len(depths) == 781 and 1800 < len(org._preorder) < 2200
     nodes = list(depths) + ["nowhere"]
     overlays = []
@@ -614,7 +650,7 @@ def test_resolve_agrees_with_reference_resolver_at_workload_scale(tmp_path):
     org, conditions = load_fixture(
         write_workload_fixture(tmp_path / "organization.json", random.Random(2034)))
     reference = ReferenceFractalOrganization(org.root, org.taxonomy)
-    depths = {node.id: node_depth(node) for node in org.root.walk()}
+    depths = node_depths(org.root)
     assert len(depths) == 781 and len(org._preorder) == 15620
     preassigned = to_root = 0
     for cond in conditions:
