@@ -140,20 +140,20 @@ class FractalOrganization:
     by id alone, and per member id its home community, in whose own members
     a preassigned member is found by bisection.  A community reached twice,
     under two parents or under its own descendant, is refused as a duplicate
-    id.  A tree changed afterwards needs a new organization.
+    id.  The taxonomy, a value fixed once built, is indexed once too, at the
+    first resolve: an inverted index per type of the ascending preorder
+    positions of the members that provide it.  A changed tree, or another
+    taxonomy, needs a new organization.
 
-    On the first resolve, and again once the taxonomy has gained an edge or
-    been replaced, an inverted index is built: per type, the ascending
-    preorder positions of the members that provide it.  A member offering
-    ``o`` is listed once under every type in ``taxonomy.ancestors(o)``,
-    which is exactly ``Member.provides``: ``o`` is in ``subtypes_of(T)``
-    iff ``T`` is in ``ancestors(o)``, unregistered types included.  Each
-    distinct offer set's closure is derived once per build and serves every
-    member that offers that set.  A slot's search bisects to the start of
-    each scope slice and walks its posting list forward by index, reading
-    each id from the preorder id list, to the first member neither booked
-    nor taken by the condition, so it meets the same candidates in the same
-    order as a member-by-member scan.
+    A member offering ``o`` is listed once under every type in
+    ``taxonomy.ancestors(o)``, which is exactly ``Member.provides``: ``o``
+    is in ``subtypes_of(T)`` iff ``T`` is in ``ancestors(o)``, unregistered
+    types included.  Each distinct offer set's closure is derived once and
+    serves every member that offers that set.  A slot's search bisects to
+    the start of each scope slice and walks its posting list forward by
+    index, reading each id from the preorder id list, to the first member
+    neither booked nor taken by the condition, so it meets the same
+    candidates in the same order as a member-by-member scan.
     The slots still open at one level are the only ones searched at the next.
     """
 
@@ -165,7 +165,7 @@ class FractalOrganization:
         self._preorder: list[Member] = []
         # id -> start, own end, subtree end, parent id
         self._spans: dict[str, tuple[int, int, int, str | None]] = {}
-        self._postings_key: tuple | None = None  # (taxonomy, edge count) the postings reflect
+        self._postings_by_type: dict[str, list[int]] | None = None  # built on first resolve
         self._index(root)
         self._ids = [member.id for member in self._preorder]
 
@@ -249,10 +249,9 @@ class FractalOrganization:
     # --- helpers ---
 
     def _postings(self) -> dict[str, list[int]]:
-        """The per-type posting lists, rebuilt when the taxonomy changed since the last build."""
-        key = (self.taxonomy, len(self.taxonomy.subclass_edges))
-        if self._postings_key != key:
-            postings: dict[str, list[int]] = {}
+        """The per-type posting lists, built on the first call."""
+        if self._postings_by_type is None:
+            postings = self._postings_by_type = {}
             lists_of: dict[frozenset[str], list] = {}  # offer set -> the lists it is posted to
             for pos, member in enumerate(self._preorder):
                 lists = lists_of.get(member.offers)
@@ -261,7 +260,6 @@ class FractalOrganization:
                     lists = lists_of[member.offers] = [postings.setdefault(t, []) for t in types]
                 for positions in lists:
                     positions.append(pos)
-            self._postings_key, self._postings_by_type = key, postings
         return self._postings_by_type
 
     def _preassign(self, member_id: str, role_type: str, taken: set[str]) -> None:

@@ -68,7 +68,8 @@ def reading(path):
 
 
 def read_text(path) -> str:
-    """The text of the file ``path``: a ``str`` as the user gave it, or a ``Path``."""
+    """The text of the file ``path``, a ``str`` as the user gave it or a ``Path``,
+    without one leading byte-order mark: a file saved with one reads as without it."""
     name = str(path)
     if "\0" in name:  # open() would raise a bare ValueError
         raise InputError("the file name holds a NUL character", repr(name))
@@ -80,9 +81,10 @@ def read_text(path) -> str:
         raise InputError("is a directory, not a file", path) from None
     with fh:
         try:
-            return fh.read()
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise InputError(f"not UTF-8 text: {exc.reason}", path) from None
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def read_json(path):

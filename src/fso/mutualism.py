@@ -18,9 +18,11 @@ Two flavours of the check are provided:
 A check is one search in each direction: the least linked action of one
 system whose counterpart the other system rates +1.  Witnesses are
 therefore deterministic: when several action pairs qualify, the
-lexicographically least pair of action ids is reported.  The closure over
-many systems is one depth-first search from each system over the
-pairwise relation.
+lexicographically least pair of action ids is reported.  The relation is
+symmetric: on the inverted correspondence a check passes or fails alike,
+its witness's actions swapped.  So the closure over many systems checks
+each correspondence once, joins its two systems both ways when it passes,
+and is one depth-first search from each system over that relation.
 """
 
 from __future__ import annotations
@@ -61,11 +63,6 @@ class ActionCorrespondence(Record):
         if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
             raise ValueError("correspondence must be injective in both coordinates")
 
-    def inverse(self) -> "ActionCorrespondence":
-        return ActionCorrespondence(
-            self.target, self.source, [(b, a) for a, b in self.pairs]
-        )
-
 
 class MutualisticWitness(NamedTuple):
     """The pair of actions certifying a relationship.
@@ -89,27 +86,21 @@ def _validate(d: ActionSystem, r: ActionSystem, corr: ActionCorrespondence):
             raise ValueError(f"correspondence pair ({a!r}, {b!r}) names unknown actions")
 
 
-def _least_beneficial(
-    actor: ActionSystem, other: ActionSystem, links: dict[str, str], strict: bool
-) -> str | None:
-    """The least action of ``actor`` whose linked counterpart ``other`` rates +1.
-
-    Under the strict check, actions that ``actor`` rates -1 are skipped.
-    """
-    qualifying = [a for a, b in links.items()
-                  if other.evaluations[b] > 0 and not (strict and actor.evaluations[a] < 0)]
-    return min(qualifying, default=None)
-
-
 def _witness(
     d: ActionSystem,
     r: ActionSystem,
     corr: ActionCorrespondence,
     require_no_actor_cost: bool,
 ) -> MutualisticWitness | None:
+    """Per direction, the least linked action of the actor whose counterpart
+    the other system rates +1; the strict check skips those the actor rates -1."""
     _validate(d, r, corr)
-    forward = _least_beneficial(d, r, dict(corr.pairs), require_no_actor_cost)
-    backward = _least_beneficial(r, d, {b: a for a, b in corr.pairs}, require_no_actor_cost)
+    least = 0 if require_no_actor_cost else -1  # the least rating an actor may give
+    d_rates, r_rates = d.evaluations, r.evaluations
+    forward = min((a for a, b in corr.pairs if r_rates[b] > 0 and d_rates[a] >= least),
+                  default=None)
+    backward = min((b for a, b in corr.pairs if d_rates[a] > 0 and r_rates[b] >= least),
+                   default=None)
     if forward is None or backward is None:
         return None
     return MutualisticWitness(forward, backward)
@@ -140,9 +131,10 @@ def mutualistic_closure(
 ) -> set[tuple[str, str]]:
     """Reachability over pairwise mutualistic relations.
 
-    An edge (D, R) is present when some listed correspondence between the
-    two systems passes the chosen check; the result is every pair of
-    distinct systems joined by a path of such edges.
+    Edges (D, R) and (R, D) are present when some listed correspondence
+    between the two systems passes the chosen check, made once per
+    correspondence since the relation is symmetric; the result is every
+    pair of distinct systems joined by a path of such edges.
     """
     by_id = {s.id: s for s in systems}
     check = check_extended if extended else check_precondition
@@ -153,10 +145,9 @@ def mutualistic_closure(
                 f"correspondence references unknown systems"
                 f" {corr.source!r}, {corr.target!r}"
             )
-        for oriented in (corr, corr.inverse()):
-            d, r = by_id[oriented.source], by_id[oriented.target]
-            if d.id != r.id and check(d, r, oriented) is not None:
-                successors[d.id].add(r.id)
+        if check(by_id[corr.source], by_id[corr.target], corr) is not None:
+            successors[corr.source].add(corr.target)
+            successors[corr.target].add(corr.source)
     closure: set[tuple[str, str]] = set()
     for start in successors:
         reached: set[str] = set()

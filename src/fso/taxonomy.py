@@ -5,7 +5,8 @@ subclass graph; multiple parents are allowed.  Subsumption is the
 reflexive-transitive closure of the subclass edges: ``is_subtype(a, b)``
 answers "does a count as a b".  Names that were never registered are
 treated as isolated types, so they are subtypes of themselves and of
-nothing else.
+nothing else.  A taxonomy is built from its edges and never changes after,
+so every answer, once worked out, holds for the taxonomy's lifetime.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .inputs import InputError, get_field, read_text, reading
 
 
 class Taxonomy:
-    """A DAG of service types under a subclass relation."""
+    """A DAG of service types under a subclass relation, fixed once built."""
 
     def __init__(self, edges: Iterable[tuple[str, str]] = ()):
         self.subclass_edges: set[tuple[str, str]] = set()
@@ -25,13 +26,14 @@ class Taxonomy:
         self._ancestor_cache: dict[str, frozenset[str]] = {}
         self._subtypes: dict[str, frozenset[str]] | None = None  # built on first query
         for child, parent in edges:
-            self.add_subclass(child, parent)
+            self._add(child, parent)
 
-    def add_subclass(self, child: str, parent: str) -> "Taxonomy":
+    def _add(self, child: str, parent: str) -> None:
         """Record ``child`` as a subclass of ``parent``, registering both.
 
         Raises InputError for a self-edge or an edge that would close a
-        directed cycle.
+        directed cycle.  Only this module's builders call it, before the
+        taxonomy is handed out, so no subtype map has been built yet.
         """
         if self.is_subtype(parent, child):
             raise InputError(f"edge {child!r} -> {parent!r} would create a cycle")
@@ -39,8 +41,6 @@ class Taxonomy:
         self._parents.setdefault(parent, set())
         self.subclass_edges.add((child, parent))
         self._ancestor_cache.clear()
-        self._subtypes = None
-        return self
 
     def ancestors(self, name: str) -> frozenset[str]:
         """All types reachable upward from ``name``, including itself."""
@@ -100,7 +100,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
                              f" got {line!r}")
         child, _, parent = fields
         try:
-            tax.add_subclass(child, parent)
+            tax._add(child, parent)
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
     return tax
@@ -122,7 +122,7 @@ def taxonomy_from_spec(data: dict, base: Path) -> Taxonomy:
         if type(edge) is not list or len(edge) != 2 or {type(t) for t in edge} != {str}:
             raise InputError(f"taxonomy_edges[{i}] must be a [child, parent] pair of strings")
         try:
-            tax.add_subclass(*edge)
+            tax._add(*edge)
         except InputError as exc:
             raise InputError(f"taxonomy_edges[{i}]: {exc}") from None
     return tax

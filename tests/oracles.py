@@ -128,6 +128,11 @@ def brute_force_witness(d_evals, r_evals, pairs, extended=False):
     return min(witnesses) if witnesses else None
 
 
+def inverted(corr: ActionCorrespondence) -> ActionCorrespondence:
+    """The same links read from the other end: target to source."""
+    return ActionCorrespondence(corr.target, corr.source, [(b, a) for a, b in corr.pairs])
+
+
 def all_partial_bijections(xs, ys):
     """Every injective partial map from xs to ys, as tuples of pairs."""
     for k in range(min(len(xs), len(ys)) + 1):
@@ -1015,6 +1020,20 @@ def reference_resilience_loss(baseline, disrupted) -> float:
             / math.fsum(baseline))
 
 
+def reference_recovery_delay(baseline, disrupted, level: float) -> int | None:
+    """T_L(d) − T_L(b): how many steps later than the undisrupted run of its
+    seed the disrupted run first reaches diffusion ``level`` (the time side of
+    the resilience triangle of Bruneau et al., 2003), or None when it never
+    does.  Negative when the disrupted run gets there first."""
+    reached = [next((t for t, value in enumerate(values) if value >= level), None)
+               for values in (baseline, disrupted)]
+    if reached[1] is None:
+        return None
+    if reached[0] is None:
+        raise ValueError(f"the baseline never reaches {level}")
+    return reached[1] - reached[0]
+
+
 # --- validated value types as dataclasses ---------------------------------
 # Each is its fso namesake's dataclass definition, named ``Reference...``.
 
@@ -1161,8 +1180,3 @@ class ReferenceActionCorrespondence:
         object.__setattr__(self, "pairs", pairs)
         if len({a for a, _ in pairs}) != len(pairs) or len({b for _, b in pairs}) != len(pairs):
             raise ValueError("correspondence must be injective in both coordinates")
-
-    def inverse(self) -> "ReferenceActionCorrespondence":
-        return ReferenceActionCorrespondence(
-            self.target, self.source, [(b, a) for a, b in self.pairs]
-        )

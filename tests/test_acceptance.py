@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import random
+import statistics
 import time
 from contextlib import contextmanager
 from itertools import product
@@ -49,10 +50,12 @@ from oracles import (
     closure_matrix,
     connected_after_removal,
     has_cut_vertex,
+    inverted,
     node_depths,
     random_dag,
     random_description,
     random_mutualism_instance,
+    reference_recovery_delay,
     reference_resilience_loss,
 )
 
@@ -129,7 +132,7 @@ def test_criterion_3_symmetry_law():
             r = ActionSystem("R", r_evals)
             corr = ActionCorrespondence("D", "R", pairs)
             forward = check_precondition(d, r, corr)
-            backward = check_precondition(r, d, corr.inverse())
+            backward = check_precondition(r, d, inverted(corr))
             if (forward is None) != (backward is None):
                 violations += 1
         assert violations == 0
@@ -354,25 +357,74 @@ def test_resilience_loss_separates_the_topologies(experiment_scale_runs):
         assert math.fsum(losses[fractal]) / 100 <= 0.02, label
 
 
-@pytest.mark.parametrize("block", [0, 1000, 2000])
-def test_resilience_loss_separates_the_topologies_under_random_cuts(block):
-    """The one loss claim that is not unanimous: four random cuts (steps
-    10/20/40/70) at p = 0.1, from ``scenarios/sensitivity/``, replicates
-    ``block + r``.  Each seed block must carry the claim on its own: the
-    fractal loss is lower in at least 80 of its 100 pairs (measured 87-89)
-    and lower on average (measured 0.147-0.152 against 0.312)."""
-    losses = {}
+def recovery_delays(pairs, level):
+    """The recovery delay of each (baseline, disrupted) trace pair that reaches ``level``."""
+    return [delay for base, cut in pairs
+            if (delay := reference_recovery_delay(base.values, cut.values, level)) is not None]
+
+
+def test_recovery_delay_separates_the_topologies(experiment_scale_runs):
+    """The time side of the resilience triangle on the committed pairs: how
+    many steps later than its baseline a disrupted run first reaches 90%
+    diffusion, the level of the baseline claim above.  Thresholds set before
+    the run: the fractal topology gets there in at least 95 of 100 pairs, at
+    most 5 steps late, and the hierarchy in at most 5 (measured: 100 pairs,
+    delays -1 to 2; 0 pairs)."""
+    traces = experiment_scale_runs[1]
+    for label in ("S2", "S3"):
+        fractal, hierarchy = (
+            recovery_delays(zip(traces[(topology, "S1")], traces[(topology, label)]), 0.9)
+            for topology in (Topology.FRACTAL, Topology.HIERARCHY))
+        assert len(fractal) >= 95 and max(fractal) <= 5, label
+        assert len(hierarchy) <= 5, label
+
+
+RANDOM_CUT_BLOCKS = pytest.mark.parametrize("block", [0, 1000, 2000], scope="module")
+
+
+@pytest.fixture(scope="module")
+def random_cut_traces(block):
+    """Four random cuts (steps 10/20/40/70) at p = 0.1, from
+    ``scenarios/sensitivity/``, and their baselines, replicates ``block + r``:
+    ``{topology: (baseline traces, disrupted traces)}``, built once per block."""
+    runs = {}
     for topology in (Topology.FRACTAL, Topology.HIERARCHY):
-        traces = {}
+        traces = []
         for stem in ("baseline", "random-isolation"):
             spec = load_scenario(SCENARIOS / "sensitivity" / f"{stem}-{topology.value}.json")
-            kept = traces[stem] = []
+            kept = []
             monte_carlo(spec._replace(seed=block), 100, lambda r, trace: kept.append(trace))
-        losses[topology] = [reference_resilience_loss(base.values, cut.values)
-                            for base, cut in zip(traces["baseline"], traces["random-isolation"])]
+            traces.append(kept)
+        runs[topology] = tuple(traces)
+    return runs
+
+
+@RANDOM_CUT_BLOCKS
+def test_resilience_loss_separates_the_topologies_under_random_cuts(random_cut_traces):
+    """The one loss claim that is not unanimous.  Each seed block must carry
+    the claim on its own: the fractal loss is lower in at least 80 of its 100
+    pairs (measured 87-89) and lower on average (measured 0.147-0.152 against
+    0.312)."""
+    losses = {topology: [reference_resilience_loss(base.values, cut.values)
+                         for base, cut in zip(*random_cut_traces[topology])]
+              for topology in (Topology.FRACTAL, Topology.HIERARCHY)}
     fractal, hierarchy = losses[Topology.FRACTAL], losses[Topology.HIERARCHY]
     assert sum(f < h for f, h in zip(fractal, hierarchy)) >= 80
     assert math.fsum(fractal) < math.fsum(hierarchy)
+
+
+@RANDOM_CUT_BLOCKS
+def test_recovery_delay_separates_the_topologies_under_random_cuts(random_cut_traces):
+    """Recovery to 50% diffusion under the random cuts; at p = 0.1 a third of
+    the hierarchy's baselines never reach 90% within the horizon.  Thresholds
+    set before the run, in each seed block: the fractal topology gets there
+    in at least 90 pairs and in more pairs than the hierarchy, and its median
+    delay among the pairs that get there is lower (measured: 100 against
+    45-48 pairs; median 4 against 18-23 steps)."""
+    fractal, hierarchy = (recovery_delays(zip(*random_cut_traces[topology]), 0.5)
+                          for topology in (Topology.FRACTAL, Topology.HIERARCHY))
+    assert len(fractal) >= 90 and len(fractal) > len(hierarchy)
+    assert not hierarchy or statistics.median(fractal) < statistics.median(hierarchy)
 
 
 # sha256 of each committed scenario's 100-replicate aggregate CSV: the

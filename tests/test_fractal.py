@@ -429,30 +429,6 @@ def test_member_with_offers_sharing_an_ancestor_is_listed_once():
     assert org._postings() == {"Nurse": [0], "Doctor": [0], "Caregiver": [0]}
 
 
-def test_taxonomy_changed_between_resolves_is_seen():
-    """An edge added to the taxonomy, or another taxonomy, reaches the next resolve."""
-    root = CommunityNode("city", [Member("cook", ["Cooking"]), Member("nanny", ["Childcare"])])
-    root.add_child(CommunityNode("district", [Member("clinic", ["Nurse"])]))
-    org = FractalOrganization(root, Taxonomy([("Nurse", "Caregiver")]))
-    reference = ReferenceFractalOrganization(root, org.taxonomy)
-
-    def resolve_both(cid):
-        cond = TriggeringCondition(cid, "district", ("Caregiver", "Housekeeping"))
-        mine, theirs = org.resolve(cond), reference.resolve(cond)
-        assert mine == theirs
-        assert org.booked == reference.booked
-        return mine
-
-    assert resolve_both("c0").missing_roles == ("Housekeeping",)
-    org.taxonomy.add_subclass("Cooking", "Housekeeping")  # the reference's too
-    assert resolve_both("c1").overlay.assignments == (
-        ("Caregiver", "clinic"), ("Housekeeping", "cook"))
-    # as many edges as before, so only the taxonomy's identity tells it apart
-    org.taxonomy = reference.taxonomy = Taxonomy(
-        [("Childcare", "Caregiver"), ("Cooking", "Housekeeping")])
-    assert resolve_both("c2").missing_roles == ("Housekeeping",)
-
-
 def full_tree(rng, types, weights):
     """A complete tree (781 communities at depth 4, fan-out 5) of about 2,000 members."""
     counter = itertools.count()
@@ -573,20 +549,16 @@ def test_equal_offer_sets_are_one_object_and_resolve_as_the_reference_does(
     assert len(org._preorder) == 3108 and len(shared) <= 30 + 435
 
     reference = ReferenceFractalOrganization(org.root, org.taxonomy)
-    half = len(conditions) // 2
+    postings = org._postings()
+    assert postings == member_by_member_postings(org._preorder, org.taxonomy)
     escalated = 0
-    for n, cond in enumerate(conditions):
-        if n == half:  # the next resolve rebuilds the postings
-            org.taxonomy.add_subclass("Kind0", "Kind1")
-        if n in (0, half):
-            postings = org._postings()
-            assert postings == member_by_member_postings(org._preorder, org.taxonomy)
+    for cond in conditions:
         mine = org.resolve(cond)
         assert resolution_json(mine) == resolution_json(reference.resolve(cond))
         escalated += bool(mine.exceptions)
     assert org._postings() is postings
     assert org.booked == reference.booked
-    assert escalated > half and 0.7 < len(org.booked) / len(org._preorder) < 0.85
+    assert escalated > len(conditions) // 2 and 0.7 < len(org.booked) / len(org._preorder) < 0.85
 
 
 def test_many_members_load_in_bounded_memory(many_members_fixture):
@@ -674,9 +646,9 @@ MACHINE_EDGES = st.lists(st.sampled_from(MACHINE_TYPES), min_size=2, max_size=2,
 
 class ResolverMachine(RuleBasedStateMachine):
     """``FractalOrganization`` and ``ReferenceFractalOrganization`` over one
-    tree and one taxonomy, driven by the same resolves, dissolves and
-    taxonomy edges added between resolves.  Members share a few offer sets,
-    as members loaded from one document do.  Every resolve gives both the
+    tree and one taxonomy, driven by the same resolves and dissolves.
+    Members share a few offer sets, as members loaded from one document
+    do.  Every resolve gives both the
     same result or the same InputError, and leaves the postings equal to a
     member-by-member build; after every step the bookings agree."""
 
@@ -691,7 +663,7 @@ class ResolverMachine(RuleBasedStateMachine):
         for k in ids:  # ids that do not sort in the order they were added
             home = nodes[data.draw(st.integers(0, len(nodes) - 1))]
             home.members.append(Member(f"m{k:02d}", data.draw(st.sampled_from(offer_sets))))
-        taxonomy = Taxonomy(data.draw(st.lists(MACHINE_EDGES, max_size=4)))
+        taxonomy = Taxonomy(data.draw(st.lists(MACHINE_EDGES, max_size=8)))
         self.org = FractalOrganization(nodes[0], taxonomy)
         self.reference = ReferenceFractalOrganization(nodes[0], taxonomy)
         self.node_ids = [node.id for node in nodes] + ["nowhere"]
@@ -726,10 +698,6 @@ class ResolverMachine(RuleBasedStateMachine):
         self.org.dissolve(mine)
         self.reference.dissolve(theirs)
         assert mine.status is theirs.status is OverlayStatus.DISSOLVED
-
-    @rule(edge=MACHINE_EDGES)
-    def add_taxonomy_edge(self, edge):
-        self.org.taxonomy.add_subclass(*edge)  # the reference's taxonomy too
 
     @invariant()
     def bookings_agree(self):

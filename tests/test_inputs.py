@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fso.cli import main
+from fso.descriptions import load_descriptions
+from fso.diffusion import load_scenario
 from fso.inputs import InputError, get_field, read_json
+from fso.taxonomy import load_taxonomy
 
 ROOT = Path(__file__).parent.parent
 DATA = Path(__file__).parent / "data"
@@ -305,3 +308,16 @@ def test_read_json_names_the_file(tmp_path):
         read_json(path)
     assert excinfo.value.file == path
     assert str(excinfo.value).startswith(f"{path}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("text,load", [
+    ("Walking subClassOf Fitness\n", lambda path: load_taxonomy(path).subclass_edges),
+    ((ROOT / "scenarios" / "baseline-fractal.json").read_text(encoding="utf-8"), load_scenario),
+    ((DATA / "walking_service.ttl").read_text(encoding="utf-8"), load_descriptions),
+], ids=["taxonomy", "json", "turtle"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, text, load):
+    """A file saved with a byte-order mark reads as the same file without one."""
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert load(marked) == load(plain)

@@ -23,6 +23,7 @@ from fso.taxonomy import Taxonomy
 from oracles import (
     all_partial_bijections,
     brute_force_witness,
+    inverted,
     random_dag,
     random_mutualism_instance,
     translate_pair,
@@ -139,7 +140,7 @@ def test_symmetry_law(seed):
     d_evals, r_evals, pairs = random_mutualism_instance(rng)
     d, r, corr = make_pair(d_evals, r_evals, pairs)
     forward = check_precondition(d, r, corr)
-    backward = check_precondition(r, d, corr.inverse())
+    backward = check_precondition(r, d, inverted(corr))
     assert (forward is None) == (backward is None)
     if forward is not None:
         assert backward == MutualisticWitness(
@@ -177,7 +178,7 @@ def closure_oracle(systems, corrs, extended):
     edges = set()
     by_id = {s.id: s for s in systems}
     for corr in corrs:
-        for oriented in (corr, corr.inverse()):
+        for oriented in (corr, inverted(corr)):  # both: the oracle does not assume symmetry
             d, r = by_id[oriented.source], by_id[oriented.target]
             witness = brute_force_witness(
                 d.evaluations, r.evaluations, sorted(oriented.pairs), extended
@@ -209,6 +210,20 @@ def test_closure_of_chain():
         ("B", "C"), ("C", "B"),
         ("A", "C"), ("C", "A"),
     }
+
+
+def test_closure_ignores_a_correspondence_of_a_system_with_itself():
+    """A self-correspondence whose check passes adds no pair and changes no other."""
+    a = ActionSystem("A", {"a1": 1, "a2": 1})
+    b = ActionSystem("B", {"b1": 1})
+    c = ActionSystem("C", {"c1": 1})
+    ab = ActionCorrespondence("A", "B", [("a1", "b1")])
+    aa = ActionCorrespondence("A", "A", [("a1", "a2"), ("a2", "a1")])
+    assert check_precondition(a, a, aa) is not None
+    for systems, corrs, expected in (([a], [aa], set()),
+                                     ([a, b, c], [ab, aa], {("A", "B"), ("B", "A")})):
+        assert mutualistic_closure(systems, corrs) == expected
+        assert mutualistic_closure(systems, corrs[::-1], extended=True) == expected
 
 
 def test_closure_without_correspondences_is_empty():

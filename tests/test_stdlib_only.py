@@ -163,12 +163,40 @@ def test_every_defined_name_is_reached():
     assert unreached == set(UNREACHED_BY_DESIGN)
 
 
+# Attributes that a class assigns on ``self`` and neither src/fso nor
+# perfbench/ reads, each kept for a reason.
+UNREAD_SELF_ATTRIBUTES = {
+    "descriptions.ParseError.offset": "library callers read the offset",
+}
+
+
+def self_attributes(tree):
+    """(class, attribute) for each ``self.<attribute>`` that a class's code assigns."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    yield cls.name, node.attr
+
+
+def test_every_attribute_assigned_on_self_is_read():
+    """State a class keeps in an attribute that nothing reads is dead; the
+    reach guard above sees only names a class body defines."""
+    _, touched = reached_names()
+    unread = {f"{path.stem}.{cls}.{attr}" for path in SOURCES
+              for cls, attr in self_attributes(ast.parse(path.read_text(encoding="utf-8")))
+              if attr not in touched}
+    assert unread == set(UNREAD_SELF_ATTRIBUTES)
+
+
 # Class members that more than one fso class defines under one name.  The
 # reach guard counts a member reached when an attribute of its name is read
 # anywhere, so it cannot tell which of these is read: a dead one hides behind
 # a live one.  A new shared name is reviewed by adding it here.  Not covered:
 # a name that a member shares with a stdlib attribute, such as ``items``, and
-# an attribute assigned only on ``self``, which neither guard counts as defined.
+# an attribute assigned only on ``self``, which this guard does not count as
+# defined and the guard above counts as read when any attribute of its name is.
 SHARED_MEMBER_NAMES = {
     "_index": {"Community", "FractalOrganization"},
     "condition_id": {"SocialOverlayNetwork", "Resolution"},
